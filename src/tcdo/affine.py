@@ -19,7 +19,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import SpanTracker, rank
+from .linalg import SpanTracker, coordinate_rows, rank
 from .modespace import apply_mode, vacuum
 from .p1tcdo import Chart, sections_bidegree, sl2_embedding
 from .qseries import QSeries
@@ -72,8 +72,10 @@ class PBWVector:
         for word, c in (terms or {}).items():
             c = Fraction(c)
             if c:
-                assert all(_is_lowering(g, m) for g, m in word)
-                assert list(word) == sorted(word, key=_key)
+                if not all(_is_lowering(g, m) for g, m in word):
+                    raise ValueError(f"PBW word {word} has a non-lowering mode")
+                if list(word) != sorted(word, key=_key):
+                    raise ValueError(f"PBW word {word} is not in PBW order")
                 clean[word] = c
         self.terms = clean
 
@@ -92,7 +94,8 @@ class PBWVector:
         return not self.terms
 
     def __add__(self, other: "PBWVector") -> "PBWVector":
-        assert self.nu == other.nu
+        if self.nu != other.nu:
+            raise ValueError(f"cannot add PBW vectors with nu={self.nu} and nu={other.nu}")
         out = dict(self.terms)
         for w, c in other.terms.items():
             out[w] = out.get(w, Fraction(0)) + c
@@ -245,14 +248,14 @@ def sugawara_apply(k: int, v: PBWVector) -> PBWVector:
     """T_k = (e_(-1)f + f_(-1)e + 1/2 h_(-1)h)_(k+1) via the module expansion
     (x_(-1)y)_(m) u = sum_{j>=0} [x_(-1-j) y_(m+j) u + y_(m-1-j) x_(j) u]."""
     m = k + 1
-    out = PBWVector({}, v.nu)
+    out: dict[tuple, Fraction] = {}
     dmax = v.depth_max()
     for coef, xg, yg in _QUADRATIC:
         for j in range(dmax - m + 1):
-            out = out + coef * act(xg, -1 - j, act(yg, m + j, v))
+            _merge(out, act(xg, -1 - j, act(yg, m + j, v)).terms, coef)
         for j in range(dmax + 1):
-            out = out + coef * act(yg, m - 1 - j, act(xg, j, v))
-    return out
+            _merge(out, act(yg, m - 1 - j, act(xg, j, v)).terms, coef)
+    return PBWVector(out, v.nu)
 
 
 def sugawara_zero_eigenvalue(nu) -> Fraction:
@@ -262,22 +265,12 @@ def sugawara_zero_eigenvalue(nu) -> Fraction:
     got = sugawara_apply(0, v)
     if got.is_zero:
         return Fraction(0)
-    assert set(got.terms) == {()}
+    if set(got.terms) != {()}:
+        raise ValueError(f"T_0 does not act by a scalar on the highest-weight vector: {got!r}")
     return got.terms[()]
 
 
 # -- quotients and characters ----------------------------------------------------
-
-
-def _coords(vectors, basis_words):
-    index = {w: i for i, w in enumerate(basis_words)}
-    rows = []
-    for v in vectors:
-        row = [Fraction(0)] * len(basis_words)
-        for w, c in v.terms.items():
-            row[index[w]] = c
-        rows.append(row)
-    return rows
 
 
 @lru_cache(maxsize=None)
@@ -285,16 +278,23 @@ def _t_image(k: int, word: tuple, nu: Fraction) -> PBWVector:
     return sugawara_apply(k, PBWVector({word: 1}, nu))
 
 
-def _sugawara_span(nu, d: int, mu, tracker: SpanTracker, basis_words) -> None:
-    """Feed all T_(-k) images landing in bidegree (d, mu) into the tracker.
-    Single applications suffice: T is central, so sum_k T_(-k) M is already a
-    submodule, and iterated T's land inside single-T images."""
+def _sugawara_span(nu, d: int, mu, basis_words) -> tuple:
+    """A tracker holding all T_(-k) images landing in bidegree (d, mu), and
+    the index of basis_words it uses.  Single applications suffice: T is
+    central, so sum_k T_(-k) M is already a submodule, and iterated T's land
+    inside single-T images."""
     nu = Fraction(nu)
+    index = {w: i for i, w in enumerate(basis_words)}
+    images = []
     for k in range(1, d + 1):
         for src in verma_basis(nu, d - k, mu):
             img = _t_image(-k, src, nu)
             if not img.is_zero:
-                tracker.add(_coords([img], basis_words)[0])
+                images.append(img)
+    tracker = SpanTracker(len(basis_words))
+    for row in coordinate_rows(images, index):
+        tracker.add(row)
+    return tracker, index
 
 
 def restricted_verma_dim(nu, d: int, mu) -> int:
@@ -304,8 +304,7 @@ def restricted_verma_dim(nu, d: int, mu) -> int:
     basis_words = verma_basis(nu, d, mu)
     if not basis_words:
         return 0
-    tracker = SpanTracker(len(basis_words))
-    _sugawara_span(nu, d, mu, tracker, basis_words)
+    tracker, _ = _sugawara_span(nu, d, mu, basis_words)
     return len(basis_words) - tracker.dim
 
 
@@ -324,16 +323,6 @@ def _default_mu_window(n: int, d_max: int):
     return [mu for mu in range(lo, hi + 1) if (n - mu) % 2 == 0]
 
 
-def quotient_char(n: int, d_max: int) -> QSeries:
-    """Depth character of M_{n/z} aggregated over the default mu window.
-    The per-bidegree dict (quotient_dims) is the primary object; this
-    aggregate depends on the window because depth slices are infinite."""
-    mus = _default_mu_window(n, d_max)
-    dims = quotient_dims(n, d_max, mus)
-    coeffs = tuple(sum(dims[(d, mu)] for mu in mus) for d in range(d_max + 1))
-    return QSeries(coeffs, d_max)
-
-
 def singular_bidegrees(nu, d_max: int, mu_values) -> list:
     """Bidegrees of M_{nu/z} holding a nonzero vector killed by e_0, e_1, h_1
     and f_1 (these generate all raising modes).  Works per bidegree with the
@@ -344,8 +333,7 @@ def singular_bidegrees(nu, d_max: int, mu_values) -> list:
             basis_words = verma_basis(nu, d, mu)
             if not basis_words:
                 continue
-            own = SpanTracker(len(basis_words))
-            _sugawara_span(nu, d, mu, own, basis_words)
+            own, _ = _sugawara_span(nu, d, mu, basis_words)
             raising = [("e", 0), ("e", 1), ("h", 1), ("f", 1)]
             # stacked rows: coordinates of X v in each target bidegree,
             # reduced modulo the target's Sugawara span
@@ -356,12 +344,9 @@ def singular_bidegrees(nu, d_max: int, mu_values) -> list:
                 tgt_words = verma_basis(nu, tgt_d, tgt_mu)
                 if not tgt_words:
                     continue
-                tracker = SpanTracker(len(tgt_words))
-                _sugawara_span(nu, tgt_d, tgt_mu, tracker, tgt_words)
-                cols = []
-                for w in basis_words:
-                    img = act(gen, m, PBWVector({w: 1}, nu))
-                    cols.append(tracker.residual(_coords([img], tgt_words)[0]))
+                tracker, index = _sugawara_span(nu, tgt_d, tgt_mu, tgt_words)
+                images = [act(gen, m, PBWVector({w: 1}, nu)) for w in basis_words]
+                cols = [tracker.residual(row) for row in coordinate_rows(images, index)]
                 for i in range(len(tgt_words)):
                     rows.append([c[i] for c in cols])
             # singular classes = kernel of the stacked map, minus vectors that
@@ -390,18 +375,20 @@ def irreducible_dims(n: int, d_max: int, mu_values) -> dict:
             if not basis_words:
                 out[(d, mu)] = 0
                 continue
-            tracker = SpanTracker(len(basis_words))
-            _sugawara_span(n, d, mu, tracker, basis_words)
+            tracker, index = _sugawara_span(n, d, mu, basis_words)
             # lowering words sending the singular vector into (d, mu);
             # U(g^)w = U(lowering)w because w is singular (verified by
             # check_singular_generator, not assumed)
+            images = []
             for neg in _negative_words(d):
                 gap = n + word_h_shift(neg) - 2 * (n + 1) - mu
                 if gap >= 0 and gap % 2 == 0:
                     word = neg + (("f", 0),) * (gap // 2)
                     img = act_word(word, PBWVector({sing_word: 1}, n))
                     if not img.is_zero:
-                        tracker.add(_coords([img], basis_words)[0])
+                        images.append(img)
+            for row in coordinate_rows(images, index):
+                tracker.add(row)
             out[(d, mu)] = len(basis_words) - tracker.dim
     return out
 
@@ -444,23 +431,18 @@ def verma_to_sections(n: int, d_max: int, mu_values=None) -> dict:
             targets = sections_bidegree(Chart.ZERO, n, d, mu)
             if not words and not targets:
                 continue
-            target_monos = [next(iter(t.terms)) for t in targets]
-            index = {mono: i for i, mono in enumerate(target_monos)}
-            rows = []
+            index = {next(iter(t.terms)): i for i, t in enumerate(targets)}
+            images = []
             for word in words:
                 img = vacuum(lstar=n)
                 for gen, m in reversed(word):
                     img = apply_mode(rho[gen], m, img)
-                row = [Fraction(0)] * len(target_monos)
-                for mono, c in img.terms.items():
-                    row[index[mono]] = c
-                rows.append(row)
-            r = rank(rows) if rows and target_monos else 0
+                images.append(img)
             table[(d, mu)] = (
                 len(words),
                 restricted_verma_dim(n, d, mu),
                 len(targets),
-                r,
+                rank(coordinate_rows(images, index)),
             )
     return table
 

@@ -1,152 +1,141 @@
 """Small exact linear algebra toolkit over the rationals.
 
-Ranks go through fraction-free (Bareiss) elimination on an integer matrix
-obtained by clearing denominators row by row; kernels, span membership and
-quotient bookkeeping use a rational reduced row echelon form.  Everything is
-deterministic and exact -- inputs are ints or fractions.Fraction, never
-floats.  Matrices are plain lists of row lists; the empty matrix is allowed
+One sparse echelon kernel does all the elimination.  It keeps a span as rows
+``{col: Fraction}``, each normalised so that its pivot (its lowest column)
+has entry 1, keyed by that pivot.  A vector is reduced against the rows in
+increasing pivot order, so the residual is zero on every pivot column; since
+the pivot columns of a span do not depend on the order its rows arrived in,
+the residual is canonical.  ``rank``, ``kernel_basis`` and ``SpanTracker``
+are thin fronts over that kernel.
+
+Everything is deterministic and exact -- inputs are ints or
+fractions.Fraction, never floats.  Dense matrices are plain lists of row
+lists, sparse rows are dicts ``{col: value}``; the empty matrix is allowed
 everywhere and has rank 0.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
-from math import gcd
 
-Row = list  # rows of int | Fraction
+_ZERO = Fraction(0)
 
 
-def clear_row_denominators(row) -> list[int]:
-    """Scale a rational row to a primitive integer row (kernel/rank safe)."""
-    lcm = 1
-    for x in row:
-        d = x.denominator if isinstance(x, Fraction) else 1
-        lcm = lcm * d // gcd(lcm, d)
-    out = [int(x * lcm) for x in row]
-    g = 0
-    for x in out:
-        g = gcd(g, abs(x))
-    if g > 1:
-        out = [x // g for x in out]
-    return out
+def _sparse(vec) -> dict:
+    """A fresh ``{col: value}`` dict of the nonzero entries of a dense row
+    or a sparse dict."""
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    return {j: c for j, c in items if c}
+
+
+class _Echelon:
+    """Sparse echelon rows: ``rows[p]`` holds the entries of the row with
+    pivot p at columns > p (its pivot entry is an implicit 1)."""
+
+    __slots__ = ("rows", "pivots")
+
+    def __init__(self):
+        self.rows: dict[int, dict[int, Fraction]] = {}
+        self.pivots: list[int] = []  # sorted
+
+    def reduce(self, vec: dict) -> dict:
+        """Reduce ``vec`` in place against every row, in increasing pivot
+        order; the result is zero on every pivot column."""
+        rows = self.rows
+        for p in self.pivots:
+            c = vec.pop(p, None)
+            if c is None:
+                continue
+            for j, a in rows[p].items():
+                x = vec.get(j)
+                if x is None:
+                    vec[j] = -c * a
+                else:
+                    x -= c * a
+                    if x:
+                        vec[j] = x
+                    else:
+                        del vec[j]
+        return vec
+
+    def add(self, vec: dict) -> bool:
+        """Reduce ``vec`` (consumed) and keep what is left as a new row;
+        True when the span grew."""
+        vec = self.reduce(vec)
+        if not vec:
+            return False
+        p = min(vec)
+        inv = 1 / Fraction(vec.pop(p))
+        self.rows[p] = {j: a * inv for j, a in vec.items()}
+        insort(self.pivots, p)
+        return True
 
 
 def rank(mat) -> int:
-    """Rank via Bareiss fraction-free elimination (rows cleared to ints first)."""
-    m = [clear_row_denominators(row) for row in mat if any(row)]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    prev = 1
-    r = 0
-    for col in range(ncols):
-        # find a pivot row at or below r
-        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, len(m)):
-            for j in range(col + 1, ncols):
-                m[i][j] = (m[r][col] * m[i][j] - m[i][col] * m[r][j]) // prev
-            m[i][col] = 0
-        prev = m[r][col]
-        r += 1
-        if r == len(m):
-            break
-    return r
-
-
-def rref(mat):
-    """Reduced row echelon form over Fraction; returns (rows, pivot_columns)."""
-    rows = [[Fraction(x) for x in row] for row in mat]
-    rows = [row for row in rows if any(row)]
-    pivots: list[int] = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [a - c * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+    """Rank of a matrix given as a list of dense rows or sparse dicts."""
+    core = _Echelon()
+    for row in mat:
+        core.add(_sparse(row))
+    return len(core.pivots)
 
 
 def kernel_basis(mat, ncols: int):
-    """Basis of {x : mat @ x = 0} as Fraction rows of length ncols."""
+    """Basis of {x : mat @ x = 0} as Fraction rows of length ncols: one
+    vector per free column f, with 1 at f, 0 at the other free columns, and
+    minus the reduced row echelon form's column f at the pivots."""
+    core = _Echelon()
     for row in mat:
-        assert len(row) == ncols
-    red, pivots = rref(mat)
-    free = [j for j in range(ncols) if j not in pivots]
+        if len(row) != ncols:
+            raise ValueError(f"row of length {len(row)} in a matrix with {ncols} columns")
+        core.add(_sparse(row))
+    pivots = core.pivots
+    # the reduced row with pivot p: its tail reduced against the other rows
+    red = {p: core.reduce(dict(core.rows[p])) for p in pivots}
     basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
+    for f in range(ncols):
+        if f in core.rows:
+            continue
+        vec = [_ZERO] * ncols
         vec[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            vec[p] = -red[i][f]
+        for p in pivots:
+            vec[p] = -red[p].get(f, _ZERO)
         basis.append(vec)
     return basis
+
+
+def coordinate_rows(states, index: dict) -> list[dict]:
+    """Sparse coordinate rows ``{column: coefficient}`` of states (anything
+    with a ``terms`` dict) over a basis index ``{basis key: column}``."""
+    return [{index[key]: c for key, c in state.terms.items()} for state in states]
 
 
 class SpanTracker:
     """Incrementally built row space with exact membership tests.
 
-    Rows are kept in (unnormalized) echelon form; ``add`` returns True when
-    the vector actually enlarged the span, so rank is just ``len(rows)``.
+    Vectors are dense rows of length ``ncols`` or sparse dicts
+    ``{col: value}``; ``add`` returns True when the vector actually enlarged
+    the span, so rank is just ``dim``.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: list[list[Fraction]] = []
-        self._lead: list[int] = []
-
-    def _reduce(self, vec):
-        vec = [Fraction(x) for x in vec]
-        for row, lead in zip(self.rows, self._lead):
-            if vec[lead]:
-                c = vec[lead] / row[lead]
-                vec = [a - c * b for a, b in zip(vec, row)]
-        return vec
+        self._core = _Echelon()
 
     def contains(self, vec) -> bool:
-        return not any(self._reduce(vec))
+        return not self._core.reduce(_sparse(vec))
 
     def residual(self, vec) -> list[Fraction]:
-        """The vector reduced against the current span (zero iff contained)."""
-        return self._reduce(vec)
+        """The vector reduced against the current span, as a dense row (zero
+        iff contained, and zero on every pivot column)."""
+        out = [_ZERO] * self.ncols
+        for j, c in self._core.reduce(_sparse(vec)).items():
+            out[j] = Fraction(c)
+        return out
 
     def add(self, vec) -> bool:
-        vec = self._reduce(vec)
-        lead = next((j for j, x in enumerate(vec) if x), None)
-        if lead is None:
-            return False
-        # keep echelon order by leading column
-        pos = next((i for i, l in enumerate(self._lead) if l > lead), len(self.rows))
-        self.rows.insert(pos, vec)
-        self._lead.insert(pos, lead)
-        return True
+        return self._core.add(_sparse(vec))
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
-
-
-def span_dim(rows) -> int:
-    return rank(rows)
-
-
-def intersection_dim(rows_a, rows_b, ncols: int) -> int:
-    """dim(span A  ∩  span B) = dim A + dim B - dim(A + B)."""
-    da = rank(rows_a)
-    db = rank(rows_b)
-    joint = rank(list(rows_a) + list(rows_b))
-    return da + db - joint
+        return len(self._core.pivots)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import SpanTracker
+from .linalg import SpanTracker, coordinate_rows
 from .modespace import (
     POLY,
     FreeState,
@@ -280,10 +280,8 @@ def check_zhu_of_tcdo_chart(cutoff: int = 3) -> CheckReport:
     index = {key: i for i, key in enumerate(keys)}
     tracker = SpanTracker(len(keys))
     independent = True
-    for (d, k, e), op in words:
-        row = [Fraction(0)] * len(keys)
-        for key, c in op.terms.items():
-            row[index[key]] = c
+    rows = coordinate_rows([op for _, op in words], index)
+    for ((d, k, e), op), row in zip(words, rows):
         if not tracker.add(row):
             independent = False
             rep.record(False, f"word x^{d} a^{k} l*^{e} is dependent")

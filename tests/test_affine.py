@@ -1,8 +1,12 @@
 """Affine PBW engine: bracket consistency, Sugawara, characters, replay map."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +144,71 @@ def test_sugawara_commutes_with_action_exact():
         v = random_pbw(rng, 2, nu)
         for gen, m, k in (("e", -1, -1), ("f", 1, -2), ("h", 0, 1)):
             assert sugawara_apply(k, act(gen, m, v)) == act(gen, m, sugawara_apply(k, v))
+
+
+def _sugawara_by_vector_sums(k, v):
+    # the slow path: one PBWVector per partial sum
+    m = k + 1
+    out = PBWVector({}, v.nu)
+    dmax = v.depth_max()
+    for coef, xg, yg in ((Fraction(1), "e", "f"), (Fraction(1), "f", "e"), (Fraction(1, 2), "h", "h")):
+        for j in range(dmax - m + 1):
+            out = out + coef * act(xg, -1 - j, act(yg, m + j, v))
+        for j in range(dmax + 1):
+            out = out + coef * act(yg, m - 1 - j, act(xg, j, v))
+    return out
+
+
+def test_sugawara_matches_vector_sums():
+    rng = random.Random(SEED)
+    for _ in range(20):
+        nu = rng.choice([Fraction(0), Fraction(3), Fraction(-2), Fraction(5, 3)])
+        v = random_pbw(rng, 3, nu)
+        k = rng.randint(-3, 2)
+        assert sugawara_apply(k, v) == _sugawara_by_vector_sums(k, v)
+
+
+def test_pbw_invariants_raise():
+    with pytest.raises(ValueError, match="non-lowering"):
+        PBWVector({(("e", 1),): 1})
+    with pytest.raises(ValueError, match="PBW order"):
+        PBWVector({(("f", 0), ("e", -1)): 1})
+    with pytest.raises(ValueError, match="nu="):
+        highest_weight_vector(0) + highest_weight_vector(1)
+
+
+def test_sugawara_zero_eigenvalue_rejects_non_scalar(monkeypatch):
+    import tcdo.affine
+
+    monkeypatch.setattr(tcdo.affine, "sugawara_apply", lambda k, v: PBWVector({(("f", 0),): 1}, v.nu))
+    with pytest.raises(ValueError, match="scalar"):
+        sugawara_zero_eigenvalue(0)
+
+
+def test_invariants_raise_under_optimize_flag():
+    # python -O strips assert statements; the invariants must survive it
+    script = """
+import pytest
+import tcdo.affine as A
+from tcdo.linalg import kernel_basis
+for bad in (
+    lambda: A.PBWVector({(("e", 1),): 1}),
+    lambda: A.PBWVector({(("f", 0), ("e", -1)): 1}),
+    lambda: A.highest_weight_vector(0) + A.highest_weight_vector(1),
+    lambda: kernel_basis([[1, 2, 3]], 2),
+):
+    with pytest.raises(ValueError):
+        bad()
+A.sugawara_apply = lambda k, v: A.PBWVector({(("f", 0),): 1}, v.nu)
+with pytest.raises(ValueError):
+    A.sugawara_zero_eigenvalue(0)
+print("ok")
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
 
 
 def test_singular_generator_annihilated():
