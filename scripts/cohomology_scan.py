@@ -10,8 +10,9 @@ characters and the closed forms they are checked against.
 
 import argparse
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from tcdo.cech import cech_dims, euler_check, expected_characters
 from tcdo.qseries import eta_inverse_squared

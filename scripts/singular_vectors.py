@@ -12,8 +12,9 @@ vector itself, and the H^0 representative must be the vacuum section.
 
 import argparse
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from tcdo.affine import singular_bidegrees
 from tcdo.cech import singular_vectors_h0

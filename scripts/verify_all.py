@@ -11,8 +11,9 @@ budget.  Exits nonzero if any suite fails.
 import argparse
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from tcdo.cli import main as tcdo_main
 

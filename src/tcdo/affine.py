@@ -327,13 +327,20 @@ def singular_bidegrees(nu, d_max: int, mu_values) -> list:
     """Bidegrees of M_{nu/z} holding a nonzero vector killed by e_0, e_1, h_1
     and f_1 (these generate all raising modes).  Works per bidegree with the
     Sugawara span quotiented out exactly."""
+    spans: dict = {}  # (d, mu) -> _sugawara_span, built once per call
+
+    def span(d, mu, words):
+        if (d, mu) not in spans:
+            spans[(d, mu)] = _sugawara_span(nu, d, mu, words)
+        return spans[(d, mu)]
+
     found = []
     for d in range(d_max + 1):
         for mu in mu_values:
             basis_words = verma_basis(nu, d, mu)
             if not basis_words:
                 continue
-            own, _ = _sugawara_span(nu, d, mu, basis_words)
+            own, _ = span(d, mu, basis_words)
             raising = [("e", 0), ("e", 1), ("h", 1), ("f", 1)]
             # stacked rows: coordinates of X v in each target bidegree,
             # reduced modulo the target's Sugawara span
@@ -344,7 +351,7 @@ def singular_bidegrees(nu, d_max: int, mu_values) -> list:
                 tgt_words = verma_basis(nu, tgt_d, tgt_mu)
                 if not tgt_words:
                     continue
-                tracker, index = _sugawara_span(nu, tgt_d, tgt_mu, tgt_words)
+                tracker, index = span(tgt_d, tgt_mu, tgt_words)
                 images = [act(gen, m, PBWVector({w: 1}, nu)) for w in basis_words]
                 cols = [tracker.residual(row) for row in coordinate_rows(images, index)]
                 for i in range(len(tgt_words)):

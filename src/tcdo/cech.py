@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import kernel_basis, rank
-from .modespace import FreeState, apply_mode, bigrade
+from .modespace import apply_mode, linear_combination
 from .p1tcdo import (
     Chart,
     GluingMap,
@@ -206,14 +206,21 @@ def _mono_key(mono):
     return (mono.amodes, mono.bmodes, mono.lmodes, mono.power)
 
 
-def _pair_image(gen, m, vec, basis0, basisinf, rho0, rhoinf, n):
-    img0 = FreeState({}, Chart.ZERO.ring, n)
-    imginf = FreeState({}, Chart.INFTY.ring, n)
-    for c, s in zip(vec[: len(basis0)], basis0):
-        img0 = img0 + c * apply_mode(rho0[gen], m, s)
-    for c, s in zip(vec[len(basis0) :], basisinf):
-        imginf = imginf + c * apply_mode(rhoinf[gen], m, s)
-    return img0, imginf
+def _chart_pair(vec, basis0, basisinf, n):
+    """A kernel vector over (zero ++ infinity) bases as its pair of states."""
+    k = len(basis0)
+    s0 = linear_combination(
+        zip(vec[:k], (s.terms.items() for s in basis0)), Chart.ZERO.ring, n
+    )
+    sinf = linear_combination(
+        zip(vec[k:], (s.terms.items() for s in basisinf)), Chart.INFTY.ring, n
+    )
+    return s0, sinf
+
+
+def _pair_image(gen, m, pair, rho0, rhoinf):
+    s0, sinf = pair
+    return apply_mode(rho0[gen], m, s0), apply_mode(rhoinf[gen], m, sinf)
 
 
 def singular_vectors_h0(n: int, weight_max: int):
@@ -237,12 +244,10 @@ def singular_vectors_h0(n: int, weight_max: int):
             ]
             # condition matrix: one row per (raising op, target monomial),
             # one column per kernel vector — aligned on a shared index
+            pairs = [_chart_pair(vec, basis0, basisinf, n) for vec in kernel]
             rows = []
             for gen, m in raising:
-                images = [
-                    _pair_image(gen, m, vec, basis0, basisinf, rho0, rhoinf, n)
-                    for vec in kernel
-                ]
+                images = [_pair_image(gen, m, pair, rho0, rhoinf) for pair in pairs]
                 monos0 = sorted({mo for i0, _ in images for mo in i0.terms}, key=_mono_key)
                 monosinf = sorted({mo for _, ii in images for mo in ii.terms}, key=_mono_key)
                 for mo in monos0:
@@ -250,10 +255,9 @@ def singular_vectors_h0(n: int, weight_max: int):
                 for mo in monosinf:
                     rows.append([ii.terms.get(mo, Fraction(0)) for _, ii in images])
             for coeffs in kernel_basis(rows, len(kernel)):
-                rep = FreeState({}, Chart.ZERO.ring, n)
-                for a, vec in zip(coeffs, kernel):
-                    for c, s in zip(vec[: len(basis0)], basis0):
-                        rep = rep + a * c * s
+                rep = linear_combination(
+                    zip(coeffs, (s0.terms.items() for s0, _ in pairs)), Chart.ZERO.ring, n
+                )
                 found.append((N, mu, rep))
     return found
 
@@ -270,14 +274,10 @@ def check_sl2_stability(n: int, weight_max: int, modes=(-2, -1, 0, 1, 2)) -> Che
         for mu in mu_window(n, weight_max):
             basis0, basisinf, kernel = cech_kernel(n, N, mu)
             for vec in kernel:
+                pair = _chart_pair(vec, basis0, basisinf, n)
                 for gen in "ehf":
                     for m in modes:
-                        img0 = FreeState({}, Chart.ZERO.ring, n)
-                        imginf = FreeState({}, Chart.INFTY.ring, n)
-                        for c, s in zip(vec[: len(basis0)], basis0):
-                            img0 = img0 + c * apply_mode(rho0[gen], m, s)
-                        for c, s in zip(vec[len(basis0) :], basisinf):
-                            imginf = imginf + c * apply_mode(rhoinf[gen], m, s)
+                        img0, imginf = _pair_image(gen, m, pair, rho0, rhoinf)
                         delta = include_overlap(img0) - glue(
                             imginf, g, transition_degree=n
                         )

@@ -15,7 +15,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import affine, cech, modespace, p1tcdo, zhu
@@ -45,7 +45,6 @@ class RunConfig:
     cutoff: int = 3
     workers: int | None = None
     mode: str | None = None
-    extra: dict = field(default_factory=dict)
 
 
 class UsageError(ValueError):

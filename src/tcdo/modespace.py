@@ -24,11 +24,15 @@ module carries no LSTAR-modes at all, creation modes of LSTAR act as 0 and
 its zero mode acts as the scalar n, which is the mode transcription of the
 residue-n character n/z.
 
-Coefficients are ``fractions.Fraction``; floats are rejected everywhere.
-All operations return new states (value semantics).  ``apply_mode`` computes
-the module action w_(m) u by structural recursion on w and is exact; its
-per-monomial core is memoized, which is a pure cache and never changes
-results.
+State coefficients are ``fractions.Fraction``; floats are rejected
+everywhere.  All operations return new states (value semantics).
+``apply_mode`` computes the module action w_(m) u by structural recursion on
+w and is exact.  Its per-monomial core is memoized, which is a pure cache and
+never changes results, and works on ``int`` structure constants only: the
+modes of the normally ordered ``x(z)^k`` have integer coefficients, so the one
+division of the recursion (``_ground_apply``) is exact, and ``_exact_div``
+certifies that it is, raising instead of rounding.  ``Fraction`` enters only
+at the public boundary, where state coefficients multiply the constants.
 """
 
 from __future__ import annotations
@@ -56,6 +60,10 @@ class SpecializationError(ValueError):
     """Incompatible symbolic/specialized twist sectors."""
 
 
+class InexactDivisionError(ArithmeticError):
+    """An integer structure constant was not divisible where it must be."""
+
+
 def binom(n: int, j: int) -> int:
     """Binomial coefficient C(n, j) for any integer n and j >= 0."""
     if j < 0:
@@ -63,6 +71,14 @@ def binom(n: int, j: int) -> int:
     if n >= 0:
         return math.comb(n, j) if j <= n else 0
     return (-1) ** j * math.comb(-n + j - 1, j)
+
+
+def _out_of_order(modes: tuple[int, ...], top: int) -> bool:
+    """True unless ``modes`` is sorted ascending with every entry <= top;
+    for a sorted tuple the last entry is the largest."""
+    if not modes:
+        return False
+    return modes[-1] > top or (len(modes) > 1 and list(modes) != sorted(modes))
 
 
 @dataclass(frozen=True)
@@ -79,9 +95,15 @@ class Monomial:
     power: int = 0
 
     def __post_init__(self) -> None:
-        assert all(m <= -1 for m in self.amodes) and list(self.amodes) == sorted(self.amodes)
-        assert all(m <= -2 for m in self.bmodes) and list(self.bmodes) == sorted(self.bmodes)
-        assert all(m <= -1 for m in self.lmodes) and list(self.lmodes) == sorted(self.lmodes)
+        if (
+            _out_of_order(self.amodes, -1)
+            or _out_of_order(self.bmodes, -2)
+            or _out_of_order(self.lmodes, -1)
+        ):
+            raise ValueError(
+                f"mode tuples must be sorted ascending with A/LSTAR modes <= -1 "
+                f"and B modes <= -2, got {self.amodes}, {self.bmodes}, {self.lmodes}"
+            )
 
     @property
     def weight(self) -> int:
@@ -112,6 +134,8 @@ VACUUM_MONO = Monomial()
 
 
 def _coerce(c) -> Fraction:
+    if type(c) is Fraction:
+        return c
     if isinstance(c, float):
         raise TypeError("float coefficients are forbidden; use Fraction or int")
     return Fraction(c)
@@ -266,49 +290,49 @@ def _remove_one(tup: tuple[int, ...], m: int) -> tuple[int, ...]:
     return tuple(lst)
 
 
-def _gen_mode_mono(gen: str, m: int, u: Monomial, ls) -> dict[Monomial, Fraction]:
+def _gen_mode_mono(gen: str, m: int, u: Monomial, ls) -> dict[Monomial, int]:
     """Apply one generator mode to one monomial.  ``ls`` is the target's twist sector."""
-    one = Fraction(1)
     if m <= -1:
         # creation: all creation modes commute, so this is a normal-form insert
         if gen == GEN_A:
-            return {Monomial(_insort(u.amodes, m), u.bmodes, u.lmodes, u.power): one}
+            return {Monomial(_insort(u.amodes, m), u.bmodes, u.lmodes, u.power): 1}
         if gen == GEN_B:
             if m == -1:
-                return {Monomial(u.amodes, u.bmodes, u.lmodes, u.power + 1): one}
-            return {Monomial(u.amodes, _insort(u.bmodes, m), u.lmodes, u.power): one}
+                return {Monomial(u.amodes, u.bmodes, u.lmodes, u.power + 1): 1}
+            return {Monomial(u.amodes, _insort(u.bmodes, m), u.lmodes, u.power): 1}
         if ls is not None:
             return {}  # character value of every LSTAR creation mode is 0
-        return {Monomial(u.amodes, u.bmodes, _insort(u.lmodes, m), u.power): one}
+        return {Monomial(u.amodes, u.bmodes, _insort(u.lmodes, m), u.power): 1}
 
     # annihilation: commute through to the ground, picking up contractions
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, int] = {}
     if gen == GEN_A:
         t = -1 - m
         if t <= -2:
             mult = u.bmodes.count(t)
             if mult:
-                out[Monomial(u.amodes, _remove_one(u.bmodes, t), u.lmodes, u.power)] = Fraction(mult)
+                out[Monomial(u.amodes, _remove_one(u.bmodes, t), u.lmodes, u.power)] = mult
         if m == 0 and u.power:
             mono = Monomial(u.amodes, u.bmodes, u.lmodes, u.power - 1)
-            out[mono] = out.get(mono, Fraction(0)) + u.power
+            out[mono] = out.get(mono, 0) + u.power
     elif gen == GEN_B:
         r = -1 - m
         mult = u.amodes.count(r)
         if mult:
-            out[Monomial(_remove_one(u.amodes, r), u.bmodes, u.lmodes, u.power)] = Fraction(-mult)
+            out[Monomial(_remove_one(u.amodes, r), u.bmodes, u.lmodes, u.power)] = -mult
     else:  # GEN_LSTAR
         if ls is not None and m == 0:
-            return {u: Fraction(ls)}
+            return {u: ls}
         # symbolic zero/positive modes annihilate: LSTAR is central with zero pairing
     return out
 
 
-def _gen_mode_terms(gen, m, terms: dict, ls) -> dict[Monomial, Fraction]:
-    out: dict[Monomial, Fraction] = {}
-    for mono, c in terms.items():
+def _gen_mode_terms(gen, m, terms, ls) -> dict[Monomial, int]:
+    """One generator mode on (monomial, coefficient) pairs."""
+    out: dict[Monomial, int] = {}
+    for mono, c in terms:
         for mono2, c2 in _gen_mode_mono(gen, m, mono, ls).items():
-            out[mono2] = out.get(mono2, Fraction(0)) + c * c2
+            out[mono2] = out.get(mono2, 0) + c * c2
     return out
 
 
@@ -325,16 +349,26 @@ def _head(w: Monomial):
     return None
 
 
-def _merge(out: dict, terms: dict, scale: Fraction) -> None:
+def _merge(out: dict, terms, scale) -> None:
+    """out += scale * terms, for (monomial, coefficient) pairs."""
     if not scale:
         return
-    for mono, c in terms.items():
-        out[mono] = out.get(mono, Fraction(0)) + scale * c
+    for mono, c in terms:
+        out[mono] = out.get(mono, 0) + scale * c
+
+
+def _exact_div(num: int, den: int) -> int:
+    """num / den for a division that must come out whole; the zero remainder
+    is the certificate, and a nonzero one raises instead of rounding."""
+    q, r = divmod(num, den)
+    if r:
+        raise InexactDivisionError(f"{num} is not divisible by {den}")
+    return q
 
 
 @lru_cache(maxsize=None)
 def _apply_mono(w: Monomial, m: int, u: Monomial, ls) -> tuple:
-    """w_(m) u for normal-form monomials; returns ((monomial, coeff), ...)."""
+    """w_(m) u for normal-form monomials; returns ((monomial, int coeff), ...)."""
     head = _head(w)
     if head is None:
         out = _ground_apply(w.power, m, u, ls)
@@ -345,53 +379,71 @@ def _apply_mono(w: Monomial, m: int, u: Monomial, ls) -> tuple:
         # (g_(-s) tail)_(m) u
         #   = sum_j (-1)^j C(-s,j) [ g_(-s-j) (tail_(m+j) u)
         #                            - (-1)^s tail_(-s+m-j) (g_(j) u) ]
-        j = 0
-        while tail.weight + u.weight - (m + j) - 1 >= 0:
+        uw = u.weight
+        for j in range(tail.weight + uw - m):
             inner = _apply_mono(tail, m + j, u, ls)
             if inner:
-                created = _gen_mode_terms(gen, mode - j, dict(inner), ls)
-                _merge(out, created, Fraction((-1) ** j * binom(mode, j)))
-            j += 1
+                created = _gen_mode_terms(gen, mode - j, inner, ls)
+                _merge(out, created.items(), (-1) ** j * binom(mode, j))
         sign = -((-1) ** s)
-        for j in range(u.weight + 1):
+        for j in range(uw + 1):
             gu = _gen_mode_mono(gen, j, u, ls)
             for mono, c in gu.items():
                 inner = _apply_mono(tail, mode + m - j, mono, ls)
-                _merge(out, dict(inner), Fraction(sign * (-1) ** j * binom(mode, j)) * c)
+                _merge(out, inner, sign * (-1) ** j * binom(mode, j) * c)
     return tuple(out.items())
 
 
-def _ground_apply(k: int, m: int, u: Monomial, ls) -> dict[Monomial, Fraction]:
+def _ground_apply(k: int, m: int, u: Monomial, ls) -> dict[Monomial, int]:
     """(x^k)_(m) u, including the vacuum case k = 0."""
     if k == 0:
-        return {u: Fraction(1)} if m == -1 else {}
+        return {u: 1} if m == -1 else {}
     if u.amodes:
         # commute past the head A-mode: [x^k_(m), A_(r)] = -(d/dx x^k)_(m+r)
         r = u.amodes[0]
         tail = Monomial(u.amodes[1:], u.bmodes, u.lmodes, u.power)
-        out: dict[Monomial, Fraction] = {}
-        _merge(out, _gen_mode_terms(GEN_A, r, _ground_apply(k, m, tail, ls), ls), Fraction(1))
-        _merge(out, _ground_apply(k - 1, m + r, tail, ls), Fraction(-k))
+        out = _gen_mode_terms(GEN_A, r, _ground_apply(k, m, tail, ls).items(), ls)
+        _merge(out, _ground_apply(k - 1, m + r, tail, ls).items(), -k)
         return out
     if u.bmodes or u.lmodes:
         # B and LSTAR modes commute with ground multiplication
-        base = _ground_apply(k, m, Monomial(power=u.power), ls)
-        out = base
+        out = _ground_apply(k, m, Monomial(power=u.power), ls)
         for mode in u.lmodes:
-            out = _gen_mode_terms(GEN_LSTAR, mode, out, ls)
+            out = _gen_mode_terms(GEN_LSTAR, mode, out.items(), ls)
         for mode in u.bmodes:
-            out = _gen_mode_terms(GEN_B, mode, out, ls)
+            out = _gen_mode_terms(GEN_B, mode, out.items(), ls)
         return out
     # pure ground target x^j
     if m >= 0:
         return {}
     if m == -1:
-        return {Monomial(power=k + u.power): Fraction(1)}
+        return {Monomial(power=k + u.power): 1}
     # x^k_(m) = (1/(-m-1)) (d(x^k))_(m+1)   with   d(x^k) = k B_(-2) x^(k-1)
     inner = _apply_mono(Monomial(bmodes=(-2,), power=k - 1), m + 1, u, ls)
-    out = {}
-    _merge(out, dict(inner), Fraction(k, -m - 1))
+    return {mono: _exact_div(k * c, -m - 1) for mono, c in inner}
+
+
+def _act(wterms, m: int, uterms, ls) -> dict[Monomial, int]:
+    """w_(m) u on integer (monomial, coefficient) pairs."""
+    out: dict[Monomial, int] = {}
+    for mw, cw in wterms:
+        for mu, cu in uterms:
+            _merge(out, _apply_mono(mw, m, mu, ls), cw * cu)
     return out
+
+
+def _numerators(terms: dict) -> tuple[int, list]:
+    """(D, [(monomial, c * D)]) for the least common denominator D of the
+    coefficients of ``terms``."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return den, [(mono, c.numerator * (den // c.denominator)) for mono, c in terms.items()]
+
+
+def _state(out: dict, den: int, ring: str, lstar) -> FreeState:
+    """The state with coefficients out[mono] / den."""
+    if den != 1:
+        out = {mono: Fraction(c, den) for mono, c in out.items()}
+    return FreeState(out, ring, lstar)
 
 
 def apply_mode(w: FreeState, m: int, u: FreeState) -> FreeState:
@@ -399,7 +451,9 @@ def apply_mode(w: FreeState, m: int, u: FreeState) -> FreeState:
 
     A Laurent w may only act on a Laurent u; a symbolic w may act on a
     specialized u (that is the character-quotient module action), but a
-    specialized state cannot act on a symbolic one.
+    specialized state cannot act on a symbolic one.  Both coefficient lists
+    are scaled to integers, the sum runs over the integer structure
+    constants, and each output coefficient becomes a ``Fraction`` once.
     """
     if w.ring == LAURENT and u.ring == POLY:
         raise RingMismatchError("Laurent states cannot act on polynomial-chart states")
@@ -408,11 +462,22 @@ def apply_mode(w: FreeState, m: int, u: FreeState) -> FreeState:
             f"specialized state (n={w.lstar}) cannot act on sector {u.lstar!r}"
         )
     ring = LAURENT if LAURENT in (w.ring, u.ring) else POLY
-    out: dict[Monomial, Fraction] = {}
-    for mw, cw in w.terms.items():
-        for mu, cu in u.terms.items():
-            _merge(out, dict(_apply_mono(mw, m, mu, u.lstar)), cw * cu)
-    return FreeState(out, ring, u.lstar)
+    dw, wterms = _numerators(w.terms)
+    du, uterms = _numerators(u.terms)
+    return _state(_act(wterms, m, uterms, u.lstar), dw * du, ring, u.lstar)
+
+
+def linear_combination(parts, ring: str = POLY, lstar: int | None = None) -> FreeState:
+    """sum_i s_i t_i as one state, for (s_i, t_i) pairs of an int or
+    ``Fraction`` scale and an iterable of (monomial, coefficient) pairs (a
+    state's ``terms.items()``, or an engine tuple).  The sum runs in one dict
+    over the common denominator of the scales."""
+    parts = [(s, terms) for s, terms in parts if s]
+    den = math.lcm(*(s.denominator for s, _ in parts))
+    out: dict = {}
+    for s, terms in parts:
+        _merge(out, terms, s.numerator * (den // s.denominator))
+    return _state(out, den, ring, lstar)
 
 
 # -- derived operations ------------------------------------------------------

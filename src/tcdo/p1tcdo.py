@@ -20,7 +20,7 @@ x^n: ``glue(•, g, transition_degree=n)`` sends the ground y^j to x^(n-j).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -35,11 +35,13 @@ from .modespace import (
     FreeState,
     Monomial,
     SpecializationError,
+    _act,
     apply_mode,
     bigrade,
     gen_a,
     gen_lstar,
     ground,
+    linear_combination,
     random_state,
     translation,
     vacuum,
@@ -66,56 +68,27 @@ def include_overlap(u: FreeState) -> FreeState:
 # -- the gluing ---------------------------------------------------------------
 
 
-def _deriv_image_symbolic() -> FreeState:
-    """-a_(-1)x^2 - 2 d(x) + x_(-1) l* on the overlap."""
-    return FreeState(
-        {
-            Monomial(amodes=(-1,), power=2): -1,
-            Monomial(bmodes=(-2,)): -2,
-            Monomial(lmodes=(-1,), power=1): 1,
-        },
-        LAURENT,
-    )
-
-
+# images of the INFTY generators on the overlap, as (monomial, int) pairs:
+# y -> x^(-1), d_y -> -a_(-1)x^2 - 2 d(x) + x_(-1) l*, l* -> l*
 _SYMBOLIC_IMAGES = {
-    GEN_B: ground(-1, LAURENT),
-    GEN_A: _deriv_image_symbolic(),
-    GEN_LSTAR: gen_lstar(LAURENT),
+    GEN_B: ((Monomial(power=-1), 1),),
+    GEN_A: (
+        (Monomial(amodes=(-1,), power=2), -1),
+        (Monomial(bmodes=(-2,)), -2),
+        (Monomial(lmodes=(-1,), power=1), 1),
+    ),
+    GEN_LSTAR: ((Monomial(lmodes=(-1,)), 1),),
 }
-
-_GEN_NAMES = {GEN_A: "d_y", GEN_B: "y", GEN_LSTAR: "l*"}
 
 
 @dataclass(frozen=True)
 class GluingMap:
     """INFTY -> OVERLAP chart change.  ``twist`` is None for the symbolic
-    sector or the integer residue n; ``images`` is the generator table in the
-    matching sector (for display and spot checks — the recursion in ``glue``
-    acts through the symbolic forms, see the module docstring)."""
+    sector or the integer residue n; the recursion in ``glue`` acts through
+    the symbolic generator images in every sector (see the module
+    docstring)."""
 
     twist: int | None = None
-    images: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.twist is None:
-            table = dict(_SYMBOLIC_IMAGES)
-        else:
-            n = self.twist
-            table = {
-                GEN_B: ground(-1, LAURENT, n),
-                GEN_A: FreeState(
-                    {
-                        Monomial(amodes=(-1,), power=2): -1,
-                        Monomial(bmodes=(-2,)): -2,
-                        Monomial(power=1): n,
-                    },
-                    LAURENT,
-                    n,
-                ),
-                GEN_LSTAR: n * vacuum(LAURENT, n),
-            }
-        object.__setattr__(self, "images", table)
 
     def mirror(self) -> "GluingMap":
         """The OVERLAP-expressed inverse map; same letters exchanged, hence
@@ -124,7 +97,8 @@ class GluingMap:
 
 
 @lru_cache(maxsize=None)
-def _glue_mono(mono: Monomial, ls, t: int) -> FreeState:
+def _glue_mono(mono: Monomial, ls, t: int) -> tuple:
+    """The glued image of one INFTY monomial: ((monomial, int coeff), ...)."""
     if mono.amodes:
         gen, m = GEN_A, mono.amodes[0]
         tail = Monomial(mono.amodes[1:], mono.bmodes, mono.lmodes, mono.power)
@@ -135,8 +109,9 @@ def _glue_mono(mono: Monomial, ls, t: int) -> FreeState:
         gen, m = GEN_LSTAR, mono.lmodes[0]
         tail = Monomial((), (), mono.lmodes[1:], mono.power)
     else:
-        return FreeState({Monomial(power=t - mono.power): 1}, LAURENT, ls)
-    return apply_mode(_SYMBOLIC_IMAGES[gen], m, _glue_mono(tail, ls, t))
+        return ((Monomial(power=t - mono.power), 1),)
+    out = _act(_SYMBOLIC_IMAGES[gen], m, _glue_mono(tail, ls, t), ls)
+    return tuple((mo, c) for mo, c in out.items() if c)
 
 
 def glue(u: FreeState, g: GluingMap, transition_degree: int = 0) -> FreeState:
@@ -149,10 +124,11 @@ def glue(u: FreeState, g: GluingMap, transition_degree: int = 0) -> FreeState:
         raise SpecializationError(
             f"gluing twist {g.twist!r} does not match state sector {u.lstar!r}"
         )
-    out = zero(LAURENT, u.lstar)
-    for mono, c in u.terms.items():
-        out = out + c * _glue_mono(mono, u.lstar, transition_degree)
-    return out
+    return linear_combination(
+        ((c, _glue_mono(mono, u.lstar, transition_degree)) for mono, c in u.terms.items()),
+        LAURENT,
+        u.lstar,
+    )
 
 
 def check_gluing_morphism(g: GluingMap, samples: int = 100, seed: int = 42,
@@ -325,7 +301,8 @@ def sugawara_zero_mode_value(n: int) -> Fraction:
     got = apply_mode(s, 1, vacuum(lstar=n))  # weight-2 state: zero mode = _(1)
     if got.is_zero:
         return Fraction(0)
-    assert set(got.terms) == {Monomial()}
+    if set(got.terms) != {Monomial()}:
+        raise ValueError(f"Sugawara zero mode is not a scalar on n={n}: {got.render()}")
     return got.terms[Monomial()]
 
 

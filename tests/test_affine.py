@@ -229,6 +229,26 @@ def test_singular_bidegrees_integral_and_generic():
         assert singular_bidegrees(nu, 2, window) == []
 
 
+def test_singular_bidegrees_builds_each_sugawara_span_once(monkeypatch):
+    import tcdo.affine
+
+    built = []
+    real = tcdo.affine._sugawara_span
+
+    def counting(nu, d, mu, words):
+        built.append((nu, d, mu))
+        return real(nu, d, mu, words)
+
+    monkeypatch.setattr(tcdo.affine, "_sugawara_span", counting)
+    window = [m for m in range(-9, 6) if m % 2 == 0]
+    assert singular_bidegrees(2, 2, window) == [(0, -4, 1)]
+    assert len(built) == len(set(built))
+    built.clear()
+    window = [Fraction(1, 2) + 2 * k for k in range(-4, 3)]
+    assert singular_bidegrees(Fraction(1, 2), 2, window) == []
+    assert built and len(built) == len(set(built))
+
+
 def test_quotient_depth_zero_is_f0_orbit():
     dims = quotient_dims(3, 0, [3 - 2 * j for j in range(-2, 6)])
     for j in range(-2, 6):

@@ -6,20 +6,32 @@ covariance, grading bookkeeping, commutator formula, specialization rules)
 pins the individual moving parts.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tcdo import modespace
 from tcdo.modespace import (
+    GEN_A,
+    GEN_B,
+    GEN_LSTAR,
     LAURENT,
     POLY,
     FreeState,
+    InexactDivisionError,
     Monomial,
     RingMismatchError,
     SpecializationError,
+    _apply_mono,
+    _exact_div,
     apply_mode,
     bigrade,
     binom,
@@ -31,6 +43,7 @@ from tcdo.modespace import (
     gen_lstar,
     ground,
     h_weight,
+    linear_combination,
     random_state,
     specialize_lstar,
     translation,
@@ -268,3 +281,241 @@ def test_weight_components_partition_the_state():
         assert part.weights() == {w}
         total = total + part
     assert total == u
+
+
+def test_monomial_rejects_bad_mode_tuples():
+    Monomial((-3, -1), (-4, -2), (-2, -1), -5)  # sorted, in range: fine
+    for bad in (
+        dict(amodes=(0,)),
+        dict(amodes=(-1, -2)),
+        dict(bmodes=(-1,)),
+        dict(bmodes=(-2, -3)),
+        dict(lmodes=(-3, 0)),
+        dict(lmodes=(-1, -1, -2)),
+    ):
+        with pytest.raises(ValueError):
+            Monomial(**bad)
+
+
+def test_invariants_raise_under_optimize_flag():
+    # python -O strips assert statements; the invariants must survive it
+    script = """
+import pytest
+import tcdo.modespace as M
+for bad in (dict(amodes=(0,)), dict(bmodes=(-1,)), dict(lmodes=(-1, -2))):
+    with pytest.raises(ValueError):
+        M.Monomial(**bad)
+with pytest.raises(M.InexactDivisionError):
+    M._exact_div(7, 2)
+print("ok")
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+def test_linear_combination_matches_repeated_sums():
+    rng = random.Random(SEED + 11)
+    for ring, lstar in ((POLY, None), (LAURENT, None), (POLY, 2)):
+        states = [random_state(rng, 3, ring, lstar, max_terms=3) for _ in range(4)]
+        scales = [Fraction(1, 2), -3, Fraction(0), Fraction(-2, 3)]
+        want = zero(ring, lstar)
+        for c, u in zip(scales, states):
+            want = want + c * u
+        got = linear_combination(zip(scales, (u.terms.items() for u in states)), ring, lstar)
+        assert got == want
+    assert linear_combination([], LAURENT, 1) == zero(LAURENT, 1)
+
+
+# -- the integer engine against a Fraction copy of the recursion it replaced --
+#
+# The reference below is the engine as it was before its structure constants
+# became ints: every coefficient a Fraction, and the one division of
+# _ground_apply a Fraction(k, -m-1).  It is kept verbatim here so the integer
+# engine can be checked against it.
+
+
+def _ref_gen_mode_mono(gen, m, u, ls):
+    one = Fraction(1)
+    if m <= -1:
+        if gen == GEN_A:
+            return {Monomial(modespace._insort(u.amodes, m), u.bmodes, u.lmodes, u.power): one}
+        if gen == GEN_B:
+            if m == -1:
+                return {Monomial(u.amodes, u.bmodes, u.lmodes, u.power + 1): one}
+            return {Monomial(u.amodes, modespace._insort(u.bmodes, m), u.lmodes, u.power): one}
+        if ls is not None:
+            return {}
+        return {Monomial(u.amodes, u.bmodes, modespace._insort(u.lmodes, m), u.power): one}
+    out = {}
+    if gen == GEN_A:
+        t = -1 - m
+        if t <= -2:
+            mult = u.bmodes.count(t)
+            if mult:
+                out[Monomial(u.amodes, modespace._remove_one(u.bmodes, t), u.lmodes, u.power)] = Fraction(mult)
+        if m == 0 and u.power:
+            mono = Monomial(u.amodes, u.bmodes, u.lmodes, u.power - 1)
+            out[mono] = out.get(mono, Fraction(0)) + u.power
+    elif gen == GEN_B:
+        r = -1 - m
+        mult = u.amodes.count(r)
+        if mult:
+            out[Monomial(modespace._remove_one(u.amodes, r), u.bmodes, u.lmodes, u.power)] = Fraction(-mult)
+    else:
+        if ls is not None and m == 0:
+            return {u: Fraction(ls)}
+    return out
+
+
+def _ref_gen_mode_terms(gen, m, terms, ls):
+    out = {}
+    for mono, c in terms.items():
+        for mono2, c2 in _ref_gen_mode_mono(gen, m, mono, ls).items():
+            out[mono2] = out.get(mono2, Fraction(0)) + c * c2
+    return out
+
+
+def _ref_merge(out, terms, scale):
+    if not scale:
+        return
+    for mono, c in terms.items():
+        out[mono] = out.get(mono, Fraction(0)) + scale * c
+
+
+@lru_cache(maxsize=None)
+def _ref_apply_mono(w, m, u, ls):
+    head = modespace._head(w)
+    if head is None:
+        out = _ref_ground_apply(w.power, m, u, ls)
+    else:
+        gen, mode, tail = head
+        s = -mode
+        out = {}
+        j = 0
+        while tail.weight + u.weight - (m + j) - 1 >= 0:
+            inner = _ref_apply_mono(tail, m + j, u, ls)
+            if inner:
+                created = _ref_gen_mode_terms(gen, mode - j, dict(inner), ls)
+                _ref_merge(out, created, Fraction((-1) ** j * binom(mode, j)))
+            j += 1
+        sign = -((-1) ** s)
+        for j in range(u.weight + 1):
+            gu = _ref_gen_mode_mono(gen, j, u, ls)
+            for mono, c in gu.items():
+                inner = _ref_apply_mono(tail, mode + m - j, mono, ls)
+                _ref_merge(out, dict(inner), Fraction(sign * (-1) ** j * binom(mode, j)) * c)
+    return tuple(out.items())
+
+
+def _ref_ground_apply(k, m, u, ls):
+    if k == 0:
+        return {u: Fraction(1)} if m == -1 else {}
+    if u.amodes:
+        r = u.amodes[0]
+        tail = Monomial(u.amodes[1:], u.bmodes, u.lmodes, u.power)
+        out = {}
+        _ref_merge(out, _ref_gen_mode_terms(GEN_A, r, _ref_ground_apply(k, m, tail, ls), ls), Fraction(1))
+        _ref_merge(out, _ref_ground_apply(k - 1, m + r, tail, ls), Fraction(-k))
+        return out
+    if u.bmodes or u.lmodes:
+        out = _ref_ground_apply(k, m, Monomial(power=u.power), ls)
+        for mode in u.lmodes:
+            out = _ref_gen_mode_terms(GEN_LSTAR, mode, out, ls)
+        for mode in u.bmodes:
+            out = _ref_gen_mode_terms(GEN_B, mode, out, ls)
+        return out
+    if m >= 0:
+        return {}
+    if m == -1:
+        return {Monomial(power=k + u.power): Fraction(1)}
+    inner = _ref_apply_mono(Monomial(bmodes=(-2,), power=k - 1), m + 1, u, ls)
+    out = {}
+    _ref_merge(out, dict(inner), Fraction(k, -m - 1))
+    return out
+
+
+def _nonzero(pairs) -> dict:
+    return {mono: c for mono, c in pairs if c}
+
+
+# (ring, lstar): the polynomial and Laurent charts, symbolic, and the
+# specialized sectors lstar = -3..3 over both rings
+SECTORS = [(POLY, None), (LAURENT, None)] + [(ring, n) for n in range(-3, 4) for ring in (POLY, LAURENT)]
+
+
+@st.composite
+def monomials(draw, weight_max, ring, symbolic=True):
+    """A normal-form monomial of weight <= weight_max."""
+    budget = draw(st.integers(0, weight_max))
+    modes = {"A": [], "B": [], "L": []}
+    while budget > 0:
+        kind = draw(st.sampled_from("ABL" if symbolic else "AB"))
+        s = draw(st.integers(1, budget))
+        modes[kind].append(-s - 1 if kind == "B" else -s)
+        budget -= s
+    power = draw(st.integers(-3, 3) if ring == LAURENT else st.integers(0, 3))
+    return Monomial(*(tuple(sorted(modes[k])) for k in "ABL"), power)
+
+
+@st.composite
+def engine_cases(draw, weight_max):
+    """(w, m, u, lstar): a symbolic w acting on u in one sector."""
+    ring, ls = draw(st.sampled_from(SECTORS))
+    w = draw(monomials(weight_max, ring))
+    u = draw(monomials(weight_max, ring, symbolic=ls is None))
+    return w, draw(st.integers(-3, 3)), u, ls
+
+
+@given(engine_cases(4))
+@settings(max_examples=300, deadline=None)
+def test_apply_mono_matches_fraction_reference(case):
+    w, m, u, ls = case
+    got = _apply_mono(w, m, u, ls)
+    assert all(type(c) is int for _, c in got)
+    assert _nonzero(got) == _nonzero(_ref_apply_mono(w, m, u, ls))
+
+
+_COEFFS = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)])
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_apply_mode_matches_fraction_reference(data):
+    ring, ls = data.draw(st.sampled_from(SECTORS))
+    wterms = data.draw(st.dictionaries(monomials(3, ring), _COEFFS, min_size=1, max_size=3))
+    uterms = data.draw(st.dictionaries(monomials(3, ring, symbolic=ls is None), _COEFFS, min_size=1, max_size=3))
+    m = data.draw(st.integers(-3, 3))
+    want = {}
+    for mw, cw in wterms.items():
+        for mu, cu in uterms.items():
+            _ref_merge(want, dict(_ref_apply_mono(mw, m, mu, ls)), Fraction(cw) * cu)
+    got = apply_mode(FreeState(wterms, ring), m, FreeState(uterms, ring, ls))
+    assert got == FreeState(want, ring, ls)
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+@given(engine_cases(6))
+@settings(max_examples=200, deadline=None)
+def test_structure_constants_are_integers_up_to_weight_6(case):
+    """The Fraction recursion never leaves the integers: every coefficient of
+    w_(m) u has denominator 1 for monomials of weight <= 6, which is what
+    lets the engine keep its structure constants as ints."""
+    w, m, u, ls = case
+    assert all(c.denominator == 1 for _, c in _ref_apply_mono(w, m, u, ls))
+
+
+def test_exact_division_certificate():
+    assert _exact_div(12, 4) == 3
+    assert _exact_div(-6, 3) == -2
+    with pytest.raises(InexactDivisionError):
+        _exact_div(7, 2)
+
+
+def test_ground_apply_raises_on_inexact_division(monkeypatch):
+    # (x^1)_(-3) x^0 divides k * c by 2; a fake inner coefficient of 1 is odd
+    monkeypatch.setattr(modespace, "_apply_mono", lambda w, m, u, ls: ((Monomial(power=1), 1),))
+    with pytest.raises(InexactDivisionError):
+        modespace._ground_apply(1, -3, Monomial(), None)

@@ -153,6 +153,14 @@ def test_sugawara_zero_mode_regression():
         assert sugawara_zero_mode_value(n) == Fraction(n * n, 2) + n
 
 
+def test_sugawara_zero_mode_value_rejects_non_scalar(monkeypatch):
+    import tcdo.p1tcdo
+
+    monkeypatch.setattr(tcdo.p1tcdo, "apply_mode", lambda w, m, u: ground(1, lstar=u.lstar))
+    with pytest.raises(ValueError, match="scalar"):
+        sugawara_zero_mode_value(2)
+
+
 def test_sugawara_annihilates_by_positive_modes():
     s = sugawara_image(sl2_embedding(Chart.INFTY))
     for n in (-1, 2):
