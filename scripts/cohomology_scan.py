@@ -22,11 +22,10 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=int, default=0, help="sheaf degree")
     ap.add_argument("--weight-max", type=int, default=3)
-    ap.add_argument("--workers", type=int, default=None)
     ap.add_argument("--all-mu", action="store_true", help="include empty h-weight rows")
     args = ap.parse_args()
 
-    report = cech_dims(args.n, args.weight_max, workers=args.workers)
+    report = cech_dims(args.n, args.weight_max)
     print(f"degree n = {args.n}, weights 0..{args.weight_max}")
     print(f"{'N':>3} {'mu':>4} {'c0':>4} {'cinf':>4} {'ovl':>4} {'h0':>4} {'h1':>4}")
     for (weight, mu), e in sorted(report.entries.items()):

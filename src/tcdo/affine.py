@@ -19,7 +19,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import SpanTracker, coordinate_rows, rank
+from .linalg import LinearCombination, SpanTracker, _merge, coordinate_rows, rank
 from .modespace import apply_mode, vacuum
 from .p1tcdo import Chart, sections_bidegree, sl2_embedding
 from .qseries import QSeries
@@ -60,53 +60,27 @@ def word_h_shift(word) -> int:
     return sum(_H_SHIFT[g] for g, _ in word)
 
 
-class PBWVector:
+class PBWVector(LinearCombination):
     """Finite rational combination of PBW words applied to the highest-weight
     vector of the level-(-2) Verma module with h_0-eigenvalue nu."""
 
-    __slots__ = ("terms", "nu")
+    __slots__ = ("nu",)
+    _SECTOR = ("nu",)
 
     def __init__(self, terms=None, nu=Fraction(0)):
         self.nu = Fraction(nu)
-        clean: dict[tuple, Fraction] = {}
-        for word, c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                if not all(_is_lowering(g, m) for g, m in word):
-                    raise ValueError(f"PBW word {word} has a non-lowering mode")
-                if list(word) != sorted(word, key=_key):
-                    raise ValueError(f"PBW word {word} is not in PBW order")
-                clean[word] = c
-        self.terms = clean
+        super().__init__(terms)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PBWVector)
-            and self.nu == other.nu
-            and self.terms == other.terms
-        )
+    def _check_key(self, word: tuple) -> None:
+        if not all(_is_lowering(g, m) for g, m in word):
+            raise ValueError(f"PBW word {word} has a non-lowering mode")
+        if list(word) != sorted(word, key=_key):
+            raise ValueError(f"PBW word {word} is not in PBW order")
 
-    def __hash__(self):
-        return hash((self.nu, frozenset(self.terms.items())))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "PBWVector") -> "PBWVector":
+    def _join(self, other: "PBWVector") -> tuple:
         if self.nu != other.nu:
             raise ValueError(f"cannot add PBW vectors with nu={self.nu} and nu={other.nu}")
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return PBWVector(out, self.nu)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, c) -> "PBWVector":
-        c = Fraction(c)
-        return PBWVector({w: c * v for w, v in self.terms.items()}, self.nu)
+        return (self.nu,)
 
     def depth_max(self) -> int:
         return max((word_depth(w) for w in self.terms), default=0)
@@ -128,13 +102,6 @@ def highest_weight_vector(nu) -> PBWVector:
     return PBWVector({(): 1}, nu)
 
 
-def _merge(out, terms, scale):
-    if not scale:
-        return
-    for w, c in terms.items():
-        out[w] = out.get(w, Fraction(0)) + scale * c
-
-
 @lru_cache(maxsize=None)
 def _straighten(word: tuple) -> tuple:
     """Sort a product of lowering operators into PBW order, inserting bracket
@@ -144,12 +111,12 @@ def _straighten(word: tuple) -> tuple:
             (g1, m1), (g2, m2) = word[i], word[i + 1]
             swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2 :]
             out: dict[tuple, Fraction] = {}
-            _merge(out, dict(_straighten(swapped)), Fraction(1))
+            _merge(out, _straighten(swapped), 1)
             br = _BRACKET.get((g1, g2))
             if br is not None:
                 c, g = br
                 inner = word[:i] + ((g, m1 + m2),) + word[i + 2 :]
-                _merge(out, dict(_straighten(inner)), Fraction(c))
+                _merge(out, _straighten(inner), c)
             # central term m1 delta_{m1+m2,0} (x|y) K never fires: two
             # lowering modes cannot sum to zero unless both are f_0
             return tuple(out.items())
@@ -170,16 +137,16 @@ def _act_word(gen: str, m: int, word: tuple, nu: Fraction) -> tuple:
     # x_m head = head x_m + [x_m, head]
     moved = _act_word(gen, m, tail, nu)
     for w, c in moved:
-        _merge(out, dict(_straighten((head,) + w)), c)
+        _merge(out, _straighten((head,) + w), c)
     g2, m2 = head
     br = _BRACKET.get((gen, g2))
     if br is not None:
         c, g = br
-        _merge(out, dict(_act_word(g, m + m2, tail, nu)), Fraction(c))
+        _merge(out, _act_word(g, m + m2, tail, nu), c)
     if m + m2 == 0:
         pairing = _FORM.get((gen, g2), 0)
         if pairing:
-            _merge(out, dict(_straighten(tail)), Fraction(m * pairing * LEVEL))
+            _merge(out, _straighten(tail), m * pairing * LEVEL)
     return tuple(out.items())
 
 
@@ -187,8 +154,8 @@ def act(gen: str, m: int, v: PBWVector) -> PBWVector:
     """The affine action x_m on a PBW vector."""
     out: dict[tuple, Fraction] = {}
     for word, c in v.terms.items():
-        _merge(out, dict(_act_word(gen, m, word, v.nu)), c)
-    return PBWVector(out, v.nu)
+        _merge(out, _act_word(gen, m, word, v.nu), c)
+    return PBWVector._from_valid(out, v.nu)
 
 
 def act_word(word, v: PBWVector) -> PBWVector:
@@ -252,10 +219,10 @@ def sugawara_apply(k: int, v: PBWVector) -> PBWVector:
     dmax = v.depth_max()
     for coef, xg, yg in _QUADRATIC:
         for j in range(dmax - m + 1):
-            _merge(out, act(xg, -1 - j, act(yg, m + j, v)).terms, coef)
+            _merge(out, act(xg, -1 - j, act(yg, m + j, v)).terms.items(), coef)
         for j in range(dmax + 1):
-            _merge(out, act(yg, m - 1 - j, act(xg, j, v)).terms, coef)
-    return PBWVector(out, v.nu)
+            _merge(out, act(yg, m - 1 - j, act(xg, j, v)).terms.items(), coef)
+    return PBWVector._from_valid(out, v.nu)
 
 
 def sugawara_zero_eigenvalue(nu) -> Fraction:

@@ -15,13 +15,12 @@ Depth slices alone are infinite (the ground polynomials are unbounded), so
 every aggregate q-character is taken over an explicit mu window whose
 sufficiency is re-verified by scanning a doubled window — the ``stable``
 flag on a report records that nothing nonzero lives outside the base window.
-Blocks are pure functions of (n, N, mu) and may be evaluated concurrently;
-reports merge deterministically by sorted bidegree.
+Blocks are pure functions of (n, N, mu); reports merge deterministically by
+sorted bidegree.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -109,7 +108,7 @@ def _delta_matrix(n: int, weight: int, mu: int):
 
 
 def cech_block(n: int, weight: int, mu: int) -> dict:
-    """Exact dimensions at one bidegree (pure; safe to run concurrently)."""
+    """Exact dimensions at one bidegree (a pure function of its arguments)."""
     basis0, basisinf, basisov, rows = _delta_matrix(n, weight, mu)
     r = rank(rows)
     return {
@@ -131,7 +130,7 @@ def cech_kernel(n: int, weight: int, mu: int):
     return basis0, basisinf, kernel_basis(rows, ncols)
 
 
-def cech_dims(n: int, weight_max: int, workers: int | None = None) -> BigradedReport:
+def cech_dims(n: int, weight_max: int) -> BigradedReport:
     """Full bigraded scan with a doubled-window stability recheck.
 
     Each (N, mu) block is window-independent, so stability reduces to: the
@@ -140,16 +139,11 @@ def cech_dims(n: int, weight_max: int, workers: int | None = None) -> BigradedRe
     if weight_max < 0:
         raise ValueError("weight_max must be >= 0")
     base = set(mu_window(n, weight_max))
-    jobs = [
-        (N, mu) for N in range(weight_max + 1) for mu in mu_window(n, weight_max, 2)
-    ]
-    if workers:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = dict(
-                zip(jobs, pool.map(lambda j: cech_block(n, *j), jobs))
-            )
-    else:
-        blocks = {j: cech_block(n, *j) for j in jobs}
+    blocks = {
+        (N, mu): cech_block(n, N, mu)
+        for N in range(weight_max + 1)
+        for mu in mu_window(n, weight_max, 2)
+    }
 
     report = BigradedReport(n=n, weight_max=weight_max)
     stable = True

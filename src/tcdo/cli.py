@@ -3,8 +3,7 @@ a text, JSON, or CSV report.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed (the report
 carries counterexamples), 2 usage or configuration error.  Given the same
-flags and seed the output is identical run-to-run; bidegree scans may fan
-out across worker threads but results merge in sorted order.
+flags and seed the output is identical run-to-run.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ class RunConfig:
     out: str | None = None
     twist: str = "symbolic"
     cutoff: int = 3
-    workers: int | None = None
     mode: str | None = None
 
 
@@ -125,7 +123,7 @@ def cmd_cech(cfg: RunConfig):
     csv_rows = [("n", "weight", "h_weight", "dim_h0", "dim_h1")]
     passed = True
     for n in ns:
-        report = cech.cech_dims(n, cfg.weight_max, workers=cfg.workers)
+        report = cech.cech_dims(n, cfg.weight_max)
         euler_ok = cech.euler_check(report)
         char_ok = cech.character_check(report)
         entry = report.as_dict()
@@ -309,7 +307,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--out", default=None, help="write the report to a file")
-    p.add_argument("--workers", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,7 +377,6 @@ def main(argv=None) -> int:
         out=args.out,
         twist=getattr(args, "twist", "symbolic"),
         cutoff=getattr(args, "cutoff", 3),
-        workers=args.workers,
         mode=getattr(args, "mode", None),
     )
     if cfg.samples < 0 or cfg.weight_max < 0 or cfg.depth_max < 0:

@@ -12,6 +12,9 @@ Everything is deterministic and exact -- inputs are ints or
 fractions.Fraction, never floats.  Dense matrices are plain lists of row
 lists, sparse rows are dicts ``{col: value}``; the empty matrix is allowed
 everywhere and has rank 0.
+
+``LinearCombination`` is the one value type behind chart states, PBW vectors
+and differential operators: a finite combination ``{key: Fraction}``.
 """
 
 from __future__ import annotations
@@ -20,6 +23,105 @@ from bisect import insort
 from fractions import Fraction
 
 _ZERO = Fraction(0)
+
+
+def _coefficient(c) -> Fraction:
+    if type(c) is Fraction:
+        return c
+    if isinstance(c, float):
+        raise TypeError("float coefficients are forbidden; use Fraction or int")
+    return Fraction(c)
+
+
+def _merge(out: dict, pairs, scale) -> None:
+    """out += scale * pairs, for (key, coefficient) pairs; zero sums stay in
+    ``out`` as zeros."""
+    if not scale:
+        return
+    for key, c in pairs:
+        out[key] = out.get(key, 0) + scale * c
+
+
+class LinearCombination:
+    """A finite exact combination ``{key: Fraction}`` with value semantics.
+
+    A subclass lists the slots of its sector in ``_SECTOR`` (equality and
+    hashing compare them), says in ``_join`` which sector a sum lands in
+    (raising when two sectors cannot be added), and checks one key in
+    ``_check_key``.  The constructor coerces every coefficient, rejecting
+    floats, drops zeros and checks every key.  Sums, differences and scalar
+    multiples of valid values are valid, so they skip the key checks.
+    """
+
+    __slots__ = ("terms",)
+    _SECTOR: tuple[str, ...] = ()
+
+    def __init__(self, terms=None):
+        check = self._check_key
+        clean = {}
+        for key, c in (terms or {}).items():
+            c = _coefficient(c)
+            if c:
+                check(key)
+                clean[key] = c
+        self.terms = clean
+
+    def _check_key(self, key) -> None:
+        """Raise when ``key`` is not a valid key of this value."""
+
+    def _join(self, other) -> tuple:
+        """The sector of ``self + other``; raise when they cannot be added."""
+        return ()
+
+    def _sector(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._SECTOR)
+
+    @classmethod
+    def _from_valid(cls, terms: dict, *sector):
+        """The value holding ``terms`` in ``sector`` without checking them:
+        every key must be valid and every coefficient a Fraction.  Zero
+        coefficients are dropped."""
+        out = cls.__new__(cls)
+        for name, value in zip(cls._SECTOR, sector):
+            setattr(out, name, value)
+        out.terms = {key: c for key, c in terms.items() if c}
+        return out
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self._sector() == other._sector()
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self._sector(), frozenset(self.terms.items())))
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        sector = self._join(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, 0) + c
+        return self._from_valid(out, *sector)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rmul__(self, c):
+        c = _coefficient(c)
+        return self._from_valid({key: c * v for key, v in self.terms.items()}, *self._sector())
+
+    def __neg__(self):
+        return (-1) * self
 
 
 def _sparse(vec) -> dict:

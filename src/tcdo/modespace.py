@@ -44,6 +44,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .linalg import LinearCombination, _merge
+
 POLY = "poly"
 LAURENT = "laurent"
 
@@ -133,15 +135,7 @@ class Monomial:
 VACUUM_MONO = Monomial()
 
 
-def _coerce(c) -> Fraction:
-    if type(c) is Fraction:
-        return c
-    if isinstance(c, float):
-        raise TypeError("float coefficients are forbidden; use Fraction or int")
-    return Fraction(c)
-
-
-class FreeState:
+class FreeState(LinearCombination):
     """A finite rational combination of normal-form monomials.
 
     ``ring`` is POLY or LAURENT; ``lstar`` is None for the symbolic twist
@@ -149,63 +143,29 @@ class FreeState:
     as immutable values: every operation builds a new state.
     """
 
-    __slots__ = ("terms", "ring", "lstar")
+    __slots__ = ("ring", "lstar")
+    _SECTOR = ("ring", "lstar")
 
     def __init__(self, terms=None, ring: str = POLY, lstar: int | None = None):
         if ring not in (POLY, LAURENT):
             raise ValueError(f"unknown ground ring {ring!r}")
-        clean: dict[Monomial, Fraction] = {}
-        for mono, c in (terms or {}).items():
-            c = _coerce(c)
-            if not c:
-                continue
-            if ring == POLY and mono.power < 0:
-                raise RingMismatchError(
-                    f"negative ground exponent {mono.power} in a polynomial-chart state"
-                )
-            if lstar is not None and mono.lmodes:
-                raise SpecializationError("specialized states carry no LSTAR modes")
-            clean[mono] = c
-        self.terms = clean
         self.ring = ring
         self.lstar = lstar
+        super().__init__(terms)
 
-    # -- value semantics -------------------------------------------------
+    def _check_key(self, mono: Monomial) -> None:
+        if self.ring == POLY and mono.power < 0:
+            raise RingMismatchError(
+                f"negative ground exponent {mono.power} in a polynomial-chart state"
+            )
+        if self.lstar is not None and mono.lmodes:
+            raise SpecializationError("specialized states carry no LSTAR modes")
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FreeState)
-            and self.ring == other.ring
-            and self.lstar == other.lstar
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.lstar, frozenset(self.terms.items())))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "FreeState") -> "FreeState":
-        ring, lstar = _sector(self, other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + c
-        return FreeState(out, ring, lstar)
-
-    def __sub__(self, other: "FreeState") -> "FreeState":
-        return self + (-1) * other
-
-    def __rmul__(self, c) -> "FreeState":
-        c = _coerce(c)
-        return FreeState({m: c * v for m, v in self.terms.items()}, self.ring, self.lstar)
-
-    def __neg__(self) -> "FreeState":
-        return (-1) * self
+    def _join(self, other: "FreeState") -> tuple[str, int | None]:
+        """Common (ring, lstar) sector for adding two states."""
+        if self.lstar != other.lstar:
+            raise SpecializationError(f"twist sectors differ: {self.lstar} vs {other.lstar}")
+        return (LAURENT if LAURENT in (self.ring, other.ring) else POLY), self.lstar
 
     # -- grading ----------------------------------------------------------
 
@@ -232,14 +192,6 @@ class FreeState:
     def __repr__(self) -> str:
         tag = "sym" if self.lstar is None else f"n={self.lstar}"
         return f"<FreeState {self.ring}/{tag}: {self.render()}>"
-
-
-def _sector(a: FreeState, b: FreeState) -> tuple[str, int | None]:
-    """Common (ring, lstar) sector for adding two states."""
-    ring = LAURENT if LAURENT in (a.ring, b.ring) else POLY
-    if a.lstar != b.lstar:
-        raise SpecializationError(f"twist sectors differ: {a.lstar} vs {b.lstar}")
-    return ring, a.lstar
 
 
 # -- constructors ---------------------------------------------------------
@@ -347,14 +299,6 @@ def _head(w: Monomial):
     if w.lmodes:
         return GEN_LSTAR, w.lmodes[0], Monomial((), (), w.lmodes[1:], w.power)
     return None
-
-
-def _merge(out: dict, terms, scale) -> None:
-    """out += scale * terms, for (monomial, coefficient) pairs."""
-    if not scale:
-        return
-    for mono, c in terms:
-        out[mono] = out.get(mono, 0) + scale * c
 
 
 def _exact_div(num: int, den: int) -> int:

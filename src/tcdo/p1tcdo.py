@@ -37,7 +37,6 @@ from .modespace import (
     SpecializationError,
     _act,
     apply_mode,
-    bigrade,
     gen_a,
     gen_lstar,
     ground,
@@ -355,12 +354,24 @@ def sections(chart: Chart, n: int, weight_max: int, h_window: tuple[int, int]):
 
 
 def sections_bidegree(chart: Chart, n: int, weight: int, mu: int):
-    """Basis states of one exact (weight, h-weight) bidegree."""
-    return [
-        s
-        for s in sections(chart, n, weight, (mu, mu))
-        if bigrade(s, twist=n) == (weight, mu)
-    ]
+    """Basis states of one exact (weight, h-weight) bidegree, in the order of
+    ``sections``: A/B mode tuples of total weight exactly ``weight``, each
+    with the one ground power that lands on mu."""
+    if weight < 0:
+        return []
+    out = []
+    for amodes in _mode_tuples(weight, 1):
+        wa = sum(-m for m in amodes)
+        for bmodes in _mode_tuples(weight - wa, 2):
+            if wa + sum(-m - 1 for m in bmodes) != weight:
+                continue
+            shift = n + 2 * len(amodes) - 2 * len(bmodes)
+            if (shift - mu) % 2:
+                continue
+            k = (shift - mu) // 2
+            if chart is Chart.OVERLAP or k >= 0:
+                out.append(FreeState({Monomial(amodes, bmodes, (), k): 1}, chart.ring, n))
+    return out
 
 
 def unclamped_sections_dim(chart: Chart, n: int, weight: int, mu: int) -> int:

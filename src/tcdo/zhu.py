@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import SpanTracker, coordinate_rows
+from .linalg import LinearCombination, SpanTracker, coordinate_rows
 from .modespace import (
     POLY,
     FreeState,
@@ -45,44 +45,16 @@ class GradingError(ValueError):
 # -- the target algebra -----------------------------------------------------
 
 
-class DiffOp:
+class DiffOp(LinearCombination):
     """Exact combination of normal-form symbols x^k d^p l*^e (k any integer,
     p, e >= 0), multiplied by repeatedly commuting d past powers of x."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        clean: dict[tuple[int, int, int], Fraction] = {}
-        for key, c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                k, p, e = key
-                if p < 0 or e < 0:
-                    raise ValueError(f"bad normal-form key {key}")
-                clean[key] = c
-        self.terms = clean
-
-    def __eq__(self, other):
-        return isinstance(other, DiffOp) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "DiffOp") -> "DiffOp":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return DiffOp(out)
-
-    def __sub__(self, other: "DiffOp") -> "DiffOp":
-        return self + (-1) * other
-
-    def __rmul__(self, c) -> "DiffOp":
-        return DiffOp({k: Fraction(c) * v for k, v in self.terms.items()})
+    def _check_key(self, key: tuple[int, int, int]) -> None:
+        k, p, e = key
+        if p < 0 or e < 0:
+            raise ValueError(f"bad normal-form key {key}")
 
     def __mul__(self, other: "DiffOp") -> "DiffOp":
         out: dict[tuple[int, int, int], Fraction] = {}

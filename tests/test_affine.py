@@ -9,10 +9,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcdo.affine import (
     LEVEL,
     PBWVector,
+    _act_word,
+    _is_lowering,
+    _key,
     act,
     act_word,
     check_affine_relations,
@@ -166,6 +171,62 @@ def test_sugawara_matches_vector_sums():
         v = random_pbw(rng, 3, nu)
         k = rng.randint(-3, 2)
         assert sugawara_apply(k, v) == _sugawara_by_vector_sums(k, v)
+
+
+def _act_validated(gen, m, v):
+    # the validating path: raw sums over the cached word actions, then the
+    # public constructor re-checks every word and coerces every coefficient
+    out = {}
+    for word, c in v.terms.items():
+        for w, a in _act_word(gen, m, word, v.nu):
+            out[w] = out.get(w, 0) + c * a
+    return PBWVector(out, v.nu)
+
+
+def _sugawara_validated(k, v):
+    m = k + 1
+    out = {}
+    dmax = v.depth_max()
+    for coef, xg, yg in ((Fraction(1), "e", "f"), (Fraction(1), "f", "e"), (Fraction(1, 2), "h", "h")):
+        images = [_act_validated(xg, -1 - j, _act_validated(yg, m + j, v)) for j in range(dmax - m + 1)]
+        images += [_act_validated(yg, m - 1 - j, _act_validated(xg, j, v)) for j in range(dmax + 1)]
+        for img in images:
+            for w, c in img.terms.items():
+                out[w] = out.get(w, 0) + coef * c
+    return PBWVector(out, v.nu)
+
+
+def _assert_normal(vec):
+    for word, c in vec.terms.items():
+        assert all(_is_lowering(g, m) for g, m in word)
+        assert list(word) == sorted(word, key=_key)
+        assert type(c) is Fraction and c != 0
+
+
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from([Fraction(0), Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(5, 3)]),
+    st.sampled_from("ehf"),
+    st.integers(-3, 3),
+)
+@settings(max_examples=60, deadline=None)
+def test_unvalidated_results_match_validating_constructor(seed, nu, gen, m):
+    v = random_pbw(random.Random(seed), 3, nu)
+    got = act(gen, m, v)
+    assert got == _act_validated(gen, m, v)
+    assert got == PBWVector(got.terms, nu)
+    _assert_normal(got)
+    sug = sugawara_apply(m, v)
+    assert sug == _sugawara_validated(m, v)
+    assert sug == PBWVector(sug.terms, nu)
+    _assert_normal(sug)
+
+
+def test_pbw_floats_are_rejected():
+    with pytest.raises(TypeError):
+        PBWVector({(): 0.5}, 0)
+    with pytest.raises(TypeError):
+        0.5 * PBWVector({(): 1}, 0)
 
 
 def test_pbw_invariants_raise():

@@ -114,14 +114,6 @@ def test_unstable_report_refuses_aggregates():
         character_check(rpt)
 
 
-def test_concurrent_scan_matches_serial():
-    serial = cech_dims(1, 2)
-    threaded = cech_dims(1, 2, workers=4)
-    assert serial.entries == threaded.entries
-    assert serial.h0_character == threaded.h0_character
-    assert serial.h1_character == threaded.h1_character
-
-
 def test_report_serialization_roundtrip(reports):
     d = reports[0].as_dict()
     assert d["n"] == 0 and d["stable"] is True

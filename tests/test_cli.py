@@ -169,6 +169,12 @@ def test_unknown_command_exits_2():
     assert exc.value.code == 2
 
 
+def test_workers_flag_is_a_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["cech", "--workers", "2"])
+    assert exc.value.code == 2
+
+
 def test_n_out_of_range_returns_2(capsys):
     code, _, err = run(["cech", "--n", "9"], capsys)
     assert code == 2

@@ -6,6 +6,7 @@ compared with it on random matrices, including rank-deficient ones, duplicate
 and zero rows, and entries with large denominators.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -202,3 +203,60 @@ def test_coordinate_rows_maps_keys_to_columns():
     assert coordinate_rows(states, index) == [{2: Fraction(1, 2), 0: 3}, {}, {1: -1}]
     with pytest.raises(KeyError):
         coordinate_rows([_State({"z": 1})], index)
+
+
+# -- the shared linear-combination class ------------------------------------------
+
+
+def _free_states(rng):
+    from tcdo.modespace import LAURENT, POLY, random_state
+
+    lstar = rng.choice([None, 2])
+    rings = rng.choice([(POLY, POLY), (POLY, LAURENT), (LAURENT, LAURENT)])
+    return [random_state(rng, 3, ring, lstar, max_terms=3) for ring in rings]
+
+
+def _pbw_vectors(rng):
+    from tcdo.affine import random_pbw
+
+    nu = rng.choice([Fraction(0), Fraction(-3), Fraction(1, 2)])
+    return [random_pbw(rng, 3, nu) for _ in range(2)]
+
+
+def _diff_ops(rng):
+    from tcdo.zhu import DiffOp
+
+    def one():
+        keys = [(rng.randint(-2, 2), rng.randint(0, 2), rng.randint(0, 1)) for _ in range(3)]
+        return DiffOp({key: rng.choice((1, -1, 2, Fraction(1, 3))) for key in keys})
+
+    return [one(), one()]
+
+
+@pytest.mark.parametrize("sample", [_free_states, _pbw_vectors, _diff_ops])
+@given(seed=st.integers(0, 2**32), c=st.sampled_from([0, 1, -1, 3, Fraction(-2, 3)]))
+@settings(max_examples=40, deadline=None)
+def test_combination_arithmetic_matches_validating_constructor(sample, seed, c):
+    # +, -, scalar * and negation skip the key checks; each result must be
+    # what the checking constructor makes of the same terms and sector
+    u, v = sample(random.Random(seed))
+    for got in (u + v, u - v, v - u, c * u, -v, u + (-u), u - u):
+        assert got == type(got)(got.terms, *got._sector())
+        assert all(type(x) is Fraction and x != 0 for x in got.terms.values())
+    assert (u - u).is_zero and not (u - u) and bool(u) is not u.is_zero
+    assert u + v == v + u and c * (u + v) == c * u + c * v and -(-u) == u
+    assert hash(u + v) == hash(v + u)
+
+
+def test_combination_sums_refuse_other_classes():
+    from tcdo.affine import highest_weight_vector
+    from tcdo.modespace import vacuum
+    from tcdo.zhu import diffop_one
+
+    values = [vacuum(), highest_weight_vector(0), diffop_one()]
+    for a in values:
+        for b in values:
+            if a is not b:
+                assert a != b
+                with pytest.raises(TypeError):
+                    a + b

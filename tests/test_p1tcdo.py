@@ -37,6 +37,7 @@ from tcdo.p1tcdo import (
     sugawara_image,
     sugawara_zero_mode_value,
 )
+from tcdo.cech import mu_window
 
 SEED = 42
 
@@ -196,6 +197,21 @@ def test_sections_respect_window_and_ring():
     # empty window is allowed
     assert sections(Chart.ZERO, 0, 2, (5, 4)) == []
     assert sections(Chart.ZERO, 0, -1, (0, 0)) == []
+
+
+def test_sections_bidegree_matches_filtered_sections():
+    # the exact-weight enumeration against filtering every weight <= N, in
+    # the same order (Cech kernel vectors are coordinates over this basis)
+    for chart in Chart:
+        for n in range(-3, 4):
+            for N in range(-1, 4):
+                for mu in mu_window(n, 3, 2):
+                    want = [
+                        s
+                        for s in sections(chart, n, N, (mu, mu))
+                        if bigrade(s, twist=n) == (N, mu)
+                    ]
+                    assert sections_bidegree(chart, n, N, mu) == want, (chart, n, N, mu)
 
 
 def test_h_weight_eigenvalue_on_sections():

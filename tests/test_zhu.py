@@ -210,3 +210,10 @@ def test_diffop_rejects_bad_keys():
         DiffOp({(0, -1, 0): 1})
     with pytest.raises(ValueError):
         DiffOp({(0, 0, -2): 1})
+
+
+def test_diffop_floats_are_rejected():
+    with pytest.raises(TypeError):
+        DiffOp({(0, 0, 0): 0.25})
+    with pytest.raises(TypeError):
+        0.5 * diffop_one()
