@@ -5,12 +5,14 @@ Everything here is built from the bracket
 
     [x_n, y_m] = [x,y]_(n+m) + n delta_{n+m,0} (x|y) K,     K = -2,
 
-with (e|f) = 1, (h|h) = 2, and PBW combinatorics on the lowering set
-{f_0} u {e_-m, h_-m, f_-m : m >= 1} — no free-field input — so it serves as
-an independent oracle for the sheaf-cohomology side.  Vectors are bigraded by
-(depth d = total t-degree, h-weight mu); each bidegree is finite-dimensional,
-which is what makes exact linear algebra per bidegree possible even though
-depth slices alone are infinite (powers of f_0 all live at depth 0).
+with (e|f) = 1, (h|h) = 2 (the tables ``p1tcdo.SL2_BRACKETS`` and
+``SL2_FORM``, which define sl2 itself), and PBW combinatorics on the
+lowering set {f_0} u {e_-m, h_-m, f_-m : m >= 1} — no free-field input — so
+it serves as an independent oracle for the sheaf-cohomology side.  Vectors
+are bigraded by (depth d = total t-degree, h-weight mu); each bidegree is
+finite-dimensional, which is what makes exact linear algebra per bidegree
+possible even though depth slices alone are infinite (powers of f_0 all live
+at depth 0).
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import LinearCombination, SpanTracker, _merge, coordinate_rows, rank
+from .linalg import LinearCombination, SpanTracker, _coefficient, _merge, coordinate_rows, rank
 from .modespace import apply_mode, vacuum
-from .p1tcdo import Chart, sections_bidegree, sl2_embedding
+from .p1tcdo import SL2_BRACKETS, SL2_FORM, Chart, sections_bidegree, sl2_embedding
 from .qseries import QSeries
 from .reports import CheckReport
 
@@ -29,18 +31,6 @@ LEVEL = -2
 
 _RANK = {"e": 0, "h": 1, "f": 2}
 _H_SHIFT = {"e": 2, "h": 0, "f": -2}
-
-# [x, y] = coeff * gen, tabulated on ordered pairs
-_BRACKET = {
-    ("e", "f"): (1, "h"),
-    ("f", "e"): (-1, "h"),
-    ("h", "e"): (2, "e"),
-    ("e", "h"): (-2, "e"),
-    ("h", "f"): (-2, "f"),
-    ("f", "h"): (2, "f"),
-}
-
-_FORM = {("e", "f"): 1, ("f", "e"): 1, ("h", "h"): 2}
 
 
 def _key(op):
@@ -68,7 +58,7 @@ class PBWVector(LinearCombination):
     _SECTOR = ("nu",)
 
     def __init__(self, terms=None, nu=Fraction(0)):
-        self.nu = Fraction(nu)
+        self.nu = _coefficient(nu)
         super().__init__(terms)
 
     def _check_key(self, word: tuple) -> None:
@@ -112,7 +102,7 @@ def _straighten(word: tuple) -> tuple:
             swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2 :]
             out: dict[tuple, Fraction] = {}
             _merge(out, _straighten(swapped), 1)
-            br = _BRACKET.get((g1, g2))
+            br = SL2_BRACKETS.get((g1, g2))
             if br is not None:
                 c, g = br
                 inner = word[:i] + ((g, m1 + m2),) + word[i + 2 :]
@@ -139,12 +129,12 @@ def _act_word(gen: str, m: int, word: tuple, nu: Fraction) -> tuple:
     for w, c in moved:
         _merge(out, _straighten((head,) + w), c)
     g2, m2 = head
-    br = _BRACKET.get((gen, g2))
+    br = SL2_BRACKETS.get((gen, g2))
     if br is not None:
         c, g = br
         _merge(out, _act_word(g, m + m2, tail, nu), c)
     if m + m2 == 0:
-        pairing = _FORM.get((gen, g2), 0)
+        pairing = SL2_FORM.get((gen, g2), 0)
         if pairing:
             _merge(out, _straighten(tail), m * pairing * LEVEL)
     return tuple(out.items())
@@ -433,10 +423,10 @@ def check_affine_relations(samples: int = 60, seed: int = 42) -> CheckReport:
         xg, yg = rng.choice("ehf"), rng.choice("ehf")
         m, k = rng.randint(-2, 2), rng.randint(-2, 2)
         lhs = act(xg, m, act(yg, k, v)) - act(yg, k, act(xg, m, v))
-        br = _BRACKET.get((xg, yg))
+        br = SL2_BRACKETS.get((xg, yg))
         rhs = PBWVector({}, nu) if br is None else br[0] * act(br[1], m + k, v)
         if m + k == 0:
-            rhs = rhs + (m * _FORM.get((xg, yg), 0) * LEVEL) * v
+            rhs = rhs + (m * SL2_FORM.get((xg, yg), 0) * LEVEL) * v
         rep.record(lhs == rhs, f"sample {i}: [{xg}_({m}), {yg}_({k})]")
     return rep
 

@@ -51,12 +51,6 @@ class BigradedReport:
     h1_character: QSeries | None = None
     stable: bool = False
 
-    def entry(self, weight: int, mu: int) -> dict:
-        return self.entries.get(
-            (weight, mu),
-            {"dim_c0": 0, "dim_cinf": 0, "dim_overlap": 0, "dim_h0": 0, "dim_h1": 0},
-        )
-
     def rank_nullity_consistent(self) -> bool:
         for N in range(self.weight_max + 1):
             lhs = rhs = 0
@@ -196,10 +190,6 @@ def character_check(report: BigradedReport) -> bool:
     return report.h0_character == want_h0 and report.h1_character == want_h1
 
 
-def _mono_key(mono):
-    return (mono.amodes, mono.bmodes, mono.lmodes, mono.power)
-
-
 def _chart_pair(vec, basis0, basisinf, n):
     """A kernel vector over (zero ++ infinity) bases as its pair of states."""
     k = len(basis0)
@@ -242,8 +232,8 @@ def singular_vectors_h0(n: int, weight_max: int):
             rows = []
             for gen, m in raising:
                 images = [_pair_image(gen, m, pair, rho0, rhoinf) for pair in pairs]
-                monos0 = sorted({mo for i0, _ in images for mo in i0.terms}, key=_mono_key)
-                monosinf = sorted({mo for _, ii in images for mo in ii.terms}, key=_mono_key)
+                monos0 = sorted({mo for i0, _ in images for mo in i0.terms})
+                monosinf = sorted({mo for _, ii in images for mo in ii.terms})
                 for mo in monos0:
                     rows.append([i0.terms.get(mo, Fraction(0)) for i0, _ in images])
                 for mo in monosinf:

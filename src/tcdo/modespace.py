@@ -16,7 +16,9 @@ then B-modes, then LSTAR-modes (each with weakly decreasing |mode|), applied
 to a ground monomial ``x^k``.  ``B_(-1)`` is multiplication by x and is
 absorbed into the ground exponent, so stored B-modes are all <= -2.  Ground
 exponents are >= 0 over a polynomial chart (``POLY``) and any integer over
-the punctured chart (``LAURENT``).
+the punctured chart (``LAURENT``).  ``normal_forms`` is the one walk over
+the normal form: it lists the mode shapes of one exact conformal weight, with
+or without the LSTAR tower, and every section basis is read off it.
 
 The twist sector is either symbolic (``lstar=None``: LSTAR-modes are free
 commuting variables) or specialized at an integer n (``lstar=n``): then the
@@ -83,12 +85,13 @@ def _out_of_order(modes: tuple[int, ...], top: int) -> bool:
     return modes[-1] > top or (len(modes) > 1 and list(modes) != sorted(modes))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Monomial:
     """One normal-form basis monomial: mode tuples plus the ground exponent.
 
     Mode tuples are sorted ascending (most negative first), which realizes
-    the weakly-decreasing-|m| normal order.
+    the weakly-decreasing-|m| normal order.  Monomials compare as the tuple
+    (amodes, bmodes, lmodes, power).
     """
 
     amodes: tuple[int, ...] = ()
@@ -133,6 +136,40 @@ class Monomial:
 
 
 VACUUM_MONO = Monomial()
+
+
+def _partitions(budget: int, exact: bool):
+    """Partitions into weakly decreasing parts with sum <= budget (== budget
+    when ``exact``), in depth-first preorder: a prefix before its
+    extensions, smaller next parts first."""
+    def rec(prefix, remaining, top):
+        if not exact or not remaining:
+            yield prefix
+        for part in range(1, min(remaining, top) + 1):
+            yield from rec(prefix + (part,), remaining - part, part)
+    return rec((), budget, budget)
+
+
+@lru_cache(maxsize=64)
+def normal_forms(weight: int, tower: bool = False) -> tuple:
+    """Every normal-form mode shape of conformal weight exactly ``weight``:
+    ((amodes, bmodes, lmodes, h_shift), ...), where h_shift is the twist-free
+    h-weight of the modes (the ground power adds -2 per x).  Without the
+    LSTAR ``tower`` every lmodes is ().  The walk is depth-first: A-mode
+    tuples of every weight <= ``weight``, then B-mode tuples, then LSTAR-mode
+    tuples filling the rest, each family in ``_partitions`` order; basis
+    coordinates (Cech kernel vectors among them) are taken over this order."""
+    out = []
+    for apart in _partitions(weight, False):
+        amodes = tuple(-p for p in apart)
+        rest = weight - sum(apart)
+        for bpart in _partitions(rest, not tower):
+            bmodes = tuple(-p - 1 for p in bpart)
+            shift = 2 * len(amodes) - 2 * len(bmodes)
+            lparts = _partitions(rest - sum(bpart), True) if tower else [()]
+            for lpart in lparts:
+                out.append((amodes, bmodes, tuple(-p for p in lpart), shift))
+    return tuple(out)
 
 
 class FreeState(LinearCombination):
@@ -184,7 +221,7 @@ class FreeState(LinearCombination):
         if not self.terms:
             return "0"
         bits = []
-        for mono in sorted(self.terms, key=lambda m: (m.weight, m.amodes, m.bmodes, m.lmodes, m.power)):
+        for mono in sorted(self.terms, key=lambda m: (m.weight, m)):
             c = self.terms[mono]
             bits.append(f"({c}) {mono.render(letter)}")
         return " + ".join(bits)
@@ -344,8 +381,7 @@ def _ground_apply(k: int, m: int, u: Monomial, ls) -> dict[Monomial, int]:
         return {u: 1} if m == -1 else {}
     if u.amodes:
         # commute past the head A-mode: [x^k_(m), A_(r)] = -(d/dx x^k)_(m+r)
-        r = u.amodes[0]
-        tail = Monomial(u.amodes[1:], u.bmodes, u.lmodes, u.power)
+        _, r, tail = _head(u)
         out = _gen_mode_terms(GEN_A, r, _ground_apply(k, m, tail, ls).items(), ls)
         _merge(out, _ground_apply(k - 1, m + r, tail, ls).items(), -k)
         return out

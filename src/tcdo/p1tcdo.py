@@ -16,6 +16,9 @@ on a specialized state produce precisely that collapse.
 
 Module sections of the degree-n sheaf glue with the extra line-bundle factor
 x^n: ``glue(•, g, transition_degree=n)`` sends the ground y^j to x^(n-j).
+
+Section bases of one bidegree are read off the walk ``modespace.normal_forms``;
+only the ground power that lands on the h-weight depends on the chart.
 """
 
 from __future__ import annotations
@@ -36,11 +39,13 @@ from .modespace import (
     Monomial,
     SpecializationError,
     _act,
+    _head,
     apply_mode,
     gen_a,
     gen_lstar,
     ground,
     linear_combination,
+    normal_forms,
     random_state,
     translation,
     vacuum,
@@ -89,26 +94,14 @@ class GluingMap:
 
     twist: int | None = None
 
-    def mirror(self) -> "GluingMap":
-        """The OVERLAP-expressed inverse map; same letters exchanged, hence
-        the same table in the shared representation."""
-        return GluingMap(self.twist)
-
 
 @lru_cache(maxsize=None)
 def _glue_mono(mono: Monomial, ls, t: int) -> tuple:
     """The glued image of one INFTY monomial: ((monomial, int coeff), ...)."""
-    if mono.amodes:
-        gen, m = GEN_A, mono.amodes[0]
-        tail = Monomial(mono.amodes[1:], mono.bmodes, mono.lmodes, mono.power)
-    elif mono.bmodes:
-        gen, m = GEN_B, mono.bmodes[0]
-        tail = Monomial((), mono.bmodes[1:], mono.lmodes, mono.power)
-    elif mono.lmodes:
-        gen, m = GEN_LSTAR, mono.lmodes[0]
-        tail = Monomial((), (), mono.lmodes[1:], mono.power)
-    else:
+    head = _head(mono)
+    if head is None:
         return ((Monomial(power=t - mono.power), 1),)
+    gen, m, tail = head
     out = _act(_SYMBOLIC_IMAGES[gen], m, _glue_mono(tail, ls, t), ls)
     return tuple((mo, c) for mo, c in out.items() if c)
 
@@ -176,30 +169,28 @@ def overlap_basis(weight_max: int, h_bound: int, lstar: int | None = None):
     """All overlap normal-form monomials with weight <= weight_max and
     |twist-free h-weight| <= h_bound."""
     out = []
-    for amodes in _mode_tuples(weight_max, 1):
-        wa = sum(-m for m in amodes)
-        for bmodes in _mode_tuples(weight_max - wa, 2):
-            wb = sum(-m - 1 for m in bmodes)
-            lchoices = [()] if lstar is not None else _mode_tuples(weight_max - wa - wb, 1)
-            for lmodes in lchoices:
-                shift = 2 * len(amodes) - 2 * len(bmodes)
-                # |shift - 2k| <= h_bound
-                for k in range((shift - h_bound + 1) // 2, (shift + h_bound) // 2 + 1):
-                    out.append(Monomial(amodes, bmodes, lmodes, k))
+    for weight in range(weight_max + 1):
+        for amodes, bmodes, lmodes, shift in normal_forms(weight, lstar is None):
+            # |shift - 2k| <= h_bound
+            for k in range((shift - h_bound + 1) // 2, (shift + h_bound) // 2 + 1):
+                out.append(Monomial(amodes, bmodes, lmodes, k))
     return out
 
 
 def check_involution(g: GluingMap, weight_max: int = 4) -> CheckReport:
     """glue after its mirror is the identity on every overlap basis monomial
-    with weight <= weight_max and |h-weight| <= 2 weight_max + 4.  Specialized
-    sections round-trip through the degree-n transition (the two coordinate
-    descriptions of the degree-n sheaf are identified by x^n, not by 1)."""
+    with weight <= weight_max and |h-weight| <= 2 weight_max + 4.  The mirror
+    is the same formula with the letters exchanged, hence the same table in
+    the shared representation, so the round trip glues twice with ``g``.
+    Specialized sections round-trip through the degree-n transition (the two
+    coordinate descriptions of the degree-n sheaf are identified by x^n, not
+    by 1)."""
     rep = CheckReport("gluing-involution", details={"weight_max": weight_max})
     h_bound = 2 * weight_max + 4
     t = g.twist or 0
     for mono in overlap_basis(weight_max, h_bound, g.twist):
         u = FreeState({mono: 1}, LAURENT, g.twist)
-        back = glue(glue(u, g, t), g.mirror(), t)
+        back = glue(glue(u, g, t), g, t)
         rep.record(back == u, f"round trip of {mono.render()}")
     return rep
 
@@ -232,16 +223,15 @@ def sl2_embedding(chart: Chart) -> Sl2Embedding:
     return Sl2Embedding(chart, images)
 
 
+# the sl2 structure constants: [x, y] = coeff * gen on ordered pairs (a
+# missing pair brackets to zero), and the invariant form (x|y)
 SL2_BRACKETS = {
-    ("e", "f"): {"h": 1},
-    ("f", "e"): {"h": -1},
-    ("h", "e"): {"e": 2},
-    ("e", "h"): {"e": -2},
-    ("h", "f"): {"f": -2},
-    ("f", "h"): {"f": 2},
-    ("e", "e"): {},
-    ("h", "h"): {},
-    ("f", "f"): {},
+    ("e", "f"): (1, "h"),
+    ("f", "e"): (-1, "h"),
+    ("h", "e"): (2, "e"),
+    ("e", "h"): (-2, "e"),
+    ("h", "f"): (-2, "f"),
+    ("f", "h"): (2, "f"),
 }
 
 SL2_FORM = {("e", "f"): 1, ("f", "e"): 1, ("h", "h"): 2}
@@ -251,14 +241,12 @@ def check_sl2_embedding(rho: Sl2Embedding) -> CheckReport:
     """The level-(-2) affine sl2 relations for the embedded currents:
     rho(x)_(0) rho(y) = rho([x,y]) and rho(x)_(1) rho(y) = -2 (x|y) |0>."""
     rep = CheckReport("sl2-embedding", details={"chart": rho.chart.value})
-    for (xn, yn), bracket in SL2_BRACKETS.items():
-        expect = zero()
-        for name, c in bracket.items():
-            expect = expect + c * rho[name]
-        got = apply_mode(rho[xn], 0, rho[yn])
-        rep.record(got == expect, f"[{xn},{yn}] on {rho.chart.value}")
     for xn in "ehf":
         for yn in "ehf":
+            br = SL2_BRACKETS.get((xn, yn))
+            expect = zero() if br is None else br[0] * rho[br[1]]
+            got = apply_mode(rho[xn], 0, rho[yn])
+            rep.record(got == expect, f"[{xn},{yn}] on {rho.chart.value}")
             pairing = SL2_FORM.get((xn, yn), 0)
             got = apply_mode(rho[xn], 1, rho[yn])
             rep.record(
@@ -308,69 +296,25 @@ def sugawara_zero_mode_value(n: int) -> Fraction:
 # -- section spaces ---------------------------------------------------------------
 
 
-def _mode_tuples(budget: int, min_part: int):
-    """All sorted mode tuples (ascending, entries <= -min_part) whose weight
-    contribution sums to at most ``budget``; weight of mode -s is s - min_part + 1."""
-    results = [()]
-    def rec(prefix, remaining, max_part):
-        for part in range(1, min(remaining, max_part) + 1):
-            tup = prefix + (part,)
-            results.append(tup)
-            rec(tup, remaining - part, part)
-    rec((), budget, budget)
-    out = []
-    for tup in results:
-        modes = tuple(sorted(-(p + min_part - 1) for p in tup))
-        out.append(modes)
-    return out
-
-
-def sections(chart: Chart, n: int, weight_max: int, h_window: tuple[int, int]):
-    """Normal-form monomial basis of the chart sections of the degree-n sheaf,
-    residue-n specialized, restricted to weight <= weight_max and intrinsic
-    h-weight inside h_window (inclusive)."""
-    if weight_max < 0:
-        return []
-    lo, hi = h_window
-    out = []
-    for amodes in _mode_tuples(weight_max, 1):
-        wa = sum(-m for m in amodes)
-        for bmodes in _mode_tuples(weight_max - wa, 2):
-            shift = n + 2 * len(amodes) - 2 * len(bmodes)
-            # h = shift - 2k  =>  k in [ceil((shift-hi)/2), floor((shift-lo)/2)]
-            klo = (shift - hi + 1) // 2
-            khi = (shift - lo) // 2
-            if chart is not Chart.OVERLAP:
-                klo = max(klo, 0)
-            for k in range(klo, khi + 1):
-                h = shift - 2 * k
-                if lo <= h <= hi:
-                    out.append(
-                        FreeState(
-                            {Monomial(amodes, bmodes, (), k): 1}, chart.ring, n
-                        )
-                    )
-    return out
+def _ground_power(chart: Chart, shift: int, mu: int) -> int | None:
+    """The ground exponent k with h-weight shift - 2k = mu, or None when
+    there is none on the chart (parity, or k < 0 on a polynomial chart)."""
+    k, odd = divmod(shift - mu, 2)
+    if odd or (k < 0 and chart is not Chart.OVERLAP):
+        return None
+    return k
 
 
 def sections_bidegree(chart: Chart, n: int, weight: int, mu: int):
-    """Basis states of one exact (weight, h-weight) bidegree, in the order of
-    ``sections``: A/B mode tuples of total weight exactly ``weight``, each
-    with the one ground power that lands on mu."""
-    if weight < 0:
-        return []
+    """Normal-form monomial basis of the chart sections of the degree-n sheaf,
+    residue-n specialized, at one exact (weight, h-weight) bidegree: each
+    A/B mode shape of ``normal_forms(weight)``, in its order, with the one
+    ground power that lands on mu."""
     out = []
-    for amodes in _mode_tuples(weight, 1):
-        wa = sum(-m for m in amodes)
-        for bmodes in _mode_tuples(weight - wa, 2):
-            if wa + sum(-m - 1 for m in bmodes) != weight:
-                continue
-            shift = n + 2 * len(amodes) - 2 * len(bmodes)
-            if (shift - mu) % 2:
-                continue
-            k = (shift - mu) // 2
-            if chart is Chart.OVERLAP or k >= 0:
-                out.append(FreeState({Monomial(amodes, bmodes, (), k): 1}, chart.ring, n))
+    for amodes, bmodes, _, shift in normal_forms(weight):
+        k = _ground_power(chart, n + shift, mu)
+        if k is not None:
+            out.append(FreeState({Monomial(amodes, bmodes, (), k): 1}, chart.ring, n))
     return out
 
 
@@ -379,20 +323,7 @@ def unclamped_sections_dim(chart: Chart, n: int, weight: int, mu: int) -> int:
     free instead of clamped to the residue n.  The free tower restores the
     third mode family, which is what lines up with raw PBW counts in the
     Verma module (the clamped spaces line up with its central quotient)."""
-    if weight < 0:
-        return 0
-    total = 0
-    for amodes in _mode_tuples(weight, 1):
-        wa = sum(-m for m in amodes)
-        for bmodes in _mode_tuples(weight - wa, 2):
-            wb = sum(-m - 1 for m in bmodes)
-            for lmodes in _mode_tuples(weight - wa - wb, 1):
-                if wa + wb + sum(-m for m in lmodes) != weight:
-                    continue
-                shift = n + 2 * len(amodes) - 2 * len(bmodes)
-                if (shift - mu) % 2:
-                    continue
-                k = (shift - mu) // 2
-                if chart is Chart.OVERLAP or k >= 0:
-                    total += 1
-    return total
+    return sum(
+        _ground_power(chart, n + shift, mu) is not None
+        for *_, shift in normal_forms(weight, True)
+    )

@@ -24,9 +24,11 @@ from functools import lru_cache
 
 from .linalg import LinearCombination, SpanTracker, coordinate_rows
 from .modespace import (
+    GEN_A,
     POLY,
     FreeState,
     Monomial,
+    _head,
     apply_mode,
     binom,
     gen_a,
@@ -154,17 +156,15 @@ def zhu_reduce(u: FreeState) -> DiffOp:
 def _reduce_mono(mono: Monomial, ring: str, ls) -> DiffOp:
     if mono.bmodes:
         return diffop_zero()
-    if mono.amodes:
-        gen_op, gen_state = diffop(p=1), gen_a()
-        s = -mono.amodes[0]
-        tail = Monomial(mono.amodes[1:], (), mono.lmodes, mono.power)
-    elif mono.lmodes:
-        gen_op, gen_state = diffop(e=1), gen_lstar()
-        s = -mono.lmodes[0]
-        tail = Monomial((), (), mono.lmodes[1:], mono.power)
-    else:
+    head = _head(mono)
+    if head is None:
         return diffop(k=mono.power)
-    sign = 1 if s % 2 else -1  # (-1)^(s-1)
+    gen, mode, tail = head
+    if gen == GEN_A:
+        gen_op, gen_state = diffop(p=1), gen_a()
+    else:
+        gen_op, gen_state = diffop(e=1), gen_lstar()
+    sign = 1 if mode % 2 else -1  # (-1)^(s-1) for the mode -s
     tail_state = FreeState({tail: 1}, ring, ls)
     zero_mode = apply_mode(gen_state, 0, tail_state)
     reduced = gen_op * _reduce_mono(tail, ring, ls) - zhu_reduce(zero_mode)

@@ -229,6 +229,16 @@ def test_pbw_floats_are_rejected():
         0.5 * PBWVector({(): 1}, 0)
 
 
+def test_pbw_float_weight_is_rejected():
+    # a float nu would silently become a binary fraction
+    with pytest.raises(TypeError):
+        PBWVector({(): 1}, 0.1)
+    with pytest.raises(TypeError):
+        highest_weight_vector(0.5)
+    assert PBWVector({(): 1}, 2).nu == Fraction(2)
+    assert highest_weight_vector(Fraction(1, 3)).nu == Fraction(1, 3)
+
+
 def test_pbw_invariants_raise():
     with pytest.raises(ValueError, match="non-lowering"):
         PBWVector({(("e", 1),): 1})

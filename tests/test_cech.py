@@ -73,7 +73,7 @@ def test_h0_entries_cross_check_affine(reports):
     rpt = reports[2]
     for (N, mu), e in rpt.entries.items():
         assert e["dim_h0"] <= restricted_verma_dim(2, N, mu)
-    assert rpt.entry(0, 2)["dim_h0"] == restricted_verma_dim(2, 0, 2)
+    assert rpt.entries[(0, 2)]["dim_h0"] == restricted_verma_dim(2, 0, 2)
 
 
 def test_kernel_vectors_are_cocycles():

@@ -11,6 +11,7 @@ import pytest
 
 from tcdo.modespace import (
     LAURENT,
+    POLY,
     FreeState,
     Monomial,
     SpecializationError,
@@ -18,6 +19,7 @@ from tcdo.modespace import (
     bigrade,
     gen_a,
     ground,
+    normal_forms,
     random_state,
     vacuum,
 )
@@ -31,11 +33,11 @@ from tcdo.p1tcdo import (
     glue,
     include_overlap,
     overlap_basis,
-    sections,
     sections_bidegree,
     sl2_embedding,
     sugawara_image,
     sugawara_zero_mode_value,
+    unclamped_sections_dim,
 )
 from tcdo.cech import mu_window
 
@@ -170,8 +172,103 @@ def test_sugawara_annihilates_by_positive_modes():
         assert apply_mode(s, 3, u).is_zero
 
 
+# -- the filtered enumeration that normal_forms replaced, frozen as the
+# reference: every weight <= budget is built, then filtered
+
+
+def _ref_mode_tuples(budget, min_part):
+    results = [()]
+    def rec(prefix, remaining, max_part):
+        for part in range(1, min(remaining, max_part) + 1):
+            tup = prefix + (part,)
+            results.append(tup)
+            rec(tup, remaining - part, part)
+    rec((), budget, budget)
+    out = []
+    for tup in results:
+        modes = tuple(sorted(-(p + min_part - 1) for p in tup))
+        out.append(modes)
+    return out
+
+
+def _ref_sections(chart, n, weight_max, h_window):
+    """Basis states of weight <= weight_max and h-weight inside h_window."""
+    if weight_max < 0:
+        return []
+    lo, hi = h_window
+    out = []
+    for amodes in _ref_mode_tuples(weight_max, 1):
+        wa = sum(-m for m in amodes)
+        for bmodes in _ref_mode_tuples(weight_max - wa, 2):
+            shift = n + 2 * len(amodes) - 2 * len(bmodes)
+            klo = (shift - hi + 1) // 2
+            khi = (shift - lo) // 2
+            if chart is not Chart.OVERLAP:
+                klo = max(klo, 0)
+            for k in range(klo, khi + 1):
+                h = shift - 2 * k
+                if lo <= h <= hi:
+                    out.append(
+                        FreeState(
+                            {Monomial(amodes, bmodes, (), k): 1}, chart.ring, n
+                        )
+                    )
+    return out
+
+
+def _ref_unclamped_dim(chart, n, weight, mu):
+    if weight < 0:
+        return 0
+    total = 0
+    for amodes in _ref_mode_tuples(weight, 1):
+        wa = sum(-m for m in amodes)
+        for bmodes in _ref_mode_tuples(weight - wa, 2):
+            wb = sum(-m - 1 for m in bmodes)
+            for lmodes in _ref_mode_tuples(weight - wa - wb, 1):
+                if wa + wb + sum(-m for m in lmodes) != weight:
+                    continue
+                shift = n + 2 * len(amodes) - 2 * len(bmodes)
+                if (shift - mu) % 2:
+                    continue
+                k = (shift - mu) // 2
+                if chart is Chart.OVERLAP or k >= 0:
+                    total += 1
+    return total
+
+
+def _ref_overlap_basis(weight_max, h_bound, lstar):
+    out = []
+    for amodes in _ref_mode_tuples(weight_max, 1):
+        wa = sum(-m for m in amodes)
+        for bmodes in _ref_mode_tuples(weight_max - wa, 2):
+            wb = sum(-m - 1 for m in bmodes)
+            lchoices = [()] if lstar is not None else _ref_mode_tuples(weight_max - wa - wb, 1)
+            for lmodes in lchoices:
+                shift = 2 * len(amodes) - 2 * len(bmodes)
+                for k in range((shift - h_bound + 1) // 2, (shift + h_bound) // 2 + 1):
+                    out.append(Monomial(amodes, bmodes, lmodes, k))
+    return out
+
+
+def _window_sections(chart, n, weights, mus):
+    """sections_bidegree summed over a window of bidegrees."""
+    return [s for N in weights for mu in mus for s in sections_bidegree(chart, n, N, mu)]
+
+
+def test_normal_forms_are_exact_weight_shapes():
+    for tower in (False, True):
+        assert normal_forms(-1, tower) == ()
+        for N in range(6):
+            shapes = normal_forms(N, tower)
+            assert len(set(shapes)) == len(shapes)
+            for amodes, bmodes, lmodes, shift in shapes:
+                mono = Monomial(amodes, bmodes, lmodes)
+                assert mono.weight == N and mono.h_shift == shift
+                assert tower or not lmodes
+
+
 def test_sections_zero_chart_weight_zero():
-    sec = sections(Chart.ZERO, 0, 0, (-6, 0))
+    sec = _window_sections(Chart.ZERO, 0, [0], range(-6, 1))
     powers = sorted(next(iter(s.terms)).power for s in sec)
     assert powers == [0, 1, 2, 3]
     assert all(s.lstar == 0 for s in sec)
@@ -189,36 +286,60 @@ def test_sections_overlap_single_bidegree():
 
 
 def test_sections_respect_window_and_ring():
-    sec = sections(Chart.ZERO, 1, 2, (-3, 3))
-    for s in sec:
-        nw, mu = bigrade(s, twist=1)
-        assert nw <= 2 and -3 <= mu <= 3
-        assert all(m.power >= 0 for m in s.terms)
-    # empty window is allowed
-    assert sections(Chart.ZERO, 0, 2, (5, 4)) == []
-    assert sections(Chart.ZERO, 0, -1, (0, 0)) == []
+    for N in range(3):
+        for mu in range(-3, 4):
+            for s in sections_bidegree(Chart.ZERO, 1, N, mu):
+                assert bigrade(s, twist=1) == (N, mu)
+                assert s.ring == POLY and all(m.power >= 0 for m in s.terms)
+    # empty bidegrees: negative weight, odd parity, h-weight out of reach of
+    # a polynomial chart (at weight 2 the largest shift is two A-modes, +4)
+    assert sections_bidegree(Chart.ZERO, 0, -1, 0) == []
+    assert sections_bidegree(Chart.ZERO, 0, 2, 1) == []
+    assert sections_bidegree(Chart.ZERO, 0, 2, 6) == []
 
 
 def test_sections_bidegree_matches_filtered_sections():
-    # the exact-weight enumeration against filtering every weight <= N, in
-    # the same order (Cech kernel vectors are coordinates over this basis)
+    # the exact-weight walk against filtering every weight <= N, in the same
+    # order (Cech kernel vectors are coordinates over this basis)
     for chart in Chart:
-        for n in range(-3, 4):
-            for N in range(-1, 4):
-                for mu in mu_window(n, 3, 2):
-                    want = [
-                        s
-                        for s in sections(chart, n, N, (mu, mu))
-                        if bigrade(s, twist=n) == (N, mu)
-                    ]
-                    assert sections_bidegree(chart, n, N, mu) == want, (chart, n, N, mu)
+        for n in range(-4, 5):
+            window = mu_window(n, 5, 2)
+            for N in range(-1, 6):
+                want = {}
+                for s in _ref_sections(chart, n, N, (window[0], window[-1])):
+                    w, mu = bigrade(s, twist=n)
+                    if w == N:
+                        want.setdefault(mu, []).append(s)
+                for mu in window:
+                    got = sections_bidegree(chart, n, N, mu)
+                    assert got == want.get(mu, []), (chart, n, N, mu)
+
+
+def test_unclamped_sections_dim_matches_filtered_count():
+    for chart in Chart:
+        for n in range(-4, 5):
+            for N in range(-1, 6):
+                for mu in mu_window(n, 5, 2):
+                    assert unclamped_sections_dim(chart, n, N, mu) == _ref_unclamped_dim(
+                        chart, n, N, mu
+                    ), (chart, n, N, mu)
+
+
+def test_overlap_basis_matches_filtered_enumeration():
+    for lstar in (None, 0, -2):
+        for weight_max in range(5):
+            for h_bound in (0, 3, 12):
+                got = overlap_basis(weight_max, h_bound, lstar)
+                want = _ref_overlap_basis(weight_max, h_bound, lstar)
+                assert len(got) == len(set(got))
+                assert set(got) == set(want)
 
 
 def test_h_weight_eigenvalue_on_sections():
     # rho(h)'s zero mode is diagonal with the combinatorial h-weight
     rho = sl2_embedding(Chart.ZERO)
     for n in (-2, 0, 3):
-        for s in sections(Chart.ZERO, n, 2, (n - 4, n + 4)):
+        for s in _window_sections(Chart.ZERO, n, range(3), range(n - 4, n + 5)):
             _, mu = bigrade(s, twist=n)
             assert apply_mode(rho["h"], 0, s) == mu * s
 
