@@ -248,7 +248,7 @@ def _sugawara_span(nu, d: int, mu, basis_words) -> tuple:
             img = _t_image(-k, src, nu)
             if not img.is_zero:
                 images.append(img)
-    tracker = SpanTracker(len(basis_words))
+    tracker = SpanTracker()
     for row in coordinate_rows(images, index):
         tracker.add(row)
     return tracker, index
@@ -263,15 +263,6 @@ def restricted_verma_dim(nu, d: int, mu) -> int:
         return 0
     tracker, _ = _sugawara_span(nu, d, mu, basis_words)
     return len(basis_words) - tracker.dim
-
-
-def quotient_dims(nu, d_max: int, mu_values) -> dict:
-    """Per-bidegree dimensions of the Sugawara quotient M_{nu/z}."""
-    return {
-        (d, mu): restricted_verma_dim(nu, d, mu)
-        for d in range(d_max + 1)
-        for mu in mu_values
-    }
 
 
 def _default_mu_window(n: int, d_max: int):
@@ -299,9 +290,9 @@ def singular_bidegrees(nu, d_max: int, mu_values) -> list:
                 continue
             own, _ = span(d, mu, basis_words)
             raising = [("e", 0), ("e", 1), ("h", 1), ("f", 1)]
-            # stacked rows: coordinates of X v in each target bidegree,
-            # reduced modulo the target's Sugawara span
-            rows = []
+            # the image of each basis word: the coordinates of X w in each
+            # target bidegree, reduced modulo the target's Sugawara span
+            images = [{} for _ in basis_words]
             for gen, m in raising:
                 tgt_d = d - m
                 tgt_mu = mu + _H_SHIFT[gen]
@@ -309,14 +300,13 @@ def singular_bidegrees(nu, d_max: int, mu_values) -> list:
                 if not tgt_words:
                     continue
                 tracker, index = span(tgt_d, tgt_mu, tgt_words)
-                images = [act(gen, m, PBWVector({w: 1}, nu)) for w in basis_words]
-                cols = [tracker.residual(row) for row in coordinate_rows(images, index)]
-                for i in range(len(tgt_words)):
-                    rows.append([c[i] for c in cols])
+                acted = [act(gen, m, PBWVector({w: 1}, nu)) for w in basis_words]
+                for image, row in zip(images, coordinate_rows(acted, index)):
+                    image.update(((gen, m, i), c) for i, c in tracker.residual(row).items())
             # singular classes = kernel of the stacked map, minus vectors that
             # are already zero in the quotient (the whole Sugawara span maps
             # into Sugawara spans, so it always sits inside the kernel)
-            kernel = len(basis_words) - rank(rows) if rows else len(basis_words)
+            kernel = len(basis_words) - rank(images)
             sing = kernel - own.dim
             if d == 0 and Fraction(mu) == Fraction(nu):
                 sing -= 1  # the highest-weight vector itself

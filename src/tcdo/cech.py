@@ -22,13 +22,11 @@ sorted bidegree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .linalg import kernel_basis, rank
+from .linalg import coordinate_rows, kernel_basis, rank
 from .modespace import apply_mode, linear_combination
 from .p1tcdo import (
     Chart,
-    GluingMap,
     glue,
     include_overlap,
     sections_bidegree,
@@ -83,28 +81,21 @@ def mu_window(n: int, weight_max: int, factor: int = 1) -> range:
 
 
 def _delta_matrix(n: int, weight: int, mu: int):
-    """Rows indexed by overlap monomials, columns by (zero ++ infinity) basis."""
+    """The three bases at one bidegree and delta as the sparse images of the
+    (zero ++ infinity) basis, each over the overlap basis index; building
+    them raises KeyError when an image leaves the overlap basis."""
     basis0 = sections_bidegree(Chart.ZERO, n, weight, mu)
     basisinf = sections_bidegree(Chart.INFTY, n, weight, -mu)
     basisov = sections_bidegree(Chart.OVERLAP, n, weight, mu)
     index = {next(iter(s.terms)): i for i, s in enumerate(basisov)}
-    g = GluingMap(n)
-    cols = []
-    for s in basis0:
-        cols.append(include_overlap(s))
-    for s in basisinf:
-        cols.append(-1 * glue(s, g, transition_degree=n))
-    rows = [[Fraction(0)] * len(cols) for _ in range(len(basisov))]
-    for j, img in enumerate(cols):
-        for mono, c in img.terms.items():
-            rows[index[mono]][j] = c
-    return basis0, basisinf, basisov, rows
+    cols = [include_overlap(s) for s in basis0] + [-1 * glue(s) for s in basisinf]
+    return basis0, basisinf, basisov, coordinate_rows(cols, index)
 
 
 def cech_block(n: int, weight: int, mu: int) -> dict:
     """Exact dimensions at one bidegree (a pure function of its arguments)."""
-    basis0, basisinf, basisov, rows = _delta_matrix(n, weight, mu)
-    r = rank(rows)
+    basis0, basisinf, basisov, images = _delta_matrix(n, weight, mu)
+    r = rank(images)
     return {
         "dim_c0": len(basis0),
         "dim_cinf": len(basisinf),
@@ -117,11 +108,8 @@ def cech_block(n: int, weight: int, mu: int) -> dict:
 def cech_kernel(n: int, weight: int, mu: int):
     """H^0 representatives at one bidegree: (zero-chart basis, infinity-chart
     basis, kernel coefficient vectors over their concatenation)."""
-    basis0, basisinf, _, rows = _delta_matrix(n, weight, mu)
-    ncols = len(basis0) + len(basisinf)
-    if ncols == 0:
-        return basis0, basisinf, []
-    return basis0, basisinf, kernel_basis(rows, ncols)
+    basis0, basisinf, _, images = _delta_matrix(n, weight, mu)
+    return basis0, basisinf, kernel_basis(images)
 
 
 def cech_dims(n: int, weight_max: int) -> BigradedReport:
@@ -226,19 +214,18 @@ def singular_vectors_h0(n: int, weight_max: int):
             raising = [("e", 0)] + [
                 (x, m) for m in range(1, N + 1) for x in ("e", "h", "f")
             ]
-            # condition matrix: one row per (raising op, target monomial),
-            # one column per kernel vector — aligned on a shared index
+            # the condition map: each kernel vector goes to the target
+            # coefficients of its images under every raising op, on both charts
             pairs = [_chart_pair(vec, basis0, basisinf, n) for vec in kernel]
-            rows = []
-            for gen, m in raising:
-                images = [_pair_image(gen, m, pair, rho0, rhoinf) for pair in pairs]
-                monos0 = sorted({mo for i0, _ in images for mo in i0.terms})
-                monosinf = sorted({mo for _, ii in images for mo in ii.terms})
-                for mo in monos0:
-                    rows.append([i0.terms.get(mo, Fraction(0)) for i0, _ in images])
-                for mo in monosinf:
-                    rows.append([ii.terms.get(mo, Fraction(0)) for _, ii in images])
-            for coeffs in kernel_basis(rows, len(kernel)):
+            images = []
+            for pair in pairs:
+                image = {}
+                for gen, m in raising:
+                    img0, imginf = _pair_image(gen, m, pair, rho0, rhoinf)
+                    image.update(((gen, m, Chart.ZERO, mo), c) for mo, c in img0.terms.items())
+                    image.update(((gen, m, Chart.INFTY, mo), c) for mo, c in imginf.terms.items())
+                images.append(image)
+            for coeffs in kernel_basis(images):
                 rep = linear_combination(
                     zip(coeffs, (s0.terms.items() for s0, _ in pairs)), Chart.ZERO.ring, n
                 )
@@ -252,7 +239,6 @@ def check_sl2_stability(n: int, weight_max: int, modes=(-2, -1, 0, 1, 2)) -> Che
     pair is again a cocycle (delta of it vanishes identically)."""
     rho0 = sl2_embedding(Chart.ZERO)
     rhoinf = sl2_embedding(Chart.INFTY)
-    g = GluingMap(n)
     rep = CheckReport("cech-sl2-stability", details={"n": n, "weight_max": weight_max})
     for N in range(weight_max + 1):
         for mu in mu_window(n, weight_max):
@@ -262,9 +248,7 @@ def check_sl2_stability(n: int, weight_max: int, modes=(-2, -1, 0, 1, 2)) -> Che
                 for gen in "ehf":
                     for m in modes:
                         img0, imginf = _pair_image(gen, m, pair, rho0, rhoinf)
-                        delta = include_overlap(img0) - glue(
-                            imginf, g, transition_degree=n
-                        )
+                        delta = include_overlap(img0) - glue(imginf)
                         rep.record(
                             delta.is_zero,
                             f"(N={N}, mu={mu}) {gen}_({m}) image leaves ker delta",

@@ -8,10 +8,14 @@ the pivot columns of a span do not depend on the order its rows arrived in,
 the residual is canonical.  ``rank``, ``kernel_basis`` and ``SpanTracker``
 are thin fronts over that kernel.
 
-Everything is deterministic and exact -- inputs are ints or
-fractions.Fraction, never floats.  Dense matrices are plain lists of row
-lists, sparse rows are dicts ``{col: value}``; the empty matrix is allowed
-everywhere and has rank 0.
+There is one input format: a vector is a sparse dict ``{key: value}``, and a
+matrix is a list of them.  ``rank`` and ``SpanTracker`` take the vectors as
+rows (their keys are the columns, so they must be mutually comparable).
+``kernel_basis`` takes a linear map as the images of its basis vectors -- the
+columns, keyed by any hashable row key -- and transposes them itself.  Only
+the kernel vectors it returns are dense.  Everything is deterministic and
+exact -- inputs are ints or fractions.Fraction, never floats; the empty
+matrix is allowed everywhere and has rank 0.
 
 ``LinearCombination`` is the one value type behind chart states, PBW vectors
 and differential operators: a finite combination ``{key: Fraction}``.
@@ -124,11 +128,9 @@ class LinearCombination:
         return (-1) * self
 
 
-def _sparse(vec) -> dict:
-    """A fresh ``{col: value}`` dict of the nonzero entries of a dense row
-    or a sparse dict."""
-    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-    return {j: c for j, c in items if c}
+def _sparse(vec: dict) -> dict:
+    """A fresh ``{col: value}`` dict of the nonzero entries of a sparse row."""
+    return {j: c for j, c in vec.items() if c}
 
 
 class _Echelon:
@@ -175,26 +177,33 @@ class _Echelon:
 
 
 def rank(mat) -> int:
-    """Rank of a matrix given as a list of dense rows or sparse dicts."""
+    """Rank of a matrix given as a list of sparse rows."""
     core = _Echelon()
     for row in mat:
         core.add(_sparse(row))
     return len(core.pivots)
 
 
-def kernel_basis(mat, ncols: int):
-    """Basis of {x : mat @ x = 0} as Fraction rows of length ncols: one
-    vector per free column f, with 1 at f, 0 at the other free columns, and
-    minus the reduced row echelon form's column f at the pivots."""
+def kernel_basis(images):
+    """Basis of the kernel of the linear map sending basis vector j to
+    ``images[j]``, a sparse dict ``{row key: value}`` over any hashable row
+    keys.  The vectors are Fraction lists of length ``len(images)``: one per
+    free column f, with 1 at f, 0 at the other free columns, and minus the
+    reduced row echelon form's column f at the pivots.  The reduced form does
+    not depend on the order of the rows, so neither does the basis."""
+    rows: dict = {}
+    for j, image in enumerate(images):
+        for key, c in image.items():
+            if c:
+                rows.setdefault(key, {})[j] = c
     core = _Echelon()
-    for row in mat:
-        if len(row) != ncols:
-            raise ValueError(f"row of length {len(row)} in a matrix with {ncols} columns")
-        core.add(_sparse(row))
+    for row in rows.values():
+        core.add(row)
     pivots = core.pivots
     # the reduced row with pivot p: its tail reduced against the other rows
     red = {p: core.reduce(dict(core.rows[p])) for p in pivots}
     basis = []
+    ncols = len(images)
     for f in range(ncols):
         if f in core.rows:
             continue
@@ -215,25 +224,21 @@ def coordinate_rows(states, index: dict) -> list[dict]:
 class SpanTracker:
     """Incrementally built row space with exact membership tests.
 
-    Vectors are dense rows of length ``ncols`` or sparse dicts
-    ``{col: value}``; ``add`` returns True when the vector actually enlarged
-    the span, so rank is just ``dim``.
+    Vectors are sparse dicts ``{col: value}``; ``add`` returns True when the
+    vector actually enlarged the span, so rank is just ``dim``.
     """
 
-    def __init__(self, ncols: int):
-        self.ncols = ncols
+    def __init__(self):
         self._core = _Echelon()
 
     def contains(self, vec) -> bool:
         return not self._core.reduce(_sparse(vec))
 
-    def residual(self, vec) -> list[Fraction]:
-        """The vector reduced against the current span, as a dense row (zero
-        iff contained, and zero on every pivot column)."""
-        out = [_ZERO] * self.ncols
-        for j, c in self._core.reduce(_sparse(vec)).items():
-            out[j] = Fraction(c)
-        return out
+    def residual(self, vec) -> dict:
+        """The vector reduced against the current span, as a sparse dict of
+        Fractions (empty iff contained, and with no pivot column among its
+        keys)."""
+        return {j: Fraction(c) for j, c in self._core.reduce(_sparse(vec)).items()}
 
     def add(self, vec) -> bool:
         return self._core.add(_sparse(vec))

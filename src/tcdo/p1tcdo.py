@@ -15,7 +15,8 @@ recursion therefore always acts through the symbolic images, whose raw modes
 on a specialized state produce precisely that collapse.
 
 Module sections of the degree-n sheaf glue with the extra line-bundle factor
-x^n: ``glue(•, g, transition_degree=n)`` sends the ground y^j to x^(n-j).
+x^n, so the sector of a state fixes its gluing: ``glue`` sends the ground y^j
+of a residue-n state to x^(n-j), and of a symbolic state to x^(-j).
 
 Section bases of one bidegree are read off the walk ``modespace.normal_forms``;
 only the ground power that lands on the h-weight depends on the chart.
@@ -37,7 +38,6 @@ from .modespace import (
     POLY,
     FreeState,
     Monomial,
-    SpecializationError,
     _act,
     _head,
     apply_mode,
@@ -85,58 +85,45 @@ _SYMBOLIC_IMAGES = {
 }
 
 
-@dataclass(frozen=True)
-class GluingMap:
-    """INFTY -> OVERLAP chart change.  ``twist`` is None for the symbolic
-    sector or the integer residue n; the recursion in ``glue`` acts through
-    the symbolic generator images in every sector (see the module
-    docstring)."""
-
-    twist: int | None = None
-
-
 @lru_cache(maxsize=None)
-def _glue_mono(mono: Monomial, ls, t: int) -> tuple:
-    """The glued image of one INFTY monomial: ((monomial, int coeff), ...)."""
+def _glue_mono(mono: Monomial, ls) -> tuple:
+    """The glued image of one INFTY monomial of sector ls: ((monomial, int
+    coeff), ...)."""
     head = _head(mono)
     if head is None:
-        return ((Monomial(power=t - mono.power), 1),)
+        return ((Monomial(power=(ls or 0) - mono.power), 1),)
     gen, m, tail = head
-    out = _act(_SYMBOLIC_IMAGES[gen], m, _glue_mono(tail, ls, t), ls)
+    out = _act(_SYMBOLIC_IMAGES[gen], m, _glue_mono(tail, ls), ls)
     return tuple((mo, c) for mo, c in out.items() if c)
 
 
-def glue(u: FreeState, g: GluingMap, transition_degree: int = 0) -> FreeState:
-    """Push a state through the chart change, monomial by monomial: peel the
-    head mode, map its generator, and act on the glued tail; the ground y^k
-    lands on x^(transition_degree - k)."""
-    if (g.twist is None) != (u.lstar is None) or (
-        g.twist is not None and g.twist != u.lstar
-    ):
-        raise SpecializationError(
-            f"gluing twist {g.twist!r} does not match state sector {u.lstar!r}"
-        )
+def glue(u: FreeState) -> FreeState:
+    """Push a state through the INFTY -> OVERLAP chart change, monomial by
+    monomial: peel the head mode, map its generator through the symbolic
+    images, and act on the glued tail.  The sector fixes the line-bundle
+    transition: the ground y^k of a residue-n state lands on x^(n - k), and
+    of a symbolic state on x^(-k)."""
     return linear_combination(
-        ((c, _glue_mono(mono, u.lstar, transition_degree)) for mono, c in u.terms.items()),
+        ((c, _glue_mono(mono, u.lstar)) for mono, c in u.terms.items()),
         LAURENT,
         u.lstar,
     )
 
 
-def check_gluing_morphism(g: GluingMap, samples: int = 100, seed: int = 42,
-                          transition_degree: int | None = None) -> CheckReport:
+def check_gluing_morphism(twist: int | None, samples: int = 100, seed: int = 42) -> CheckReport:
     """Exactness of glue(u_(m) v) = glue(u)_(m) glue(v): all generator pairs
     at m in {0, 1} (symbolic sector — these pin the vertex-algebra morphism),
-    then `samples` pseudo-random pairs of weight <= 3.
+    then `samples` pseudo-random pairs of weight <= 3 with v in sector
+    ``twist`` (None for symbolic, or the residue n).
 
     In a specialized sector the left slot stays symbolic — the module carries
     an action of the chart algebra, not of itself — and the module side
-    travels with the line-bundle transition (degree = twist unless overridden):
-    glue_t(u_(m) v) = glue_0(u)_(m) glue_t(v)."""
-    rep = CheckReport("gluing-morphism", details={"samples": samples, "seed": seed})
-    t = transition_degree if transition_degree is not None else (g.twist or 0)
-    rep.details["transition_degree"] = t
-    sym = GluingMap(None)
+    travels with the degree-n line-bundle transition:
+    glue_n(u_(m) v) = glue_0(u)_(m) glue_n(v)."""
+    rep = CheckReport(
+        "gluing-morphism",
+        details={"samples": samples, "seed": seed, "transition_degree": twist or 0},
+    )
     gens = {name: FreeState({mono: 1}) for name, mono in {
         "d_y": Monomial(amodes=(-1,)),
         "y": Monomial(power=1),
@@ -145,8 +132,8 @@ def check_gluing_morphism(g: GluingMap, samples: int = 100, seed: int = 42,
     for xn, xi in gens.items():
         for en, eta in gens.items():
             for m in (0, 1):
-                lhs = glue(apply_mode(xi, m, eta), sym)
-                rhs = apply_mode(glue(xi, sym), m, glue(eta, sym))
+                lhs = glue(apply_mode(xi, m, eta))
+                rhs = apply_mode(glue(xi), m, glue(eta))
                 rep.record(lhs == rhs, f"generators ({xn})_({m}) {en}")
 
     rng = random.Random(seed)
@@ -154,10 +141,10 @@ def check_gluing_morphism(g: GluingMap, samples: int = 100, seed: int = 42,
         rep.details["warning"] = "samples = 0: sampled portion is vacuous"
     for i in range(samples):
         u = random_state(rng, 3, ring=POLY)
-        v = random_state(rng, 3, ring=POLY, lstar=g.twist)
+        v = random_state(rng, 3, ring=POLY, lstar=twist)
         m = rng.randint(-2, 2)
-        lhs = glue(apply_mode(u, m, v), g, t)
-        rhs = apply_mode(glue(u, sym), m, glue(v, g, t))
+        lhs = glue(apply_mode(u, m, v))
+        rhs = apply_mode(glue(u), m, glue(v))
         rep.record(
             lhs == rhs,
             f"sample {i}: ({u.render('y')})_({m}) {v.render('y')}",
@@ -177,21 +164,19 @@ def overlap_basis(weight_max: int, h_bound: int, lstar: int | None = None):
     return out
 
 
-def check_involution(g: GluingMap, weight_max: int = 4) -> CheckReport:
+def check_involution(twist: int | None, weight_max: int = 4) -> CheckReport:
     """glue after its mirror is the identity on every overlap basis monomial
-    with weight <= weight_max and |h-weight| <= 2 weight_max + 4.  The mirror
-    is the same formula with the letters exchanged, hence the same table in
-    the shared representation, so the round trip glues twice with ``g``.
-    Specialized sections round-trip through the degree-n transition (the two
-    coordinate descriptions of the degree-n sheaf are identified by x^n, not
-    by 1)."""
+    of sector ``twist`` with weight <= weight_max and |h-weight| <=
+    2 weight_max + 4.  The mirror is the same formula with the letters
+    exchanged, hence the same table in the shared representation, so the
+    round trip glues twice.  Specialized sections round-trip through the
+    degree-n transition (the two coordinate descriptions of the degree-n
+    sheaf are identified by x^n, not by 1)."""
     rep = CheckReport("gluing-involution", details={"weight_max": weight_max})
     h_bound = 2 * weight_max + 4
-    t = g.twist or 0
-    for mono in overlap_basis(weight_max, h_bound, g.twist):
-        u = FreeState({mono: 1}, LAURENT, g.twist)
-        back = glue(glue(u, g, t), g, t)
-        rep.record(back == u, f"round trip of {mono.render()}")
+    for mono in overlap_basis(weight_max, h_bound, twist):
+        u = FreeState({mono: 1}, LAURENT, twist)
+        rep.record(glue(glue(u)) == u, f"round trip of {mono.render()}")
     return rep
 
 
@@ -256,17 +241,15 @@ def check_sl2_embedding(rho: Sl2Embedding) -> CheckReport:
     return rep
 
 
-def check_sl2_global(g: GluingMap) -> CheckReport:
+def check_sl2_global() -> CheckReport:
     """The two chart embeddings agree on the overlap: the ZERO images included
     directly equal the INFTY images pushed through the gluing."""
     rep = CheckReport("sl2-global")
-    if g.twist is not None:
-        raise SpecializationError("global comparison runs in the symbolic sector")
     rho0 = sl2_embedding(Chart.ZERO)
     rhoi = sl2_embedding(Chart.INFTY)
     for name in "ehf":
         lhs = include_overlap(rho0[name])
-        rhs = glue(rhoi[name], g)
+        rhs = glue(rhoi[name])
         rep.record(lhs == rhs, f"rho({name}) glues globally")
     return rep
 

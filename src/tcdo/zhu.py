@@ -25,7 +25,6 @@ from functools import lru_cache
 from .linalg import LinearCombination, SpanTracker, coordinate_rows
 from .modespace import (
     GEN_A,
-    POLY,
     FreeState,
     Monomial,
     _head,
@@ -250,7 +249,7 @@ def check_zhu_of_tcdo_chart(cutoff: int = 3) -> CheckReport:
 
     keys = sorted({key for _, op in words for key in op.terms})
     index = {key: i for i, key in enumerate(keys)}
-    tracker = SpanTracker(len(keys))
+    tracker = SpanTracker()
     independent = True
     rows = coordinate_rows([op for _, op in words], index)
     for ((d, k, e), op), row in zip(words, rows):

@@ -4,12 +4,15 @@ Everything here runs in-process through cli.main so the negative paths can be
 exercised by monkeypatching the underlying checks.
 """
 
+import contextlib
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 
+import tcdo.cech
 import tcdo.modespace
 from tcdo.cli import UsageError, main, parse_n_spec
 
@@ -160,6 +163,29 @@ def test_out_writes_file(tmp_path, capsys):
     assert payload["pass"] is True
 
 
+# sha256 of the stdout of each command: a refactor must leave these payloads
+# byte-identical, and only a change meant to alter a payload updates them
+GOLDEN = {
+    "zhu --cutoff 3 --format json": "cd7d01db12da6782ddbbbdad6971bacdeec55230359c9ab62bd82281e439d3aa",
+    "gluing --twist symbolic --format json": "718198546da122788e484332d58740ad8d5f003011a6185af80b9eceffe63189",
+    "gluing --twist 3 --format json": "b5f7300eb01b4a20e6f66abc1904aca948d6feb0dff1cc2cca301fe3907ee2f7",
+    "cech --n 2 --weight-max 3 --format json": "e4397fc44717665036a3b2289cacd87f587704e40d343ae8e4d38e62f7d2c834",
+    "cech --n 2 --weight-max 3 --format csv": "d9b4ad9d93159867e8e7091729da10af137f585dc9525c469bbb5ff12a66dc4b",
+    "affine char --n 0..1 --depth 3 --format json": "e8dbfa620ababc943c5ad88f3f7b96926a920a3da7dcd2c456eddcadcd06041d",
+    "verify-engine --samples 20 --seed 3 --format json": "b286c7aa2130a10770c181a044a965d4e02afba7e2e7235d462c83e7d31b9f1a",
+}
+
+
+def test_golden_payloads_are_byte_identical():
+    got = {}
+    for command in GOLDEN:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(command.split()) == 0, command
+        got[command] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert got == GOLDEN
+
+
 # -- usage errors -----------------------------------------------------------------
 
 
@@ -198,6 +224,15 @@ def test_affine_negative_n_for_char_returns_2(capsys):
     assert code == 2
 
 
+def test_unwritable_out_returns_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(["verify-engine", "--samples", "1", "--out", str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "missing" in err
+    assert not target.exists()
+
+
 def test_zero_samples_is_vacuous_pass(capsys):
     code, out, _ = run(["verify-engine", "--samples", "0"], capsys)
     assert code == 0
@@ -227,3 +262,22 @@ def test_broken_identity_json_pass_false(monkeypatch, capsys):
     bad = payload["results"][0]
     assert bad["name"] == "borcherds-identity"
     assert bad["failures"]
+
+
+def test_unstable_cech_scan_fails_with_payload(monkeypatch, capsys):
+    real = tcdo.cech.cech_dims
+
+    def unstable(n, weight_max):
+        report = real(n, weight_max)
+        report.stable = False
+        return report
+
+    monkeypatch.setattr(tcdo.cech, "cech_dims", unstable)
+    code, out, _ = run(["cech", "--n", "0", "--weight-max", "1", "--format", "json"], capsys)
+    assert code == 1
+    payload = json.loads(out)
+    assert sorted(payload) == ["command", "params", "pass", "results"]
+    assert payload["pass"] is False
+    (entry,) = payload["results"]
+    assert entry["stable"] is False
+    assert entry["euler_check"] is False and entry["character_check"] is False

@@ -14,7 +14,6 @@ from tcdo.modespace import (
     POLY,
     FreeState,
     Monomial,
-    SpecializationError,
     apply_mode,
     bigrade,
     gen_a,
@@ -25,7 +24,6 @@ from tcdo.modespace import (
 )
 from tcdo.p1tcdo import (
     Chart,
-    GluingMap,
     check_gluing_morphism,
     check_involution,
     check_sl2_embedding,
@@ -45,9 +43,8 @@ SEED = 42
 
 
 def test_glue_generator_anchors():
-    g = GluingMap(None)
-    assert glue(ground(1), g) == ground(-1, LAURENT)
-    assert glue(vacuum(), g) == vacuum(LAURENT)
+    assert glue(ground(1)) == ground(-1, LAURENT)
+    assert glue(vacuum()) == vacuum(LAURENT)
     expected = FreeState(
         {
             Monomial(amodes=(-1,), power=2): -1,
@@ -56,56 +53,46 @@ def test_glue_generator_anchors():
         },
         LAURENT,
     )
-    assert glue(gen_a(), g) == expected
+    assert glue(gen_a()) == expected
     lam = FreeState({Monomial(lmodes=(-1,)): 1})
-    assert glue(lam, g) == include_overlap(lam)
+    assert glue(lam) == include_overlap(lam)
 
 
 def test_glue_module_transition():
+    # the sector fixes the line-bundle transition: y^j goes to x^(n - j)
     for n in (-3, 0, 2):
-        g = GluingMap(n)
-        assert glue(vacuum(lstar=n), g, transition_degree=n) == ground(n, LAURENT, n)
-        assert glue(ground(2, lstar=n), g, transition_degree=n) == ground(
-            n - 2, LAURENT, n
-        )
-
-
-def test_glue_twist_sector_guard():
-    with pytest.raises(SpecializationError):
-        glue(vacuum(), GluingMap(2))
-    with pytest.raises(SpecializationError):
-        glue(vacuum(lstar=1), GluingMap(2))
-    with pytest.raises(SpecializationError):
-        glue(vacuum(lstar=1), GluingMap(None))
+        assert glue(vacuum(lstar=n)) == ground(n, LAURENT, n)
+        assert glue(ground(2, lstar=n)) == ground(n - 2, LAURENT, n)
 
 
 def test_gluing_morphism_symbolic():
-    rep = check_gluing_morphism(GluingMap(None), samples=60, seed=SEED)
+    rep = check_gluing_morphism(None, samples=60, seed=SEED)
     assert rep.passed, rep.failures[:3]
     assert rep.checks == 18 + 60
+    assert rep.details["transition_degree"] == 0
 
 
 @pytest.mark.parametrize("n", [-2, 0, 3])
 def test_gluing_morphism_specialized(n):
-    rep = check_gluing_morphism(GluingMap(n), samples=40, seed=SEED)
+    rep = check_gluing_morphism(n, samples=40, seed=SEED)
     assert rep.passed, rep.failures[:3]
     assert rep.details["transition_degree"] == n
 
 
 def test_gluing_morphism_zero_samples_warns():
-    rep = check_gluing_morphism(GluingMap(None), samples=0, seed=SEED)
+    rep = check_gluing_morphism(None, samples=0, seed=SEED)
     assert rep.passed
     assert "warning" in rep.details
 
 
 def test_involution_symbolic():
-    rep = check_involution(GluingMap(None), weight_max=3)
+    rep = check_involution(None, weight_max=3)
     assert rep.passed, rep.failures[:3]
 
 
 @pytest.mark.parametrize("n", [-2, 1])
 def test_involution_specialized(n):
-    rep = check_involution(GluingMap(n), weight_max=2)
+    rep = check_involution(n, weight_max=2)
     assert rep.passed, rep.failures[:3]
 
 
@@ -113,10 +100,9 @@ def test_glue_is_weight_preserving_and_h_negating():
     # global h-weight of a glued section is minus its intrinsic h-weight
     rng = random.Random(SEED)
     for n in (-2, 0, 3):
-        g = GluingMap(n)
         for _ in range(15):
             u = random_state(rng, 3, lstar=n, max_terms=1)
-            got = glue(u, g, transition_degree=n)
+            got = glue(u)
             if got.is_zero:
                 continue
             nu, mu = bigrade(u, twist=n)
@@ -136,7 +122,7 @@ def test_sl2_embedding_rejects_overlap():
 
 
 def test_sl2_global_agreement():
-    rep = check_sl2_global(GluingMap(None))
+    rep = check_sl2_global()
     assert rep.passed, rep.failures
 
 

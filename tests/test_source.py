@@ -37,3 +37,19 @@ def test_package_imports_only_the_standard_library():
                     found.append(f"{path.name}:{node.lineno} imports {name}")
     assert list(SRC.glob("*.py")), f"no sources under {SRC}"
     assert found == []
+
+
+def test_every_imported_name_is_used():
+    # an import nothing reads is dead code that survives refactors silently
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} imports unused {name}" for name, line in imported.items() if name not in used]
+    assert list(SRC.glob("*.py")), f"no sources under {SRC}"
+    assert found == []
