@@ -13,6 +13,15 @@ are bigraded by (depth d = total t-degree, h-weight mu); each bidegree is
 finite-dimensional, which is what makes exact linear algebra per bidegree
 possible even though depth slices alone are infinite (powers of f_0 all live
 at depth 0).
+
+The mode action runs in a cached integer core (``_straighten``,
+``_act_word``, ``_act_terms``): the structure constants are integers, so its
+coefficients are ints whenever nu is integral (``_core_nu`` turns an integral
+nu into an int).  The core computes 2 T_k rather than the Sugawara operator
+T_k, whose 1/2 h_(-1)h term is the only non-integer constant; the oracle
+spans the images of 2 T_k, which span the same space.  Fractions appear only
+at the public boundary: in ``PBWVector`` and in the results of ``act`` and
+``sugawara_apply``.
 """
 
 from __future__ import annotations
@@ -100,7 +109,7 @@ def _straighten(word: tuple) -> tuple:
         if _key(word[i]) > _key(word[i + 1]):
             (g1, m1), (g2, m2) = word[i], word[i + 1]
             swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2 :]
-            out: dict[tuple, Fraction] = {}
+            out: dict[tuple, int] = {}
             _merge(out, _straighten(swapped), 1)
             br = SL2_BRACKETS.get((g1, g2))
             if br is not None:
@@ -109,13 +118,22 @@ def _straighten(word: tuple) -> tuple:
                 _merge(out, _straighten(inner), c)
             # central term m1 delta_{m1+m2,0} (x|y) K never fires: two
             # lowering modes cannot sum to zero unless both are f_0
-            return tuple(out.items())
-    return ((word, Fraction(1)),)
+            return tuple((w, c) for w, c in out.items() if c)
+    return ((word, 1),)
+
+
+def _core_nu(nu):
+    """nu as the integer core takes it: an int when nu is integral, else a
+    Fraction, so that 2 and Fraction(2) share cache entries and give
+    coefficients of one type."""
+    nu = _coefficient(nu)
+    return nu.numerator if nu.denominator == 1 else nu
 
 
 @lru_cache(maxsize=None)
-def _act_word(gen: str, m: int, word: tuple, nu: Fraction) -> tuple:
-    """x_m applied to (word * hw); returns PBW term items."""
+def _act_word(gen: str, m: int, word: tuple, nu) -> tuple:
+    """x_m applied to (word * hw), for nu as ``_core_nu`` gives it; returns
+    PBW term items, with int coefficients when nu is an int."""
     if _is_lowering(gen, m):
         return _straighten(((gen, m),) + word)
     if not word:
@@ -123,7 +141,7 @@ def _act_word(gen: str, m: int, word: tuple, nu: Fraction) -> tuple:
             return ()
         return (((), nu),) if gen == "h" else ()
     head, tail = word[0], word[1:]
-    out: dict[tuple, Fraction] = {}
+    out: dict[tuple, int] = {}
     # x_m head = head x_m + [x_m, head]
     moved = _act_word(gen, m, tail, nu)
     for w, c in moved:
@@ -137,15 +155,21 @@ def _act_word(gen: str, m: int, word: tuple, nu: Fraction) -> tuple:
         pairing = SL2_FORM.get((gen, g2), 0)
         if pairing:
             _merge(out, _straighten(tail), m * pairing * LEVEL)
-    return tuple(out.items())
+    return tuple((w, c) for w, c in out.items() if c)
+
+
+def _act_terms(gen: str, m: int, terms, nu) -> dict:
+    """x_m on the combination of the (word, coefficient) items ``terms``;
+    zero sums stay in the result as zeros."""
+    out: dict = {}
+    for word, c in terms:
+        _merge(out, _act_word(gen, m, word, nu), c)
+    return out
 
 
 def act(gen: str, m: int, v: PBWVector) -> PBWVector:
     """The affine action x_m on a PBW vector."""
-    out: dict[tuple, Fraction] = {}
-    for word, c in v.terms.items():
-        _merge(out, _act_word(gen, m, word, v.nu), c)
-    return PBWVector._from_valid(out, v.nu)
+    return PBWVector._from_valid(_act_terms(gen, m, v.terms.items(), _core_nu(v.nu)), v.nu)
 
 
 def act_word(word, v: PBWVector) -> PBWVector:
@@ -181,11 +205,15 @@ def _negative_words(d: int) -> tuple:
 def verma_basis(nu, d: int, mu) -> list[tuple]:
     """PBW words spanning the (depth d, h-weight mu) bidegree of the Verma
     module: a negative-mode word plus the f_0 power that lands on mu."""
+    base = Fraction(nu) - Fraction(mu)
+    if base.denominator != 1:
+        return []
+    base = base.numerator
     out = []
     for neg in _negative_words(d):
-        gap = Fraction(nu) + word_h_shift(neg) - Fraction(mu)
-        if gap.denominator == 1 and gap >= 0 and gap % 2 == 0:
-            out.append(neg + (("f", 0),) * int(gap // 2))
+        gap = base + word_h_shift(neg)
+        if gap >= 0 and gap % 2 == 0:
+            out.append(neg + (("f", 0),) * (gap // 2))
     return out
 
 
@@ -198,21 +226,34 @@ def verma_dim(nu, d: int, mu) -> int:
 # -- Sugawara -------------------------------------------------------------------
 
 
-_QUADRATIC = ((Fraction(1), "e", "f"), (Fraction(1), "f", "e"), (Fraction(1, 2), "h", "h"))
+@lru_cache(maxsize=None)
+def _t_image(k: int, word: tuple, nu) -> tuple:
+    """The nonzero PBW term items of 2 T_k (word * hw), for nu as
+    ``_core_nu`` gives it: twice the Sugawara field, 2 e_(-1)f + 2 f_(-1)e +
+    h_(-1)h, has integer structure constants.  Each of its three terms
+    (x_(-1)y)_(m), m = k + 1, acts by the module expansion
+    (x_(-1)y)_(m) u = sum_{j>=0} [x_(-1-j) y_(m+j) u + y_(m-1-j) x_(j) u];
+    the sums stop where y_(m+j) and x_(j) exceed the depth of the word and
+    so kill it."""
+    m = k + 1
+    d = word_depth(word)
+    out: dict = {}
+    for coef, xg, yg in ((2, "e", "f"), (2, "f", "e"), (1, "h", "h")):
+        for j in range(d - m + 1):
+            _merge(out, _act_terms(xg, -1 - j, _act_word(yg, m + j, word, nu), nu).items(), coef)
+        for j in range(d + 1):
+            _merge(out, _act_terms(yg, m - 1 - j, _act_word(xg, j, word, nu), nu).items(), coef)
+    return tuple((w, c) for w, c in out.items() if c)
 
 
 def sugawara_apply(k: int, v: PBWVector) -> PBWVector:
-    """T_k = (e_(-1)f + f_(-1)e + 1/2 h_(-1)h)_(k+1) via the module expansion
-    (x_(-1)y)_(m) u = sum_{j>=0} [x_(-1-j) y_(m+j) u + y_(m-1-j) x_(j) u]."""
-    m = k + 1
-    out: dict[tuple, Fraction] = {}
-    dmax = v.depth_max()
-    for coef, xg, yg in _QUADRATIC:
-        for j in range(dmax - m + 1):
-            _merge(out, act(xg, -1 - j, act(yg, m + j, v)).terms.items(), coef)
-        for j in range(dmax + 1):
-            _merge(out, act(yg, m - 1 - j, act(xg, j, v)).terms.items(), coef)
-    return PBWVector._from_valid(out, v.nu)
+    """T_k = (e_(-1)f + f_(-1)e + 1/2 h_(-1)h)_(k+1), half of the cached
+    integer image of 2 T_k on each word."""
+    nu = _core_nu(v.nu)
+    out: dict = {}
+    for word, c in v.terms.items():
+        _merge(out, _t_image(k, word, nu), c)
+    return PBWVector._from_valid({w: Fraction(c, 2) for w, c in out.items()}, v.nu)
 
 
 def sugawara_zero_eigenvalue(nu) -> Fraction:
@@ -230,27 +271,17 @@ def sugawara_zero_eigenvalue(nu) -> Fraction:
 # -- quotients and characters ----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _t_image(k: int, word: tuple, nu: Fraction) -> PBWVector:
-    return sugawara_apply(k, PBWVector({word: 1}, nu))
-
-
 def _sugawara_span(nu, d: int, mu, basis_words) -> tuple:
     """A tracker holding all T_(-k) images landing in bidegree (d, mu), and
     the index of basis_words it uses.  Single applications suffice: T is
     central, so sum_k T_(-k) M is already a submodule, and iterated T's land
-    inside single-T images."""
-    nu = Fraction(nu)
+    inside single-T images; the integer images of 2 T_(-k) span the same."""
+    nu = _core_nu(nu)
     index = {w: i for i, w in enumerate(basis_words)}
-    images = []
+    tracker = SpanTracker()
     for k in range(1, d + 1):
         for src in verma_basis(nu, d - k, mu):
-            img = _t_image(-k, src, nu)
-            if not img.is_zero:
-                images.append(img)
-    tracker = SpanTracker()
-    for row in coordinate_rows(images, index):
-        tracker.add(row)
+            tracker.add({index[w]: c for w, c in _t_image(-k, src, nu)})
     return tracker, index
 
 
@@ -275,6 +306,7 @@ def singular_bidegrees(nu, d_max: int, mu_values) -> list:
     """Bidegrees of M_{nu/z} holding a nonzero vector killed by e_0, e_1, h_1
     and f_1 (these generate all raising modes).  Works per bidegree with the
     Sugawara span quotiented out exactly."""
+    core_nu = _core_nu(nu)
     spans: dict = {}  # (d, mu) -> _sugawara_span, built once per call
 
     def span(d, mu, words):
@@ -300,8 +332,8 @@ def singular_bidegrees(nu, d_max: int, mu_values) -> list:
                 if not tgt_words:
                     continue
                 tracker, index = span(tgt_d, tgt_mu, tgt_words)
-                acted = [act(gen, m, PBWVector({w: 1}, nu)) for w in basis_words]
-                for image, row in zip(images, coordinate_rows(acted, index)):
+                for image, w in zip(images, basis_words):
+                    row = {index[x]: c for x, c in _act_word(gen, m, w, core_nu)}
                     image.update(((gen, m, i), c) for i, c in tracker.residual(row).items())
             # singular classes = kernel of the stacked map, minus vectors that
             # are already zero in the quotient (the whole Sugawara span maps
@@ -333,16 +365,13 @@ def irreducible_dims(n: int, d_max: int, mu_values) -> dict:
             # lowering words sending the singular vector into (d, mu);
             # U(g^)w = U(lowering)w because w is singular (verified by
             # check_singular_generator, not assumed)
-            images = []
             for neg in _negative_words(d):
                 gap = n + word_h_shift(neg) - 2 * (n + 1) - mu
                 if gap >= 0 and gap % 2 == 0:
-                    word = neg + (("f", 0),) * (gap // 2)
-                    img = act_word(word, PBWVector({sing_word: 1}, n))
-                    if not img.is_zero:
-                        images.append(img)
-            for row in coordinate_rows(images, index):
-                tracker.add(row)
+                    terms = ((sing_word, 1),)
+                    for gen, m in reversed(neg + (("f", 0),) * (gap // 2)):
+                        terms = _act_terms(gen, m, terms, n).items()
+                    tracker.add({index[w]: c for w, c in terms})
             out[(d, mu)] = len(basis_words) - tracker.dim
     return out
 

@@ -27,6 +27,9 @@ CONVENTIONS = (
 )
 
 USAGE_ERROR = 2
+# the deepest gluing involution check on offer: its overlap basis grows
+# quickly with the weight, so a deeper request is refused, not truncated
+GLUING_WEIGHT_MAX = 4
 
 
 class UsageError(ValueError):
@@ -77,9 +80,13 @@ def _parse_twist(value: str):
 
 def cmd_gluing(args: argparse.Namespace):
     twist = _parse_twist(args.twist)
+    if args.weight_max > GLUING_WEIGHT_MAX:
+        raise UsageError(
+            f"gluing checks the involution up to --weight-max {GLUING_WEIGHT_MAX}, got {args.weight_max}"
+        )
     reports = [
         p1tcdo.check_gluing_morphism(twist, samples=args.samples, seed=args.seed),
-        p1tcdo.check_involution(twist, weight_max=min(args.weight_max, 4)),
+        p1tcdo.check_involution(twist, weight_max=args.weight_max),
         p1tcdo.check_sl2_embedding(p1tcdo.sl2_embedding(Chart.ZERO)),
         p1tcdo.check_sl2_embedding(p1tcdo.sl2_embedding(Chart.INFTY)),
         p1tcdo.check_sl2_global(),

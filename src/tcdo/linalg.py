@@ -1,12 +1,17 @@
 """Small exact linear algebra toolkit over the rationals.
 
-One sparse echelon kernel does all the elimination.  It keeps a span as rows
-``{col: Fraction}``, each normalised so that its pivot (its lowest column)
-has entry 1, keyed by that pivot.  A vector is reduced against the rows in
-increasing pivot order, so the residual is zero on every pivot column; since
-the pivot columns of a span do not depend on the order its rows arrived in,
-the residual is canonical.  ``rank``, ``kernel_basis`` and ``SpanTracker``
-are thin fronts over that kernel.
+One sparse echelon kernel does all the elimination, over the integers.  Each
+input vector is scaled once by the lcm of its denominators to a row of ints.
+The kernel keeps a span as primitive integer rows ``{col: int}`` -- content
+1, with a positive entry at the pivot (the lowest column) -- keyed by that
+pivot, and reduces fraction-free: no division but exact division by a gcd.
+A vector is reduced against the rows in increasing pivot order, so the
+result is zero on every pivot column; it is the true residual times one
+rational scale, which the kernel tracks, and since the pivot columns of a
+span do not depend on the order its rows arrived in, the residual is
+canonical.  ``rank``, ``kernel_basis`` and ``SpanTracker`` are thin fronts
+over that kernel; only the residuals and kernel vectors they return are
+Fractions.
 
 There is one input format: a vector is a sparse dict ``{key: value}``, and a
 matrix is a list of them.  ``rank`` and ``SpanTracker`` take the vectors as
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
+from math import gcd, lcm
 
 _ZERO = Fraction(0)
 
@@ -128,50 +134,89 @@ class LinearCombination:
         return (-1) * self
 
 
-def _sparse(vec: dict) -> dict:
-    """A fresh ``{col: value}`` dict of the nonzero entries of a sparse row."""
-    return {j: c for j, c in vec.items() if c}
+def _integer_row(vec: dict) -> tuple[dict, int]:
+    """``(row, scale)``: the nonzero entries of ``vec`` times ``scale``, the
+    lcm of their denominators, as a fresh dict of ints."""
+    scale = 1
+    for c in vec.values():
+        if type(c) is not int:
+            if isinstance(c, float):
+                raise TypeError("float entries are forbidden; use Fraction or int")
+            scale = lcm(scale, c.denominator)
+    if scale == 1:
+        return {j: int(c) for j, c in vec.items() if c}, 1
+    return {j: c.numerator * (scale // c.denominator) for j, c in vec.items() if c}, scale
 
 
 class _Echelon:
-    """Sparse echelon rows: ``rows[p]`` holds the entries of the row with
-    pivot p at columns > p (its pivot entry is an implicit 1)."""
+    """Sparse fraction-free echelon rows over the integers.
+
+    ``rows[p]`` is the row whose pivot (lowest column) is p, as a dict
+    ``{col: int}`` that includes the pivot entry.  Every row is primitive --
+    the gcd of its entries is 1 -- with a positive pivot entry: the one such
+    integer row on its line.
+    Vectors are reduced fraction-free (Bareiss, Math. Comp. 22, 1968): against
+    the row with pivot entry a, a vector with entry c at the pivot becomes
+    ``(a/g) v - (c/g) row`` with g = gcd(a, c), and its content is divided
+    out after every step that scaled it.  The reduced vector is therefore a
+    rational multiple of the true residual; ``reduce`` returns that multiple.
+    """
 
     __slots__ = ("rows", "pivots")
 
     def __init__(self):
-        self.rows: dict[int, dict[int, Fraction]] = {}
+        self.rows: dict[int, dict[int, int]] = {}
         self.pivots: list[int] = []  # sorted
 
-    def reduce(self, vec: dict) -> dict:
-        """Reduce ``vec`` in place against every row, in increasing pivot
-        order; the result is zero on every pivot column."""
+    def reduce(self, vec: dict) -> tuple[int, int]:
+        """Reduce the integer vector ``vec`` in place against every row, in
+        increasing pivot order, leaving it zero on every pivot column.
+        Returns ``(num, den)``: the result is num/den times the input minus
+        a combination of the rows."""
         rows = self.rows
+        num = den = 1
         for p in self.pivots:
-            c = vec.pop(p, None)
+            c = vec.get(p)
             if c is None:
                 continue
-            for j, a in rows[p].items():
-                x = vec.get(j)
-                if x is None:
-                    vec[j] = -c * a
+            row = rows[p]
+            a = row[p]
+            g = gcd(a, c)
+            a //= g
+            c //= g
+            if a != 1:
+                for j in vec:
+                    vec[j] *= a
+            for j, b in row.items():
+                x = vec.get(j, 0) - c * b
+                if x:
+                    vec[j] = x
                 else:
-                    x -= c * a
-                    if x:
-                        vec[j] = x
-                    else:
-                        del vec[j]
-        return vec
+                    del vec[j]
+            if a != 1:
+                num *= a
+                h = gcd(*vec.values())
+                if h > 1:
+                    den *= h
+                    for j in vec:
+                        vec[j] //= h
+        return num, den
 
     def add(self, vec: dict) -> bool:
-        """Reduce ``vec`` (consumed) and keep what is left as a new row;
-        True when the span grew."""
-        vec = self.reduce(vec)
+        """Reduce the integer vector ``vec`` (consumed) and keep what is left,
+        made primitive with a positive pivot entry, as a new row; True when
+        the span grew."""
+        self.reduce(vec)
         if not vec:
             return False
         p = min(vec)
-        inv = 1 / Fraction(vec.pop(p))
-        self.rows[p] = {j: a * inv for j, a in vec.items()}
+        h = gcd(*vec.values())
+        if vec[p] < 0:
+            h = -h
+        if h != 1:
+            for j in vec:
+                vec[j] //= h
+        self.rows[p] = vec
         insort(self.pivots, p)
         return True
 
@@ -180,7 +225,7 @@ def rank(mat) -> int:
     """Rank of a matrix given as a list of sparse rows."""
     core = _Echelon()
     for row in mat:
-        core.add(_sparse(row))
+        core.add(_integer_row(row)[0])
     return len(core.pivots)
 
 
@@ -198,10 +243,15 @@ def kernel_basis(images):
                 rows.setdefault(key, {})[j] = c
     core = _Echelon()
     for row in rows.values():
-        core.add(row)
-    pivots = core.pivots
-    # the reduced row with pivot p: its tail reduced against the other rows
-    red = {p: core.reduce(dict(core.rows[p])) for p in pivots}
+        core.add(_integer_row(row)[0])
+    # the reduced row with pivot p, divided by its pivot entry a: its tail,
+    # reduced against the other rows, is num/den times the true one
+    red = {}
+    for p in core.pivots:
+        tail = dict(core.rows[p])
+        a = tail.pop(p)
+        num, den = core.reduce(tail)
+        red[p] = {j: Fraction(x * den, num * a) for j, x in tail.items()}
     basis = []
     ncols = len(images)
     for f in range(ncols):
@@ -209,7 +259,7 @@ def kernel_basis(images):
             continue
         vec = [_ZERO] * ncols
         vec[f] = Fraction(1)
-        for p in pivots:
+        for p in core.pivots:
             vec[p] = -red[p].get(f, _ZERO)
         basis.append(vec)
     return basis
@@ -232,16 +282,22 @@ class SpanTracker:
         self._core = _Echelon()
 
     def contains(self, vec) -> bool:
-        return not self._core.reduce(_sparse(vec))
+        row, _ = _integer_row(vec)
+        self._core.reduce(row)
+        return not row
 
     def residual(self, vec) -> dict:
         """The vector reduced against the current span, as a sparse dict of
         Fractions (empty iff contained, and with no pivot column among its
-        keys)."""
-        return {j: Fraction(c) for j, c in self._core.reduce(_sparse(vec)).items()}
+        keys).  The kernel reduces ``scale * vec`` to num/den times the
+        residual, so each entry is divided by scale * num / den."""
+        row, scale = _integer_row(vec)
+        num, den = self._core.reduce(row)
+        num *= scale
+        return {j: Fraction(x * den, num) for j, x in row.items()}
 
     def add(self, vec) -> bool:
-        return self._core.add(_sparse(vec))
+        return self._core.add(_integer_row(vec)[0])
 
     @property
     def dim(self) -> int:

@@ -16,8 +16,12 @@ from tcdo.affine import (
     LEVEL,
     PBWVector,
     _act_word,
+    _core_nu,
     _is_lowering,
     _key,
+    _negative_words,
+    _straighten,
+    _t_image,
     act,
     act_word,
     check_affine_relations,
@@ -80,8 +84,9 @@ def test_verma_dim_against_brute_count():
     for nu in (0, 3, -2, Fraction(1, 2)):
         for d in range(5):
             for j in range(-6, 7):
-                mu = Fraction(nu) + 2 * j
-                assert verma_dim(nu, d, mu) == brute_verma_dim(nu, d, mu)
+                # even, odd and non-integral gaps between nu and mu
+                for mu in (Fraction(nu) + 2 * j, Fraction(nu) + 2 * j + 1, Fraction(nu) + j + Fraction(1, 3)):
+                    assert verma_dim(nu, d, mu) == brute_verma_dim(nu, d, mu)
 
 
 def test_verma_dim_anchors():
@@ -172,12 +177,66 @@ def test_sugawara_matches_vector_sums():
         assert sugawara_apply(k, v) == _sugawara_by_vector_sums(k, v)
 
 
+# -- the integer core -------------------------------------------------------------
+
+
+def _core_words(d_max, f0_max=2):
+    return [neg + (("f", 0),) * j for d in range(d_max + 1) for neg in _negative_words(d) for j in range(f0_max + 1)]
+
+
+@pytest.mark.parametrize("nu", [0, 3, -2, Fraction(1, 2), Fraction(5, 3)])
+def test_t_image_is_twice_the_sugawara_reference(nu):
+    core = _core_nu(nu)
+    for word in _core_words(2):
+        for k in range(-3, 3):
+            got = _t_image(k, word, core)
+            want = _sugawara_by_vector_sums(k, PBWVector({word: 1}, nu))
+            assert len(dict(got)) == len(got)
+            assert dict(got) == {w: 2 * c for w, c in want.terms.items()}
+            assert all(c != 0 for _, c in got)
+
+
+def test_integral_weights_keep_int_coefficients():
+    # the core must not slide back to Fraction: for integral nu, whichever
+    # type the weight came in, every cached coefficient is an int
+    for nu in (0, 3, -2, Fraction(4), Fraction(-1)):
+        core = _core_nu(nu)
+        assert type(core) is int and core == nu
+        sugawara_apply(-1, PBWVector({(("f", 0),): 1}, nu))
+        for word in _core_words(2):
+            assert all(type(c) is int for _, c in _straighten((("e", -1),) + word))
+            for k in range(-2, 2):
+                assert all(type(c) is int for _, c in _t_image(k, word, core))
+            for gen in "ehf":
+                for m in range(-2, 3):
+                    assert all(type(c) is int for _, c in _act_word(gen, m, word, core))
+    for nu in (Fraction(1, 2), Fraction(-5, 3)):
+        assert _core_nu(nu) == nu and type(_core_nu(nu)) is Fraction
+    with pytest.raises(TypeError):
+        _core_nu(0.5)
+
+
+def test_int_and_fraction_weights_share_cache_entries():
+    # the public path takes the weight as a Fraction; the core entries it
+    # fills are the ones an int weight hits, and they hold ints
+    word = (("e", -3), ("h", -2), ("f", 0))
+    v = PBWVector({word: 1}, Fraction(2))
+    assert act("h", 0, v) == 2 * v  # h-weight 2 + 2 + 0 - 2
+    sugawara_apply(-1, v)
+    for cached, args in ((_act_word, ("h", 0, word, 2)), (_t_image, (-1, word, 2))):
+        before = cached.cache_info()
+        items = cached(*args)
+        after = cached.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert items and all(type(c) is int for _, c in items)
+
+
 def _act_validated(gen, m, v):
     # the validating path: raw sums over the cached word actions, then the
     # public constructor re-checks every word and coerces every coefficient
     out = {}
     for word, c in v.terms.items():
-        for w, a in _act_word(gen, m, word, v.nu):
+        for w, a in _act_word(gen, m, word, _core_nu(v.nu)):
             out[w] = out.get(w, 0) + c * a
     return PBWVector(out, v.nu)
 

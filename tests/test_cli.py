@@ -224,6 +224,22 @@ def test_affine_negative_n_for_char_returns_2(capsys):
     assert code == 2
 
 
+def test_gluing_weight_max_above_limit_returns_2(capsys):
+    code, out, err = run(["gluing", "--weight-max", "5", "--samples", "1", "--format", "json"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--weight-max 4" in err and "got 5" in err
+
+
+def test_gluing_weight_max_below_limit_is_honoured(capsys):
+    code, out, _ = run(["gluing", "--weight-max", "2", "--samples", "1", "--format", "json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["params"]["weight_max"] == 2
+    involution = next(r for r in payload["results"] if r["name"] == "gluing-involution")
+    assert involution["details"]["weight_max"] == 2
+
+
 def test_unwritable_out_returns_2(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     code, out, err = run(["verify-engine", "--samples", "1", "--out", str(target)], capsys)

@@ -3,11 +3,15 @@
 The reference below is a textbook dense Gauss-Jordan elimination over
 Fraction, kept deliberately naive; every public front of tcdo.linalg is
 compared with it on random matrices, including rank-deficient ones, duplicate
-and zero rows, and entries with large denominators.
+and zero rows, and entries with large denominators.  The kernel itself works
+fraction-free on primitive integer rows, so the matrices also include entries
+that stress that: large pairwise coprime denominators, integers the size of
+the Cech coboundary entries, negative leading entries and non-unit pivots.
 """
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -58,6 +62,28 @@ def ref_rank(mat, ncols):
     return len(ref_rref(mat, ncols)[1])
 
 
+def ref_residual(mat, ncols, vec):
+    """vec minus its components along the reduced rows: the canonical
+    residual, zero on every pivot column, as a sparse dict."""
+    red, pivots = ref_rref(mat, ncols)
+    res = [Fraction(x) for x in vec]
+    for row, p in zip(red, pivots):
+        c = res[p]
+        if c:
+            res = [a - c * b for a, b in zip(res, row)]
+    return {j: x for j, x in enumerate(res) if x}
+
+
+def assert_rows_primitive(core):
+    """Every stored row: int entries, none zero, lowest column its pivot,
+    a positive pivot entry, and content 1."""
+    assert core.pivots == sorted(core.rows)
+    for p, row in core.rows.items():
+        assert all(type(x) is int and x for x in row.values())
+        assert min(row) == p and row[p] > 0
+        assert gcd(*row.values()) == 1
+
+
 # -- strategies -----------------------------------------------------------------
 
 big_fractions = st.builds(
@@ -70,9 +96,21 @@ entries = st.one_of(
 )
 small_coeffs = st.sampled_from([0, 1, -1, 2, Fraction(1, 3), Fraction(-5, 2)])
 
+# large primes, so that the denominators of different entries are coprime
+# and a row's common denominator is their product
+PRIMES = [999999937, 998244353, 1000000007, 1000000009, 2147483647, 2**61 - 1]
+coprime_fractions = st.builds(Fraction, st.integers(-(10**12), 10**12), st.sampled_from(PRIMES))
+# the Cech coboundary matrices are integer with entries up to about 2*10^11
+delta_sized = st.integers(-3 * 10**11, 3 * 10**11)
+stress_entries = st.one_of(
+    st.sampled_from([0, 0, 0, -1, -2, 3]),
+    coprime_fractions,
+    delta_sized,
+)
+
 
 @st.composite
-def matrices(draw, max_cols=6):
+def matrices(draw, max_cols=6, entries=entries):
     """(ncols, rows): random rows plus combinations of them, duplicates and
     zero rows, in a random order."""
     ncols = draw(st.integers(0, max_cols))
@@ -85,6 +123,43 @@ def matrices(draw, max_cols=6):
         rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2))]
     rows += [[0] * ncols for _ in range(draw(st.integers(0, 2)))]
     return ncols, draw(st.permutations(rows))
+
+
+@st.composite
+def stress_matrices(draw):
+    """matrices() over stress_entries, with the leading entry of some rows
+    made negative."""
+    ncols, rows = draw(matrices(entries=stress_entries))
+    out = []
+    for row in rows:
+        lead = next((x for x in row if x), 0)
+        out.append([-x for x in row] if lead > 0 and draw(st.booleans()) else row)
+    return ncols, out
+
+
+@st.composite
+def staircases(draw):
+    """(ncols, rows, pivot entries): rows with distinct pivot columns whose
+    tails lie on the free columns only, so no row reduces another.  Each
+    pivot entry has absolute value at least 2, and each row has an entry
+    +-1 in the last column, which is free, so the row is primitive as given:
+    the tracker must keep every pivot entry up to sign, not scale it to 1."""
+    ncols = draw(st.integers(2, 8))
+    pivots = sorted(draw(st.sets(st.integers(0, ncols - 2), min_size=1, max_size=ncols - 1)))
+    free = [j for j in range(ncols) if j not in pivots]
+    rows, leads = [], {}
+    for p in pivots:
+        lead = draw(st.sampled_from([2, 3, 6, 7, 2 * 10**11 + 1]))
+        sign = draw(st.sampled_from([1, -1]))
+        row = [0] * ncols
+        row[p] = sign * lead
+        for j in free:
+            if j > p:
+                row[j] = draw(st.one_of(st.integers(-9, 9), delta_sized))
+        row[-1] = draw(st.sampled_from([1, -1]))
+        rows.append(row)
+        leads[p] = lead
+    return ncols, draw(st.permutations(rows)), leads
 
 
 def as_sparse(row):
@@ -147,6 +222,13 @@ def test_edge_cases():
     assert rank([{0: 1, 1: 2, 2: 3}, {0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 6}]) == 1
 
 
+def test_float_entries_are_rejected():
+    with pytest.raises(TypeError, match="float"):
+        rank([{0: 1, 1: 0.5}])
+    with pytest.raises(TypeError, match="float"):
+        SpanTracker().residual({0: 0.25})
+
+
 # -- span tracker -----------------------------------------------------------------
 
 
@@ -159,6 +241,7 @@ def test_add_reports_growth_exactly(case):
         grew = tracker.add(as_sparse(row))
         assert tracker.dim == before + grew
         assert tracker.dim == ref_rank(mat[: i + 1], ncols)
+    assert_rows_primitive(tracker._core)
 
 
 @given(matrices(), st.data())
@@ -192,6 +275,49 @@ def test_residual_is_canonical_and_differs_by_span(case, data):
     assert ref_rank(list(mat) + [diff], ncols) == ref_rank(mat, ncols)
     assert backward.residual(as_sparse(vec)) == res
     assert forward.residual(dict(enumerate(vec))) == res
+    assert res == ref_residual(mat, ncols, vec)
+
+
+@given(stress_matrices())
+def test_fraction_free_kernel_matches_reference_on_stress_inputs(case):
+    ncols, mat = case
+    assert rank([as_sparse(row) for row in mat]) == ref_rank(mat, ncols)
+    assert kernel_basis(column_images(mat, ncols)) == ref_kernel(mat, ncols)
+    tracker = SpanTracker()
+    for i, row in enumerate(mat):
+        tracker.add(as_sparse(row))
+        assert tracker.dim == ref_rank(mat[: i + 1], ncols)
+    assert_rows_primitive(tracker._core)
+
+
+@given(stress_matrices(), st.data())
+def test_residual_matches_reference_on_stress_inputs(case, data):
+    ncols, mat = case
+    tracker = SpanTracker()
+    for row in mat:
+        tracker.add(as_sparse(row))
+    assert_rows_primitive(tracker._core)
+    queries = data.draw(st.lists(st.lists(stress_entries, min_size=ncols, max_size=ncols), max_size=3))
+    for vec in list(mat) + queries:
+        res = tracker.residual(as_sparse(vec))
+        assert res == ref_residual(mat, ncols, vec)
+        assert all(type(x) is Fraction for x in res.values())
+
+
+@given(staircases(), st.data())
+def test_residual_with_non_unit_pivots(case, data):
+    ncols, mat, leads = case
+    tracker = SpanTracker()
+    for row in mat:
+        assert tracker.add(as_sparse(row))
+    assert_rows_primitive(tracker._core)
+    assert {p: row[p] for p, row in tracker._core.rows.items()} == leads
+    queries = data.draw(st.lists(st.lists(stress_entries, min_size=ncols, max_size=ncols), min_size=1, max_size=3))
+    for vec in queries:
+        res = tracker.residual(as_sparse(vec))
+        assert res == ref_residual(mat, ncols, vec)
+        assert all(type(x) is Fraction for x in res.values())
+        assert not set(res) & set(leads)
 
 
 @settings(max_examples=25)
