@@ -30,6 +30,11 @@ USAGE_ERROR = 2
 # the deepest gluing involution check on offer: its overlap basis grows
 # quickly with the weight, so a deeper request is refused, not truncated
 GLUING_WEIGHT_MAX = 4
+# the deepest Cech scan on offer: one n costs about 3.5x more per unit of
+# weight (n = 0 takes about 10 s at weight 8, 34 s at 9 and 107 s at 10 on a
+# 2-core Xeon, n = 6 about 1.4x that), so weight 11 would pass 5 minutes per
+# n and is refused before it starts
+CECH_WEIGHT_MAX = 10
 
 
 class UsageError(ValueError):
@@ -109,6 +114,10 @@ def cmd_gluing(args: argparse.Namespace):
 
 def cmd_cech(args: argparse.Namespace):
     ns = parse_n_spec(args.n_spec or "-4..4")
+    if args.weight_max > CECH_WEIGHT_MAX:
+        raise UsageError(
+            f"cech scans up to --weight-max {CECH_WEIGHT_MAX}, got {args.weight_max}"
+        )
     results = []
     csv_rows = [("n", "weight", "h_weight", "dim_h0", "dim_h1")]
     passed = True

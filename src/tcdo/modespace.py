@@ -33,8 +33,16 @@ w and is exact.  Its per-monomial core is memoized, which is a pure cache and
 never changes results, and works on ``int`` structure constants only: the
 modes of the normally ordered ``x(z)^k`` have integer coefficients, so the one
 division of the recursion (``_ground_apply``) is exact, and ``_exact_div``
-certifies that it is, raising instead of rounding.  ``Fraction`` enters only
-at the public boundary, where state coefficients multiply the constants.
+certifies that it is, raising instead of rounding.
+
+The core (``_apply_mono`` and the helpers it calls, and the gluing's
+``_glue_mono``) represents a monomial as a plain 4-tuple ``(amodes, bmodes,
+lmodes, power)`` and never validates one.  ``Monomial`` is the validated form
+of that tuple: a ``tuple`` subclass that equals and hashes as its fields, so
+the core's caches serve plain tuples and monomials alike.  Validation and
+``Fraction`` enter only at the public boundary: ``_state`` turns every output
+key of ``apply_mode``, ``linear_combination`` and ``glue`` into a
+``Monomial``, and a ``FreeState`` rejects any other key.
 """
 
 from __future__ import annotations
@@ -42,9 +50,9 @@ from __future__ import annotations
 import math
 import random
 from bisect import insort
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from .linalg import LinearCombination, _merge
 
@@ -77,6 +85,13 @@ def binom(n: int, j: int) -> int:
     return (-1) ** j * math.comb(-n + j - 1, j)
 
 
+def _weight(mono) -> int:
+    """Conformal weight of a monomial 4-tuple: |m| per A/LSTAR mode, |m|-1
+    per B mode, 0 for the ground."""
+    amodes, bmodes, lmodes, _ = mono
+    return -sum(amodes) - sum(bmodes) - len(bmodes) - sum(lmodes)
+
+
 def _out_of_order(modes: tuple[int, ...], top: int) -> bool:
     """True unless ``modes`` is sorted ascending with every entry <= top;
     for a sorted tuple the last entry is the largest."""
@@ -85,39 +100,46 @@ def _out_of_order(modes: tuple[int, ...], top: int) -> bool:
     return modes[-1] > top or (len(modes) > 1 and list(modes) != sorted(modes))
 
 
-@dataclass(frozen=True, order=True)
-class Monomial:
+class Monomial(tuple):
     """One normal-form basis monomial: mode tuples plus the ground exponent.
 
     Mode tuples are sorted ascending (most negative first), which realizes
-    the weakly-decreasing-|m| normal order.  Monomials compare as the tuple
-    (amodes, bmodes, lmodes, power).
+    the weakly-decreasing-|m| normal order.  A monomial is the validated
+    4-tuple (amodes, bmodes, lmodes, power): it compares, sorts and hashes
+    as that tuple, so it equals the plain tuple with the same fields.
     """
 
-    amodes: tuple[int, ...] = ()
-    bmodes: tuple[int, ...] = ()
-    lmodes: tuple[int, ...] = ()
-    power: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, amodes: tuple[int, ...] = (), bmodes: tuple[int, ...] = (),
+                lmodes: tuple[int, ...] = (), power: int = 0) -> "Monomial":
         if (
-            _out_of_order(self.amodes, -1)
-            or _out_of_order(self.bmodes, -2)
-            or _out_of_order(self.lmodes, -1)
+            _out_of_order(amodes, -1)
+            or _out_of_order(bmodes, -2)
+            or _out_of_order(lmodes, -1)
         ):
             raise ValueError(
                 f"mode tuples must be sorted ascending with A/LSTAR modes <= -1 "
-                f"and B modes <= -2, got {self.amodes}, {self.bmodes}, {self.lmodes}"
+                f"and B modes <= -2, got {amodes}, {bmodes}, {lmodes}"
             )
+        return tuple.__new__(cls, (amodes, bmodes, lmodes, power))
+
+    def __getnewargs__(self) -> tuple:
+        # pickle and copy rebuild through __new__, which takes four fields
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return "Monomial(amodes=%r, bmodes=%r, lmodes=%r, power=%r)" % self
+
+    amodes = property(itemgetter(0))
+    bmodes = property(itemgetter(1))
+    lmodes = property(itemgetter(2))
+    power = property(itemgetter(3))
 
     @property
     def weight(self) -> int:
         """Conformal weight: |m| per A/LSTAR mode, |m|-1 per B mode, 0 for ground."""
-        return (
-            sum(-m for m in self.amodes)
-            + sum(-m - 1 for m in self.bmodes)
-            + sum(-m for m in self.lmodes)
-        )
+        return _weight(self)
 
     @property
     def h_shift(self) -> int:
@@ -191,6 +213,8 @@ class FreeState(LinearCombination):
         super().__init__(terms)
 
     def _check_key(self, mono: Monomial) -> None:
+        if not isinstance(mono, Monomial):
+            raise TypeError(f"state keys must be Monomials, got {type(mono).__name__} {mono!r}")
         if self.ring == POLY and mono.power < 0:
             raise RingMismatchError(
                 f"negative ground exponent {mono.power} in a polynomial-chart state"
@@ -279,36 +303,37 @@ def _remove_one(tup: tuple[int, ...], m: int) -> tuple[int, ...]:
     return tuple(lst)
 
 
-def _gen_mode_mono(gen: str, m: int, u: Monomial, ls) -> dict[Monomial, int]:
-    """Apply one generator mode to one monomial.  ``ls`` is the target's twist sector."""
+def _gen_mode_mono(gen: str, m: int, u: tuple, ls) -> dict[tuple, int]:
+    """Apply one generator mode to one monomial 4-tuple.  ``ls`` is the target's twist sector."""
+    amodes, bmodes, lmodes, power = u
     if m <= -1:
         # creation: all creation modes commute, so this is a normal-form insert
         if gen == GEN_A:
-            return {Monomial(_insort(u.amodes, m), u.bmodes, u.lmodes, u.power): 1}
+            return {(_insort(amodes, m), bmodes, lmodes, power): 1}
         if gen == GEN_B:
             if m == -1:
-                return {Monomial(u.amodes, u.bmodes, u.lmodes, u.power + 1): 1}
-            return {Monomial(u.amodes, _insort(u.bmodes, m), u.lmodes, u.power): 1}
+                return {(amodes, bmodes, lmodes, power + 1): 1}
+            return {(amodes, _insort(bmodes, m), lmodes, power): 1}
         if ls is not None:
             return {}  # character value of every LSTAR creation mode is 0
-        return {Monomial(u.amodes, u.bmodes, _insort(u.lmodes, m), u.power): 1}
+        return {(amodes, bmodes, _insort(lmodes, m), power): 1}
 
     # annihilation: commute through to the ground, picking up contractions
-    out: dict[Monomial, int] = {}
+    out: dict[tuple, int] = {}
     if gen == GEN_A:
         t = -1 - m
         if t <= -2:
-            mult = u.bmodes.count(t)
+            mult = bmodes.count(t)
             if mult:
-                out[Monomial(u.amodes, _remove_one(u.bmodes, t), u.lmodes, u.power)] = mult
-        if m == 0 and u.power:
-            mono = Monomial(u.amodes, u.bmodes, u.lmodes, u.power - 1)
-            out[mono] = out.get(mono, 0) + u.power
+                out[(amodes, _remove_one(bmodes, t), lmodes, power)] = mult
+        if m == 0 and power:
+            mono = (amodes, bmodes, lmodes, power - 1)
+            out[mono] = out.get(mono, 0) + power
     elif gen == GEN_B:
         r = -1 - m
-        mult = u.amodes.count(r)
+        mult = amodes.count(r)
         if mult:
-            out[Monomial(_remove_one(u.amodes, r), u.bmodes, u.lmodes, u.power)] = -mult
+            out[(_remove_one(amodes, r), bmodes, lmodes, power)] = -mult
     else:  # GEN_LSTAR
         if ls is not None and m == 0:
             return {u: ls}
@@ -316,9 +341,9 @@ def _gen_mode_mono(gen: str, m: int, u: Monomial, ls) -> dict[Monomial, int]:
     return out
 
 
-def _gen_mode_terms(gen, m, terms, ls) -> dict[Monomial, int]:
+def _gen_mode_terms(gen, m, terms, ls) -> dict[tuple, int]:
     """One generator mode on (monomial, coefficient) pairs."""
-    out: dict[Monomial, int] = {}
+    out: dict[tuple, int] = {}
     for mono, c in terms:
         for mono2, c2 in _gen_mode_mono(gen, m, mono, ls).items():
             out[mono2] = out.get(mono2, 0) + c * c2
@@ -328,13 +353,16 @@ def _gen_mode_terms(gen, m, terms, ls) -> dict[Monomial, int]:
 # -- the structural recursion ----------------------------------------------
 
 
-def _head(w: Monomial):
-    if w.amodes:
-        return GEN_A, w.amodes[0], Monomial(w.amodes[1:], w.bmodes, w.lmodes, w.power)
-    if w.bmodes:
-        return GEN_B, w.bmodes[0], Monomial((), w.bmodes[1:], w.lmodes, w.power)
-    if w.lmodes:
-        return GEN_LSTAR, w.lmodes[0], Monomial((), (), w.lmodes[1:], w.power)
+def _head(w: tuple):
+    """(generator, mode, tail) for the leftmost mode of a monomial 4-tuple,
+    or None for a pure ground monomial; the tail is a plain 4-tuple."""
+    amodes, bmodes, lmodes, power = w
+    if amodes:
+        return GEN_A, amodes[0], (amodes[1:], bmodes, lmodes, power)
+    if bmodes:
+        return GEN_B, bmodes[0], ((), bmodes[1:], lmodes, power)
+    if lmodes:
+        return GEN_LSTAR, lmodes[0], ((), (), lmodes[1:], power)
     return None
 
 
@@ -348,11 +376,12 @@ def _exact_div(num: int, den: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _apply_mono(w: Monomial, m: int, u: Monomial, ls) -> tuple:
-    """w_(m) u for normal-form monomials; returns ((monomial, int coeff), ...)."""
+def _apply_mono(w: tuple, m: int, u: tuple, ls) -> tuple:
+    """w_(m) u for normal-form monomial 4-tuples; returns ((4-tuple, int
+    coeff), ...)."""
     head = _head(w)
     if head is None:
-        out = _ground_apply(w.power, m, u, ls)
+        out = _ground_apply(w[3], m, u, ls)
     else:
         gen, mode, tail = head
         s = -mode  # w = g_(-s) tail with s >= 1
@@ -360,8 +389,8 @@ def _apply_mono(w: Monomial, m: int, u: Monomial, ls) -> tuple:
         # (g_(-s) tail)_(m) u
         #   = sum_j (-1)^j C(-s,j) [ g_(-s-j) (tail_(m+j) u)
         #                            - (-1)^s tail_(-s+m-j) (g_(j) u) ]
-        uw = u.weight
-        for j in range(tail.weight + uw - m):
+        uw = _weight(u)
+        for j in range(_weight(tail) + uw - m):
             inner = _apply_mono(tail, m + j, u, ls)
             if inner:
                 created = _gen_mode_terms(gen, mode - j, inner, ls)
@@ -375,37 +404,38 @@ def _apply_mono(w: Monomial, m: int, u: Monomial, ls) -> tuple:
     return tuple(out.items())
 
 
-def _ground_apply(k: int, m: int, u: Monomial, ls) -> dict[Monomial, int]:
+def _ground_apply(k: int, m: int, u: tuple, ls) -> dict[tuple, int]:
     """(x^k)_(m) u, including the vacuum case k = 0."""
     if k == 0:
         return {u: 1} if m == -1 else {}
-    if u.amodes:
+    amodes, bmodes, lmodes, power = u
+    if amodes:
         # commute past the head A-mode: [x^k_(m), A_(r)] = -(d/dx x^k)_(m+r)
         _, r, tail = _head(u)
         out = _gen_mode_terms(GEN_A, r, _ground_apply(k, m, tail, ls).items(), ls)
         _merge(out, _ground_apply(k - 1, m + r, tail, ls).items(), -k)
         return out
-    if u.bmodes or u.lmodes:
+    if bmodes or lmodes:
         # B and LSTAR modes commute with ground multiplication
-        out = _ground_apply(k, m, Monomial(power=u.power), ls)
-        for mode in u.lmodes:
+        out = _ground_apply(k, m, ((), (), (), power), ls)
+        for mode in lmodes:
             out = _gen_mode_terms(GEN_LSTAR, mode, out.items(), ls)
-        for mode in u.bmodes:
+        for mode in bmodes:
             out = _gen_mode_terms(GEN_B, mode, out.items(), ls)
         return out
     # pure ground target x^j
     if m >= 0:
         return {}
     if m == -1:
-        return {Monomial(power=k + u.power): 1}
+        return {((), (), (), k + power): 1}
     # x^k_(m) = (1/(-m-1)) (d(x^k))_(m+1)   with   d(x^k) = k B_(-2) x^(k-1)
-    inner = _apply_mono(Monomial(bmodes=(-2,), power=k - 1), m + 1, u, ls)
+    inner = _apply_mono(((), (-2,), (), k - 1), m + 1, u, ls)
     return {mono: _exact_div(k * c, -m - 1) for mono, c in inner}
 
 
-def _act(wterms, m: int, uterms, ls) -> dict[Monomial, int]:
-    """w_(m) u on integer (monomial, coefficient) pairs."""
-    out: dict[Monomial, int] = {}
+def _act(wterms, m: int, uterms, ls) -> dict[tuple, int]:
+    """w_(m) u on integer (monomial 4-tuple, coefficient) pairs."""
+    out: dict[tuple, int] = {}
     for mw, cw in wterms:
         for mu, cu in uterms:
             _merge(out, _apply_mono(mw, m, mu, ls), cw * cu)
@@ -420,10 +450,12 @@ def _numerators(terms: dict) -> tuple[int, list]:
 
 
 def _state(out: dict, den: int, ring: str, lstar) -> FreeState:
-    """The state with coefficients out[mono] / den."""
-    if den != 1:
-        out = {mono: Fraction(c, den) for mono, c in out.items()}
-    return FreeState(out, ring, lstar)
+    """The state with coefficients out[mono] / den.  This is the engine's
+    public boundary: each nonzero key, a 4-tuple from the core, is validated
+    into a ``Monomial`` here."""
+    return FreeState(
+        {Monomial(*mono): Fraction(c, den) for mono, c in out.items() if c}, ring, lstar
+    )
 
 
 def apply_mode(w: FreeState, m: int, u: FreeState) -> FreeState:

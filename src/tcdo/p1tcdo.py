@@ -86,12 +86,12 @@ _SYMBOLIC_IMAGES = {
 
 
 @lru_cache(maxsize=None)
-def _glue_mono(mono: Monomial, ls) -> tuple:
-    """The glued image of one INFTY monomial of sector ls: ((monomial, int
-    coeff), ...)."""
+def _glue_mono(mono: tuple, ls) -> tuple:
+    """The glued image of one INFTY monomial 4-tuple of sector ls:
+    ((4-tuple, int coeff), ...)."""
     head = _head(mono)
     if head is None:
-        return ((Monomial(power=(ls or 0) - mono.power), 1),)
+        return ((((), (), (), (ls or 0) - mono[3]), 1),)
     gen, m, tail = head
     out = _act(_SYMBOLIC_IMAGES[gen], m, _glue_mono(tail, ls), ls)
     return tuple((mo, c) for mo, c in out.items() if c)

@@ -159,6 +159,7 @@ def _reduce_mono(mono: Monomial, ring: str, ls) -> DiffOp:
     if head is None:
         return diffop(k=mono.power)
     gen, mode, tail = head
+    tail = Monomial(*tail)
     if gen == GEN_A:
         gen_op, gen_state = diffop(p=1), gen_a()
     else:

@@ -14,7 +14,7 @@ import pytest
 
 import tcdo.cech
 import tcdo.modespace
-from tcdo.cli import UsageError, main, parse_n_spec
+from tcdo.cli import CECH_WEIGHT_MAX, UsageError, main, parse_n_spec
 
 
 def run(argv, capsys):
@@ -238,6 +238,33 @@ def test_gluing_weight_max_below_limit_is_honoured(capsys):
     assert payload["params"]["weight_max"] == 2
     involution = next(r for r in payload["results"] if r["name"] == "gluing-involution")
     assert involution["details"]["weight_max"] == 2
+
+
+def test_cech_weight_max_above_limit_returns_2(monkeypatch, capsys):
+    monkeypatch.setattr(tcdo.cech, "cech_dims", lambda n, weight_max: pytest.fail("the scan ran"))
+    too_deep = str(CECH_WEIGHT_MAX + 1)
+    code, out, err = run(["cech", "--n", "0", "--weight-max", too_deep, "--format", "json"], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"--weight-max {CECH_WEIGHT_MAX}" in err and f"got {too_deep}" in err
+
+
+def test_cech_weight_max_at_limit_reaches_the_scan(monkeypatch, capsys):
+    # the scan at the limit takes minutes, so a stand-in records the call
+    # and stops it once the guard has let it through
+    calls = []
+
+    class Reached(Exception):
+        pass
+
+    def reached(n, weight_max):
+        calls.append((n, weight_max))
+        raise Reached
+
+    monkeypatch.setattr(tcdo.cech, "cech_dims", reached)
+    with pytest.raises(Reached):
+        main(["cech", "--n", "-2", "--weight-max", str(CECH_WEIGHT_MAX), "--format", "json"])
+    assert calls == [(-2, CECH_WEIGHT_MAX)]
 
 
 def test_unwritable_out_returns_2(tmp_path, capsys):

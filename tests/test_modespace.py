@@ -6,7 +6,9 @@ covariance, grading bookkeeping, commutator formula, specialization rules)
 pins the individual moving parts.
 """
 
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -50,6 +52,7 @@ from tcdo.modespace import (
     vacuum,
     zero,
 )
+from tcdo.p1tcdo import glue
 
 SEED = 42
 
@@ -297,6 +300,36 @@ def test_monomial_rejects_bad_mode_tuples():
             Monomial(**bad)
 
 
+def test_monomial_is_its_field_tuple():
+    mono = Monomial((-2,), (-3,), (-1,), 4)
+    fields = ((-2,), (-3,), (-1,), 4)
+    assert mono == fields and hash(mono) == hash(fields)
+    assert (mono.amodes, mono.bmodes, mono.lmodes, mono.power) == fields
+    assert sorted([mono, Monomial(), Monomial(power=-1)]) == [Monomial(power=-1), Monomial(), mono]
+    assert repr(mono) == "Monomial(amodes=(-2,), bmodes=(-3,), lmodes=(-1,), power=4)"
+    with pytest.raises(AttributeError):
+        mono.power = 5
+
+
+def test_monomial_survives_copy_and_pickle():
+    mono = Monomial((-3, -1), (-4, -2), (-2,), -5)
+    clones = [copy.copy(mono), copy.deepcopy(mono)]
+    clones += [pickle.loads(pickle.dumps(mono, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in clones:
+        assert clone == mono
+        assert type(clone) is Monomial
+
+
+def test_state_keys_must_be_monomials():
+    # a plain 4-tuple equals the Monomial with its fields, but only a
+    # Monomial has been validated
+    for ring in (POLY, LAURENT):
+        with pytest.raises(TypeError):
+            FreeState({((-1,), (), (), 2): 1}, ring)
+        with pytest.raises(TypeError):
+            FreeState({((), (), (), 0): 1}, ring, 2)
+
+
 def test_invariants_raise_under_optimize_flag():
     # python -O strips assert statements; the invariants must survive it
     script = """
@@ -333,8 +366,10 @@ def test_linear_combination_matches_repeated_sums():
 #
 # The reference below is the engine as it was before its structure constants
 # became ints: every coefficient a Fraction, and the one division of
-# _ground_apply a Fraction(k, -m-1).  It is kept verbatim here so the integer
-# engine can be checked against it.
+# _ground_apply a Fraction(k, -m-1), on validated Monomials throughout (its
+# _ref_head is the engine's _head from before the core moved to plain
+# 4-tuples).  It is kept verbatim here so the integer engine can be checked
+# against it.
 
 
 def _ref_gen_mode_mono(gen, m, u, ls):
@@ -385,9 +420,19 @@ def _ref_merge(out, terms, scale):
         out[mono] = out.get(mono, Fraction(0)) + scale * c
 
 
+def _ref_head(w):
+    if w.amodes:
+        return GEN_A, w.amodes[0], Monomial(w.amodes[1:], w.bmodes, w.lmodes, w.power)
+    if w.bmodes:
+        return GEN_B, w.bmodes[0], Monomial((), w.bmodes[1:], w.lmodes, w.power)
+    if w.lmodes:
+        return GEN_LSTAR, w.lmodes[0], Monomial((), (), w.lmodes[1:], w.power)
+    return None
+
+
 @lru_cache(maxsize=None)
 def _ref_apply_mono(w, m, u, ls):
-    head = modespace._head(w)
+    head = _ref_head(w)
     if head is None:
         out = _ref_ground_apply(w.power, m, u, ls)
     else:
@@ -495,6 +540,27 @@ def test_apply_mode_matches_fraction_reference(data):
     got = apply_mode(FreeState(wterms, ring), m, FreeState(uterms, ring, ls))
     assert got == FreeState(want, ring, ls)
     assert all(type(c) is Fraction for c in got.terms.values())
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_public_outputs_are_keyed_by_monomials(data):
+    """The engine core works on plain 4-tuples; every state that leaves
+    through the public operations is keyed by validated Monomials."""
+    ring, ls = data.draw(st.sampled_from(SECTORS))
+    wterms = data.draw(st.dictionaries(monomials(3, ring), _COEFFS, min_size=1, max_size=3))
+    uterms = data.draw(st.dictionaries(monomials(3, ring, symbolic=ls is None), _COEFFS, min_size=1, max_size=3))
+    m = data.draw(st.integers(-3, 3))
+    w, u = FreeState(wterms, ring), FreeState(uterms, ring, ls)
+    core = _apply_mono(next(iter(wterms)), m, next(iter(uterms)), ls)
+    outputs = [
+        apply_mode(w, m, u),
+        glue(u),
+        linear_combination([(Fraction(1, 2), core), (-3, u.terms.items())], ring, ls),
+        translation(u),
+    ]
+    for out in outputs:
+        assert all(type(key) is Monomial for key in out.terms), out
 
 
 @given(engine_cases(6))

@@ -53,3 +53,27 @@ def test_every_imported_name_is_used():
         found += [f"{path.name}:{line} imports unused {name}" for name, line in imported.items() if name not in used]
     assert list(SRC.glob("*.py")), f"no sources under {SRC}"
     assert found == []
+
+
+# the mode engine's integer core runs on plain 4-tuples; Monomial validation
+# belongs to the public boundary (modespace._state), not to every step
+ENGINE_CORE = {
+    "modespace.py": ("_gen_mode_mono", "_gen_mode_terms", "_head", "_apply_mono", "_ground_apply", "_act"),
+    "p1tcdo.py": ("_glue_mono",),
+}
+
+
+def test_engine_core_never_builds_a_monomial():
+    found = []
+    for filename, names in ENGINE_CORE.items():
+        tree = ast.parse((SRC / filename).read_text(), filename=filename)
+        defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert set(names) <= set(defs), f"{filename} lacks {sorted(set(names) - set(defs))}"
+        for name in names:
+            for node in ast.walk(defs[name]):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if called == "Monomial":
+                        found.append(f"{filename}:{node.lineno} in {name}")
+    assert found == []
