@@ -414,7 +414,7 @@ def verma_to_sections(n: int, d_max: int, mu_values=None) -> dict:
             targets = sections_bidegree(Chart.ZERO, n, d, mu)
             if not words and not targets:
                 continue
-            index = {next(iter(t.terms)): i for i, t in enumerate(targets)}
+            index = {t: i for i, t in enumerate(targets)}
             images = []
             for word in words:
                 img = vacuum(lstar=n)

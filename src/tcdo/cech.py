@@ -6,7 +6,8 @@ For each bidegree (conformal weight N, h-weight mu) the two-term complex
     Gamma(C_0) (+) Gamma(C_oo)  --delta-->  Gamma(C*)
     delta(s_0, s_oo) = incl(s_0) - Phi_n(s_oo)
 
-is a finite exact-rational matrix; H^0 is its kernel and H^1 its cokernel.
+is a finite integer matrix over the normal-form monomial bases of the
+three section spaces; H^0 is its kernel and H^1 its cokernel.
 Global h-weight of a section over the infinity chart is minus its intrinsic
 one (the gluing negates mu), so the C^0 block at global mu draws on the
 intrinsic bidegree (N, -mu) over there.
@@ -23,10 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import coordinate_rows, kernel_basis, rank
-from .modespace import apply_mode, linear_combination
+from .linalg import kernel_basis, rank
+from .modespace import FreeState, apply_mode, linear_combination
 from .p1tcdo import (
     Chart,
+    _glue_mono,
     glue,
     include_overlap,
     sections_bidegree,
@@ -81,15 +83,19 @@ def mu_window(n: int, weight_max: int, factor: int = 1) -> range:
 
 
 def _delta_matrix(n: int, weight: int, mu: int):
-    """The three bases at one bidegree and delta as the sparse images of the
-    (zero ++ infinity) basis, each over the overlap basis index; building
-    them raises KeyError when an image leaves the overlap basis."""
+    """The three monomial bases at one bidegree and delta as the sparse
+    integer images of the (zero ++ infinity) basis, each over the overlap
+    basis index: a zero-chart monomial includes as itself, an infinity-chart
+    one maps to minus its image under the integer gluing core.  Building them
+    raises KeyError when an image leaves the overlap basis."""
     basis0 = sections_bidegree(Chart.ZERO, n, weight, mu)
     basisinf = sections_bidegree(Chart.INFTY, n, weight, -mu)
     basisov = sections_bidegree(Chart.OVERLAP, n, weight, mu)
-    index = {next(iter(s.terms)): i for i, s in enumerate(basisov)}
-    cols = [include_overlap(s) for s in basis0] + [-1 * glue(s) for s in basisinf]
-    return basis0, basisinf, basisov, coordinate_rows(cols, index)
+    index = {m: i for i, m in enumerate(basisov)}
+    images = [{index[m]: 1} for m in basis0] + [
+        {index[k]: -c for k, c in _glue_mono(m, n)} for m in basisinf
+    ]
+    return basis0, basisinf, basisov, images
 
 
 def cech_block(n: int, weight: int, mu: int) -> dict:
@@ -181,12 +187,8 @@ def character_check(report: BigradedReport) -> bool:
 def _chart_pair(vec, basis0, basisinf, n):
     """A kernel vector over (zero ++ infinity) bases as its pair of states."""
     k = len(basis0)
-    s0 = linear_combination(
-        zip(vec[:k], (s.terms.items() for s in basis0)), Chart.ZERO.ring, n
-    )
-    sinf = linear_combination(
-        zip(vec[k:], (s.terms.items() for s in basisinf)), Chart.INFTY.ring, n
-    )
+    s0 = FreeState(dict(zip(basis0, vec[:k])), Chart.ZERO.ring, n)
+    sinf = FreeState(dict(zip(basisinf, vec[k:])), Chart.INFTY.ring, n)
     return s0, sinf
 
 

@@ -113,7 +113,7 @@ def cmd_gluing(args: argparse.Namespace):
 
 
 def cmd_cech(args: argparse.Namespace):
-    ns = parse_n_spec(args.n_spec or "-4..4")
+    ns = parse_n_spec(args.n_spec)
     if args.weight_max > CECH_WEIGHT_MAX:
         raise UsageError(
             f"cech scans up to --weight-max {CECH_WEIGHT_MAX}, got {args.weight_max}"
@@ -197,7 +197,34 @@ def cmd_affine(args: argparse.Namespace):
             results.append(rep.as_dict())
         return results, passed, None
 
-    raise UsageError("affine requires a mode: char | verma-vs-sections")
+    # singular: the singular vectors seen from both ends of the construction,
+    # then the sl2 stability of the H^0 kernel they are found in
+    results = []
+    passed = True
+    for n in parse_n_spec(args.n_spec or "0..3", lo=0, hi=6):
+        found = cech.singular_vectors_h0(n, args.weight_max)
+        window = [n - 2 * k for k in range(2 * args.depth_max + n + 2)]
+        bidegrees = affine.singular_bidegrees(n, args.depth_max, window)
+        rep = CheckReport(
+            f"singular-vectors n={n}",
+            details={
+                "weight_max": args.weight_max,
+                "depth_max": args.depth_max,
+                "representatives": [
+                    f"weight {N}, h-weight {mu}: {v.render()}" for N, mu, v in found
+                ],
+                "module_bidegrees": [list(b) for b in bidegrees],
+                "statement": f"one H^0 class, at (0, {n}); one module class, at (0, {-n - 2})",
+            },
+        )
+        rep.record(
+            len(found) == 1 and found[0][:2] == (0, n) and bidegrees == [(0, -n - 2, 1)],
+            f"H^0 classes at {[f[:2] for f in found]}, module classes at {bidegrees}",
+        )
+        stability = cech.check_sl2_stability(n, args.weight_max)
+        passed = passed and rep.passed and stability.passed
+        results += [rep.as_dict(), stability.as_dict()]
+    return results, passed, None
 
 
 # -- output -------------------------------------------------------------------
@@ -337,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("affine", help="independent PBW oracle")
-    p.add_argument("mode", choices=("char", "verma-vs-sections"))
+    p.add_argument("mode", choices=("char", "verma-vs-sections", "singular"))
     p.add_argument("--n", dest="n_spec", default=None, help="integer or a..b range")
     _add_common(p)
 
@@ -371,7 +398,7 @@ def _normalize_argv(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     raw = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(_normalize_argv(raw))
-    if args.samples < 0 or args.weight_max < 0 or args.depth_max < 0:
+    if min(args.samples, args.weight_max, args.depth_max, args.cutoff) < 0:
         print("error: numeric limits must be nonnegative", file=sys.stderr)
         return USAGE_ERROR
     try:

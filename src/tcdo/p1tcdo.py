@@ -292,12 +292,13 @@ def sections_bidegree(chart: Chart, n: int, weight: int, mu: int):
     """Normal-form monomial basis of the chart sections of the degree-n sheaf,
     residue-n specialized, at one exact (weight, h-weight) bidegree: each
     A/B mode shape of ``normal_forms(weight)``, in its order, with the one
-    ground power that lands on mu."""
+    ground power that lands on mu.  The basis is a list of ``Monomial``s with
+    no LSTAR modes; the state of one is ``FreeState({m: 1}, chart.ring, n)``."""
     out = []
     for amodes, bmodes, _, shift in normal_forms(weight):
         k = _ground_power(chart, n + shift, mu)
         if k is not None:
-            out.append(FreeState({Monomial(amodes, bmodes, (), k): 1}, chart.ring, n))
+            out.append(Monomial(amodes, bmodes, (), k))
     return out
 
 

@@ -2,9 +2,11 @@
 
 import pytest
 
+import tcdo.cech
 from tcdo.cech import (
     BigradedReport,
     StabilityError,
+    _delta_matrix,
     cech_block,
     cech_dims,
     cech_kernel,
@@ -16,7 +18,9 @@ from tcdo.cech import (
     singular_vectors_h0,
 )
 from tcdo.affine import restricted_verma_dim
-from tcdo.modespace import vacuum
+from tcdo.linalg import coordinate_rows
+from tcdo.modespace import FreeState, vacuum
+from tcdo.p1tcdo import Chart, glue, include_overlap
 from tcdo.qseries import QSeries, count_2colored
 
 WM = 3
@@ -74,6 +78,42 @@ def test_h0_entries_cross_check_affine(reports):
     for (N, mu), e in rpt.entries.items():
         assert e["dim_h0"] <= restricted_verma_dim(2, N, mu)
     assert rpt.entries[(0, 2)]["dim_h0"] == restricted_verma_dim(2, 0, 2)
+
+
+def test_delta_matrix_matches_the_state_path():
+    # every block of `tcdo cech --n -4..4 --weight-max 4` (doubled window):
+    # the integer images of the gluing core against incl(s) and -glue(s) of
+    # the one-term section states, as coordinate rows over the overlap basis
+    blocks = 0
+    for n in range(-4, 5):
+        for N in range(5):
+            for mu in mu_window(n, 4, 2):
+                basis0, basisinf, basisov, images = _delta_matrix(n, N, mu)
+                index = {m: i for i, m in enumerate(basisov)}
+                states0 = [FreeState({m: 1}, Chart.ZERO.ring, n) for m in basis0]
+                statesinf = [FreeState({m: 1}, Chart.INFTY.ring, n) for m in basisinf]
+                want = coordinate_rows(
+                    [include_overlap(s) for s in states0] + [-1 * glue(s) for s in statesinf],
+                    index,
+                )
+                assert images == want, (n, N, mu)
+                blocks += 1
+    assert blocks == 2245
+
+
+@pytest.mark.parametrize(
+    "stray",
+    [
+        ((), (), (-1,), 0),  # an LSTAR mode: outside the residue-n sector
+        ((), (), (), 1),  # one ground power off: outside the bidegree
+    ],
+)
+def test_delta_matrix_rejects_a_glued_key_outside_the_overlap_basis(monkeypatch, stray):
+    monkeypatch.setattr(tcdo.cech, "_glue_mono", lambda mono, ls: ((stray, 1),))
+    with pytest.raises(KeyError):
+        _delta_matrix(0, 0, 0)
+    with pytest.raises(KeyError):
+        cech_block(0, 0, 0)
 
 
 def test_kernel_vectors_are_cocycles():

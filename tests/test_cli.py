@@ -93,6 +93,34 @@ def test_affine_verma_vs_sections_passes(capsys):
     assert "full rank per bidegree" in out
 
 
+def test_affine_singular_passes(capsys):
+    code, out, _ = run(
+        ["affine", "singular", "--n", "0..1", "--weight-max", "2", "--depth", "2", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["command"] == "affine singular" and payload["pass"] is True
+    names = [r["name"] for r in payload["results"]]
+    assert names == ["singular-vectors n=0", "cech-sl2-stability", "singular-vectors n=1", "cech-sl2-stability"]
+    for n, (sing, stability) in enumerate(zip(payload["results"][::2], payload["results"][1::2])):
+        assert sing["checks"] == 1 and sing["failures"] == []
+        assert sing["details"]["representatives"] == [f"weight 0, h-weight {n}: (1) |0>"]
+        assert sing["details"]["module_bidegrees"] == [[0, -n - 2, 1]]
+        assert stability["details"] == {"n": n, "weight_max": 2}
+        assert stability["passed"] and stability["checks"] > 0
+
+
+def test_affine_singular_mismatch_exits_1(monkeypatch, capsys):
+    # a second H^0 class breaks the verdict that both ends see one class
+    real = tcdo.cech.singular_vectors_h0
+    monkeypatch.setattr(tcdo.cech, "singular_vectors_h0", lambda n, w: real(n, w) * 2)
+    code, out, _ = run(["affine", "singular", "--n", "1", "--weight-max", "1", "--depth", "1"], capsys)
+    assert code == 1
+    assert "[FAIL] singular-vectors n=1" in out
+    assert "FAIL: tcdo affine" in out
+
+
 # -- output formats ---------------------------------------------------------------
 
 
@@ -217,6 +245,20 @@ def test_negative_samples_returns_2(capsys):
     code, _, err = run(["verify-engine", "--samples", "-1"], capsys)
     assert code == 2
     assert "nonnegative" in err
+
+
+def test_negative_cutoff_returns_2(capsys):
+    code, out, err = run(["zhu", "--cutoff", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "nonnegative" in err
+
+
+def test_affine_singular_n_out_of_range_returns_2(capsys):
+    for bad in ("-1", "7"):
+        code, out, err = run(["affine", "singular", "--n", bad], capsys)
+        assert code == 2 and out == ""
+        assert "[0, 6]" in err
 
 
 def test_affine_negative_n_for_char_returns_2(capsys):

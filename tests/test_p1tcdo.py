@@ -238,7 +238,7 @@ def _ref_overlap_basis(weight_max, h_bound, lstar):
 
 def _window_sections(chart, n, weights, mus):
     """sections_bidegree summed over a window of bidegrees."""
-    return [s for N in weights for mu in mus for s in sections_bidegree(chart, n, N, mu)]
+    return [m for N in weights for mu in mus for m in sections_bidegree(chart, n, N, mu)]
 
 
 def test_normal_forms_are_exact_weight_shapes():
@@ -255,9 +255,10 @@ def test_normal_forms_are_exact_weight_shapes():
 
 def test_sections_zero_chart_weight_zero():
     sec = _window_sections(Chart.ZERO, 0, [0], range(-6, 1))
-    powers = sorted(next(iter(s.terms)).power for s in sec)
+    powers = sorted(m.power for m in sec)
     assert powers == [0, 1, 2, 3]
-    assert all(s.lstar == 0 for s in sec)
+    # residue-0 specialized: no LSTAR modes, so each builds a residue-0 state
+    assert all(not m.lmodes and FreeState({m: 1}, POLY, 0).lstar == 0 for m in sec)
 
 
 def test_sections_overlap_single_bidegree():
@@ -266,7 +267,7 @@ def test_sections_overlap_single_bidegree():
             sec = sections_bidegree(Chart.OVERLAP, n, 0, mu)
             if (n - mu) % 2 == 0:
                 assert len(sec) == 1
-                assert next(iter(sec[0].terms)).power == (n - mu) // 2
+                assert sec[0].power == (n - mu) // 2
             else:
                 assert sec == []
 
@@ -274,9 +275,9 @@ def test_sections_overlap_single_bidegree():
 def test_sections_respect_window_and_ring():
     for N in range(3):
         for mu in range(-3, 4):
-            for s in sections_bidegree(Chart.ZERO, 1, N, mu):
-                assert bigrade(s, twist=1) == (N, mu)
-                assert s.ring == POLY and all(m.power >= 0 for m in s.terms)
+            for m in sections_bidegree(Chart.ZERO, 1, N, mu):
+                assert (m.weight, 1 + m.h_shift) == (N, mu)
+                assert FreeState({m: 1}, Chart.ZERO.ring, 1).ring == POLY and m.power >= 0
     # empty bidegrees: negative weight, odd parity, h-weight out of reach of
     # a polynomial chart (at weight 2 the largest shift is two A-modes, +4)
     assert sections_bidegree(Chart.ZERO, 0, -1, 0) == []
@@ -298,7 +299,8 @@ def test_sections_bidegree_matches_filtered_sections():
                         want.setdefault(mu, []).append(s)
                 for mu in window:
                     got = sections_bidegree(chart, n, N, mu)
-                    assert got == want.get(mu, []), (chart, n, N, mu)
+                    assert all(type(m) is Monomial for m in got)
+                    assert got == [m for s in want.get(mu, []) for m in s.terms], (chart, n, N, mu)
 
 
 def test_unclamped_sections_dim_matches_filtered_count():
@@ -325,7 +327,8 @@ def test_h_weight_eigenvalue_on_sections():
     # rho(h)'s zero mode is diagonal with the combinatorial h-weight
     rho = sl2_embedding(Chart.ZERO)
     for n in (-2, 0, 3):
-        for s in _window_sections(Chart.ZERO, n, range(3), range(n - 4, n + 5)):
+        for m in _window_sections(Chart.ZERO, n, range(3), range(n - 4, n + 5)):
+            s = FreeState({m: 1}, Chart.ZERO.ring, n)
             _, mu = bigrade(s, twist=n)
             assert apply_mode(rho["h"], 0, s) == mu * s
 

@@ -77,3 +77,20 @@ def test_engine_core_never_builds_a_monomial():
                     if called == "Monomial":
                         found.append(f"{filename}:{node.lineno} in {name}")
     assert found == []
+
+
+# the Cech differential is read straight off the integer gluing core over the
+# monomial section bases; no state is built or taken apart per block
+DELTA_FORBIDDEN = {"FreeState", "Fraction", "Monomial", "glue", "include_overlap", "coordinate_rows"}
+
+
+def test_delta_matrix_builds_no_states():
+    tree = ast.parse((SRC / "cech.py").read_text(), filename="cech.py")
+    (delta,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_delta_matrix"]
+    called = set()
+    for node in ast.walk(delta):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    assert {"sections_bidegree", "_glue_mono"} <= called
+    assert sorted(called & DELTA_FORBIDDEN) == []
