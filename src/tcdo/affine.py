@@ -172,13 +172,6 @@ def act(gen: str, m: int, v: PBWVector) -> PBWVector:
     return PBWVector._from_valid(_act_terms(gen, m, v.terms.items(), _core_nu(v.nu)), v.nu)
 
 
-def act_word(word, v: PBWVector) -> PBWVector:
-    """Apply a product of modes, rightmost first."""
-    for gen, m in reversed(word):
-        v = act(gen, m, v)
-    return v
-
-
 # -- PBW enumeration -----------------------------------------------------------
 
 
@@ -215,12 +208,6 @@ def verma_basis(nu, d: int, mu) -> list[tuple]:
         if gap >= 0 and gap % 2 == 0:
             out.append(neg + (("f", 0),) * (gap // 2))
     return out
-
-
-def verma_dim(nu, d: int, mu) -> int:
-    if d < 0:
-        return 0
-    return len(verma_basis(nu, d, mu))
 
 
 # -- Sugawara -------------------------------------------------------------------
@@ -364,7 +351,7 @@ def irreducible_dims(n: int, d_max: int, mu_values) -> dict:
             tracker, index = _sugawara_span(n, d, mu, basis_words)
             # lowering words sending the singular vector into (d, mu);
             # U(g^)w = U(lowering)w because w is singular (verified by
-            # check_singular_generator, not assumed)
+            # check_singular_generator in `tcdo affine singular`, not assumed)
             for neg in _negative_words(d):
                 gap = n + word_h_shift(neg) - 2 * (n + 1) - mu
                 if gap >= 0 and gap % 2 == 0:
@@ -452,7 +439,7 @@ def check_affine_relations(samples: int = 60, seed: int = 42) -> CheckReport:
 
 def check_sugawara_centrality(samples: int = 30, seed: int = 42) -> CheckReport:
     rng = random.Random(seed)
-    rep = CheckReport("affine-sugawara-central", details={"samples": samples})
+    rep = CheckReport("affine-sugawara-central", details={"samples": samples, "seed": seed})
     for i in range(samples):
         nu = rng.choice([Fraction(0), Fraction(1), Fraction(-2), Fraction(5, 3)])
         v = random_pbw(rng, 2, nu)

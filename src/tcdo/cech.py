@@ -51,17 +51,6 @@ class BigradedReport:
     h1_character: QSeries | None = None
     stable: bool = False
 
-    def rank_nullity_consistent(self) -> bool:
-        for N in range(self.weight_max + 1):
-            lhs = rhs = 0
-            for (w, _), e in self.entries.items():
-                if w == N:
-                    lhs += e["dim_h0"] - e["dim_h1"]
-                    rhs += e["dim_c0"] + e["dim_cinf"] - e["dim_overlap"]
-            if lhs != rhs:
-                return False
-        return True
-
     def as_dict(self) -> dict:
         return {
             "n": self.n,

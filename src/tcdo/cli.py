@@ -36,6 +36,22 @@ GLUING_WEIGHT_MAX = 4
 # n and is refused before it starts
 CECH_WEIGHT_MAX = 10
 
+# every request ceiling, checked before any work starts: (command, mode,
+# option) -> (ceiling, what the command runs up to it).  Each is sized like
+# CECH_WEIGHT_MAX, so that one small n at the ceiling takes about two minutes
+# on a 2-core Xeon: affine singular 110 s at weight 8 and 52 s at depth 6,
+# affine char 100 s at depth 7 (n = 0), verma-vs-sections 114 s at depth 7
+# (n = -3).  n = 6 costs 2-3x that, and one more unit 3x to 15x.
+CEILINGS = {
+    ("gluing", None, "weight_max"): (GLUING_WEIGHT_MAX, "gluing checks the involution"),
+    ("cech", None, "weight_max"): (CECH_WEIGHT_MAX, "cech scans"),
+    ("affine", "singular", "weight_max"): (8, "affine singular scans H^0"),
+    ("affine", "singular", "depth_max"): (6, "affine singular scans the Verma module"),
+    ("affine", "char", "depth_max"): (7, "affine char runs the PBW oracle"),
+    ("affine", "verma-vs-sections", "depth_max"): (7, "affine verma-vs-sections replays"),
+}
+_FLAGS = {"weight_max": "--weight-max", "depth_max": "--depth"}
+
 
 class UsageError(ValueError):
     pass
@@ -85,15 +101,11 @@ def _parse_twist(value: str):
 
 def cmd_gluing(args: argparse.Namespace):
     twist = _parse_twist(args.twist)
-    if args.weight_max > GLUING_WEIGHT_MAX:
-        raise UsageError(
-            f"gluing checks the involution up to --weight-max {GLUING_WEIGHT_MAX}, got {args.weight_max}"
-        )
     reports = [
         p1tcdo.check_gluing_morphism(twist, samples=args.samples, seed=args.seed),
         p1tcdo.check_involution(twist, weight_max=args.weight_max),
-        p1tcdo.check_sl2_embedding(p1tcdo.sl2_embedding(Chart.ZERO)),
-        p1tcdo.check_sl2_embedding(p1tcdo.sl2_embedding(Chart.INFTY)),
+        p1tcdo.check_sl2_embedding(Chart.ZERO),
+        p1tcdo.check_sl2_embedding(Chart.INFTY),
         p1tcdo.check_sl2_global(),
     ]
     sug = CheckReport("sugawara-image")
@@ -114,10 +126,6 @@ def cmd_gluing(args: argparse.Namespace):
 
 def cmd_cech(args: argparse.Namespace):
     ns = parse_n_spec(args.n_spec)
-    if args.weight_max > CECH_WEIGHT_MAX:
-        raise UsageError(
-            f"cech scans up to --weight-max {CECH_WEIGHT_MAX}, got {args.weight_max}"
-        )
     results = []
     csv_rows = [("n", "weight", "h_weight", "dim_h0", "dim_h1")]
     passed = True
@@ -193,14 +201,22 @@ def cmd_affine(args: argparse.Namespace):
                         f"(d={key[0]}, mu={key[1]}): rank {rk} != irreducible dim {ldims[key]}",
                     )
                 rep.details["statement"] = "image dimensions equal the irreducible quotient's"
+            # the free lambda*-tower lines the raw PBW count up with the sections
+            for (d, mu), (raw, *_) in sorted(table.items()):
+                unclamped = p1tcdo.unclamped_sections_dim(Chart.ZERO, n, d, mu)
+                rep.record(
+                    raw == unclamped,
+                    f"(d={d}, mu={mu}): raw PBW {raw} != unclamped sections {unclamped}",
+                )
             passed = passed and rep.passed
             results.append(rep.as_dict())
         return results, passed, None
 
     # singular: the singular vectors seen from both ends of the construction,
-    # then the sl2 stability of the H^0 kernel they are found in
+    # the sl2 stability of the H^0 kernel they are found in, and the premises
+    # of the comparison with L_n: f_0^(n+1) v is singular, both sides share
+    # the central character n(n+2)/2, and the Sugawara operators are central
     results = []
-    passed = True
     for n in parse_n_spec(args.n_spec or "0..3", lo=0, hi=6):
         found = cech.singular_vectors_h0(n, args.weight_max)
         window = [n - 2 * k for k in range(2 * args.depth_max + n + 2)]
@@ -221,10 +237,25 @@ def cmd_affine(args: argparse.Namespace):
             len(found) == 1 and found[0][:2] == (0, n) and bidegrees == [(0, -n - 2, 1)],
             f"H^0 classes at {[f[:2] for f in found]}, module classes at {bidegrees}",
         )
-        stability = cech.check_sl2_stability(n, args.weight_max)
-        passed = passed and rep.passed and stability.passed
-        results += [rep.as_dict(), stability.as_dict()]
-    return results, passed, None
+        free = p1tcdo.sugawara_zero_mode_value(n)
+        pbw = affine.sugawara_zero_eigenvalue(n)
+        want = Fraction(n * (n + 2), 2)
+        zero_mode = CheckReport(
+            f"sugawara-zero-mode n={n}",
+            details={"statement": f"free-field T_0 = PBW T_0 = n(n+2)/2 = {want}"},
+        )
+        zero_mode.record(free == pbw == want, f"free-field T_0 = {free}, PBW T_0 = {pbw}")
+        results += [
+            rep,
+            cech.check_sl2_stability(n, args.weight_max),
+            affine.check_singular_generator(n),
+            zero_mode,
+        ]
+    results += [
+        affine.check_affine_relations(args.samples, args.seed),
+        affine.check_sugawara_centrality(args.samples, args.seed),
+    ]
+    return [r.as_dict() for r in results], all(r.passed for r in results), None
 
 
 # -- output -------------------------------------------------------------------
@@ -401,6 +432,11 @@ def main(argv=None) -> int:
     if min(args.samples, args.weight_max, args.depth_max, args.cutoff) < 0:
         print("error: numeric limits must be nonnegative", file=sys.stderr)
         return USAGE_ERROR
+    for (command, mode, option), (ceiling, what) in CEILINGS.items():
+        value = getattr(args, option)
+        if (command, mode) == (args.command, args.mode) and value > ceiling:
+            print(f"error: {what} up to {_FLAGS[option]} {ceiling}, got {value}", file=sys.stderr)
+            return USAGE_ERROR
     try:
         results, passed, csv_rows = _DISPATCH[args.command](args)
         emit(args, results, passed, csv_rows)

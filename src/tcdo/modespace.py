@@ -233,14 +233,6 @@ class FreeState(LinearCombination):
     def weights(self) -> set[int]:
         return {m.weight for m in self.terms}
 
-    def weight_components(self) -> dict[int, "FreeState"]:
-        comps: dict[int, dict[Monomial, Fraction]] = {}
-        for mono, c in self.terms.items():
-            comps.setdefault(mono.weight, {})[mono] = c
-        return {
-            w: FreeState(t, self.ring, self.lstar) for w, t in sorted(comps.items())
-        }
-
     def render(self, letter: str = "x") -> str:
         if not self.terms:
             return "0"
@@ -500,47 +492,17 @@ def translation(u: FreeState) -> FreeState:
     and d(x^k |0>) = k x^(k-1) B_(-2) |0>."""
     out: dict[Monomial, Fraction] = {}
     for mono, c in u.terms.items():
-        for i, mm in enumerate(mono.amodes):
-            shifted = mono.amodes[:i] + mono.amodes[i + 1 :]
-            out_m = Monomial(_insort(shifted, mm - 1), mono.bmodes, mono.lmodes, mono.power)
-            out[out_m] = out.get(out_m, Fraction(0)) + c * (-mm)
-        for i, mm in enumerate(mono.bmodes):
-            shifted = mono.bmodes[:i] + mono.bmodes[i + 1 :]
-            out_m = Monomial(mono.amodes, _insort(shifted, mm - 1), mono.lmodes, mono.power)
-            out[out_m] = out.get(out_m, Fraction(0)) + c * (-mm)
-        for i, mm in enumerate(mono.lmodes):
-            shifted = mono.lmodes[:i] + mono.lmodes[i + 1 :]
-            out_m = Monomial(mono.amodes, mono.bmodes, _insort(shifted, mm - 1), mono.power)
-            out[out_m] = out.get(out_m, Fraction(0)) + c * (-mm)
+        # the A, B and LSTAR mode families, fields 0, 1 and 2 of a monomial
+        for family, modes in enumerate(mono[:3]):
+            for i, mm in enumerate(modes):
+                fields = list(mono)
+                fields[family] = _insort(modes[:i] + modes[i + 1 :], mm - 1)
+                out_m = Monomial(*fields)
+                out[out_m] = out.get(out_m, Fraction(0)) + c * (-mm)
         if mono.power:
             out_m = Monomial(mono.amodes, _insort(mono.bmodes, -2), mono.lmodes, mono.power - 1)
             out[out_m] = out.get(out_m, Fraction(0)) + c * mono.power
     return FreeState(out, u.ring, u.lstar)
-
-
-def specialize_lstar(u: FreeState, n: int) -> FreeState:
-    """Pass to the residue-n character quotient: every LSTAR creation mode has
-    character value 0, so monomials containing them vanish; downstream the
-    LSTAR zero mode acts as the scalar n."""
-    if u.lstar is not None:
-        raise SpecializationError(f"state is already specialized at n={u.lstar}")
-    kept = {m: c for m, c in u.terms.items() if not m.lmodes}
-    return FreeState(kept, u.ring, n)
-
-
-def bigrade(u: FreeState, twist: int = 0) -> tuple[int, int]:
-    """(conformal weight, h-weight) of a bihomogeneous state; the chart twist
-    enters the h-weight additively."""
-    if u.is_zero:
-        raise ValueError("the zero state has no bigrade")
-    grades = {(m.weight, twist + m.h_shift) for m in u.terms}
-    if len(grades) != 1:
-        raise ValueError(f"state is not bihomogeneous: grades {sorted(grades)}")
-    return next(iter(grades))
-
-
-def h_weight(u: FreeState, twist: int = 0) -> int:
-    return bigrade(u, twist)[1]
 
 
 # -- identity checks ----------------------------------------------------------
@@ -578,18 +540,6 @@ def borcherds_sides(a: FreeState, b: FreeState, c: FreeState, m: int, n: int, k:
 def check_borcherds(a, b, c, m: int, n: int, k: int) -> bool:
     lhs, rhs = borcherds_sides(a, b, c, m, n, k)
     return lhs == rhs
-
-
-def commutator_sides(w: FreeState, r: int, v: FreeState, m: int, u: FreeState):
-    """Both sides of [w_(r), v_(m)] u = sum_j C(r,j) (w_(j) v)_(r+m-j) u."""
-    lhs = apply_mode(w, r, apply_mode(v, m, u)) - apply_mode(v, m, apply_mode(w, r, u))
-    wmax = max(w.weights(), default=0) + max(v.weights(), default=0)
-    rhs = zero(lhs.ring, u.lstar)
-    for j in range(wmax + 1):
-        coef = binom(r, j)
-        if coef:
-            rhs = rhs + coef * apply_mode(apply_mode(w, j, v), r + m - j, u)
-    return lhs, rhs
 
 
 # -- deterministic sampling ---------------------------------------------------

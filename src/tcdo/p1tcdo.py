@@ -24,7 +24,6 @@ only the ground power that lands on the h-weight depends on the chart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -183,18 +182,9 @@ def check_involution(twist: int | None, weight_max: int = 4) -> CheckReport:
 # -- the sl2 embedding ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Sl2Embedding:
-    """Images of the sl2 generators as weight-1 chart states (symbolic twist)."""
-
-    chart: Chart
-    images: dict
-
-    def __getitem__(self, name: str) -> FreeState:
-        return self.images[name]
-
-
-def sl2_embedding(chart: Chart) -> Sl2Embedding:
+def sl2_embedding(chart: Chart) -> dict[str, FreeState]:
+    """Images of the sl2 generators e, h, f as weight-1 chart states
+    (symbolic twist)."""
     if chart is Chart.OVERLAP:
         raise ValueError("the embedding is defined on the affine charts")
     a_x2 = FreeState({Monomial(amodes=(-1,), power=2): 1})
@@ -202,10 +192,8 @@ def sl2_embedding(chart: Chart) -> Sl2Embedding:
     x_l = FreeState({Monomial(lmodes=(-1,), power=1): 1})
     lowering = -1 * a_x2 - 2 * translation(ground(1)) + x_l
     if chart is Chart.ZERO:
-        images = {"e": gen_a(), "h": -2 * a_x + gen_lstar(), "f": lowering}
-    else:
-        images = {"e": lowering, "h": 2 * a_x - 1 * gen_lstar(), "f": gen_a()}
-    return Sl2Embedding(chart, images)
+        return {"e": gen_a(), "h": -2 * a_x + gen_lstar(), "f": lowering}
+    return {"e": lowering, "h": 2 * a_x - 1 * gen_lstar(), "f": gen_a()}
 
 
 # the sl2 structure constants: [x, y] = coeff * gen on ordered pairs (a
@@ -222,21 +210,22 @@ SL2_BRACKETS = {
 SL2_FORM = {("e", "f"): 1, ("f", "e"): 1, ("h", "h"): 2}
 
 
-def check_sl2_embedding(rho: Sl2Embedding) -> CheckReport:
+def check_sl2_embedding(chart: Chart) -> CheckReport:
     """The level-(-2) affine sl2 relations for the embedded currents:
     rho(x)_(0) rho(y) = rho([x,y]) and rho(x)_(1) rho(y) = -2 (x|y) |0>."""
-    rep = CheckReport("sl2-embedding", details={"chart": rho.chart.value})
+    rho = sl2_embedding(chart)
+    rep = CheckReport("sl2-embedding", details={"chart": chart.value})
     for xn in "ehf":
         for yn in "ehf":
             br = SL2_BRACKETS.get((xn, yn))
             expect = zero() if br is None else br[0] * rho[br[1]]
             got = apply_mode(rho[xn], 0, rho[yn])
-            rep.record(got == expect, f"[{xn},{yn}] on {rho.chart.value}")
+            rep.record(got == expect, f"[{xn},{yn}] on {chart.value}")
             pairing = SL2_FORM.get((xn, yn), 0)
             got = apply_mode(rho[xn], 1, rho[yn])
             rep.record(
                 got == (-2 * pairing) * vacuum(),
-                f"({xn}|{yn}) level term on {rho.chart.value}",
+                f"({xn}|{yn}) level term on {chart.value}",
             )
     return rep
 
@@ -254,7 +243,7 @@ def check_sl2_global() -> CheckReport:
     return rep
 
 
-def sugawara_image(rho: Sl2Embedding) -> FreeState:
+def sugawara_image(rho: dict[str, FreeState]) -> FreeState:
     """rho(e)_(-1) rho(f) + rho(f)_(-1) rho(e) + 1/2 rho(h)_(-1) rho(h)."""
     e, h, f = rho["e"], rho["h"], rho["f"]
     return (

@@ -9,7 +9,6 @@ plain Python ints throughout; nothing in this module ever touches floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 
 class OrderMismatchError(ValueError):
@@ -109,18 +108,6 @@ def eta_inverse_squared(order: int) -> QSeries:
         g = geometric(j, order)
         out = series_mul(out, series_mul(g, g))
     return out
-
-
-@lru_cache(maxsize=None)
-def _eta_coeffs(order: int) -> tuple[int, ...]:
-    return eta_inverse_squared(order).coeffs
-
-
-def count_2colored(j: int) -> int:
-    """Number of partitions of j with parts in two colors (1, 2, 5, 10, 20, ...)."""
-    if j < 0:
-        raise ValueError(f"partition count needs j >= 0, got {j}")
-    return _eta_coeffs(j)[j]
 
 
 def char_L(n: int, order: int) -> QSeries:

@@ -128,18 +128,6 @@ def zhu_star_n(a: FreeState, n: int, b: FreeState) -> FreeState:
     return out
 
 
-def zhu_star_linear(a: FreeState, b: FreeState) -> FreeState:
-    """zhu_star extended linearly over the weight components of a."""
-    comps = a.weight_components().values()
-    out = None
-    for part in comps:
-        term = zhu_star(part, b)
-        out = term if out is None else out + term
-    if out is None:
-        raise GradingError("empty left factor")
-    return out
-
-
 # -- reduction to normal form -------------------------------------------------
 
 

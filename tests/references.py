@@ -1,0 +1,65 @@
+"""Reference implementations the tests compare the package against.
+
+Each one restates an identity or a bookkeeping rule directly from its
+definition; the package itself has no use for them.
+"""
+
+from tcdo.cech import BigradedReport
+from tcdo.modespace import FreeState, apply_mode, binom, zero
+from tcdo.zhu import GradingError, zhu_star
+
+
+def commutator_sides(w: FreeState, r: int, v: FreeState, m: int, u: FreeState):
+    """Both sides of [w_(r), v_(m)] u = sum_j C(r,j) (w_(j) v)_(r+m-j) u."""
+    lhs = apply_mode(w, r, apply_mode(v, m, u)) - apply_mode(v, m, apply_mode(w, r, u))
+    wmax = max(w.weights(), default=0) + max(v.weights(), default=0)
+    rhs = zero(lhs.ring, u.lstar)
+    for j in range(wmax + 1):
+        coef = binom(r, j)
+        if coef:
+            rhs = rhs + coef * apply_mode(apply_mode(w, j, v), r + m - j, u)
+    return lhs, rhs
+
+
+def bigrade(u: FreeState, twist: int = 0) -> tuple[int, int]:
+    """(conformal weight, h-weight) of a bihomogeneous state; the chart twist
+    enters the h-weight additively."""
+    if u.is_zero:
+        raise ValueError("the zero state has no bigrade")
+    grades = {(m.weight, twist + m.h_shift) for m in u.terms}
+    if len(grades) != 1:
+        raise ValueError(f"state is not bihomogeneous: grades {sorted(grades)}")
+    return next(iter(grades))
+
+
+def weight_components(u: FreeState) -> dict[int, FreeState]:
+    comps = {}
+    for mono, c in u.terms.items():
+        comps.setdefault(mono.weight, {})[mono] = c
+    return {
+        w: FreeState(t, u.ring, u.lstar) for w, t in sorted(comps.items())
+    }
+
+
+def zhu_star_linear(a: FreeState, b: FreeState) -> FreeState:
+    """zhu_star extended linearly over the weight components of a."""
+    comps = weight_components(a).values()
+    out = None
+    for part in comps:
+        term = zhu_star(part, b)
+        out = term if out is None else out + term
+    if out is None:
+        raise GradingError("empty left factor")
+    return out
+
+
+def rank_nullity_consistent(report: BigradedReport) -> bool:
+    for N in range(report.weight_max + 1):
+        lhs = rhs = 0
+        for (w, _), e in report.entries.items():
+            if w == N:
+                lhs += e["dim_h0"] - e["dim_h1"]
+                rhs += e["dim_c0"] + e["dim_cinf"] - e["dim_overlap"]
+        if lhs != rhs:
+            return False
+    return True

@@ -21,7 +21,9 @@ from tcdo.affine import restricted_verma_dim
 from tcdo.linalg import coordinate_rows
 from tcdo.modespace import FreeState, vacuum
 from tcdo.p1tcdo import Chart, glue, include_overlap
-from tcdo.qseries import QSeries, count_2colored
+from tcdo.qseries import QSeries, eta_inverse_squared
+
+from references import rank_nullity_consistent
 
 WM = 3
 
@@ -34,7 +36,7 @@ def reports():
 def test_reports_stable_and_consistent(reports):
     for n, rpt in reports.items():
         assert rpt.stable, n
-        assert rpt.rank_nullity_consistent(), n
+        assert rank_nullity_consistent(rpt), n
         for e in rpt.entries.values():
             assert e["dim_h0"] >= 0 and e["dim_h1"] >= 0
 
@@ -52,7 +54,7 @@ def test_euler_identity(reports):
         assert euler_check(rpt), n
         diff = rpt.h0_character - rpt.h1_character
         for j in range(WM + 1):
-            assert diff.coeff(j) == (n + 1) * count_2colored(j)
+            assert diff.coeff(j) == (n + 1) * eta_inverse_squared(j).coeff(j)
 
 
 def test_twist_minus_one_vanishes(reports):

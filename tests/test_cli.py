@@ -9,12 +9,17 @@ import csv
 import hashlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
+import tcdo.affine
 import tcdo.cech
 import tcdo.modespace
-from tcdo.cli import CECH_WEIGHT_MAX, UsageError, main, parse_n_spec
+import tcdo.p1tcdo
+from tcdo.affine import verma_to_sections
+from tcdo.cli import CECH_WEIGHT_MAX, CEILINGS, UsageError, main, parse_n_spec
+from tcdo.reports import CheckReport
 
 
 def run(argv, capsys):
@@ -95,20 +100,31 @@ def test_affine_verma_vs_sections_passes(capsys):
 
 def test_affine_singular_passes(capsys):
     code, out, _ = run(
-        ["affine", "singular", "--n", "0..1", "--weight-max", "2", "--depth", "2", "--format", "json"],
+        ["affine", "singular", "--n", "0..1", "--weight-max", "2", "--depth", "2", "--samples", "12", "--seed", "5",
+         "--format", "json"],
         capsys,
     )
     assert code == 0
     payload = json.loads(out)
     assert payload["command"] == "affine singular" and payload["pass"] is True
     names = [r["name"] for r in payload["results"]]
-    assert names == ["singular-vectors n=0", "cech-sl2-stability", "singular-vectors n=1", "cech-sl2-stability"]
-    for n, (sing, stability) in enumerate(zip(payload["results"][::2], payload["results"][1::2])):
+    per_n = ["singular-vectors n={}", "cech-sl2-stability", "affine-singular-vector", "sugawara-zero-mode n={}"]
+    assert names == [name.format(n) for n in (0, 1) for name in per_n] + ["affine-bracket", "affine-sugawara-central"]
+    for n in (0, 1):
+        sing, stability, generator, zero_mode = payload["results"][4 * n : 4 * n + 4]
         assert sing["checks"] == 1 and sing["failures"] == []
         assert sing["details"]["representatives"] == [f"weight 0, h-weight {n}: (1) |0>"]
         assert sing["details"]["module_bidegrees"] == [[0, -n - 2, 1]]
         assert stability["details"] == {"n": n, "weight_max": 2}
         assert stability["passed"] and stability["checks"] > 0
+        assert generator["details"] == {"n": n}
+        assert generator["passed"] and generator["checks"] == 4
+        assert zero_mode["passed"] and zero_mode["checks"] == 1
+        assert zero_mode["details"]["statement"].endswith(f"= {Fraction(n * (n + 2), 2)}")
+    # the run-once suites take --samples and --seed
+    for suite in payload["results"][8:]:
+        assert suite["details"] == {"samples": 12, "seed": 5}
+        assert suite["passed"] and suite["checks"] == 12
 
 
 def test_affine_singular_mismatch_exits_1(monkeypatch, capsys):
@@ -119,6 +135,56 @@ def test_affine_singular_mismatch_exits_1(monkeypatch, capsys):
     assert code == 1
     assert "[FAIL] singular-vectors n=1" in out
     assert "FAIL: tcdo affine" in out
+
+
+def test_affine_singular_failing_generator_exits_1(monkeypatch, capsys):
+    def failing(n):
+        rep = CheckReport("affine-singular-vector", details={"n": n})
+        rep.record(False, f"e_(0) on f0^{n + 1} v")
+        return rep
+
+    monkeypatch.setattr(tcdo.affine, "check_singular_generator", failing)
+    code, out, _ = run(["affine", "singular", "--n", "1", "--weight-max", "1", "--depth", "1"], capsys)
+    assert code == 1
+    assert "[FAIL] affine-singular-vector" in out
+    assert "counterexample: e_(0) on f0^2 v" in out
+
+
+def test_affine_singular_wrong_sugawara_value_exits_1(monkeypatch, capsys):
+    # the free-field zero mode is off by one from n(n+2)/2 = 3/2
+    monkeypatch.setattr(tcdo.p1tcdo, "sugawara_zero_mode_value", lambda n: Fraction(5, 2))
+    code, out, _ = run(["affine", "singular", "--n", "1", "--weight-max", "1", "--depth", "1"], capsys)
+    assert code == 1
+    assert "[FAIL] sugawara-zero-mode n=1" in out
+    assert "counterexample: free-field T_0 = 5/2, PBW T_0 = 3/2" in out
+
+
+def test_affine_verma_vs_sections_dominant_twist_passes(capsys):
+    # n >= 0 compares the image with the irreducible quotient; every n also
+    # compares the raw PBW count with the unclamped sections
+    code, out, _ = run(
+        ["affine", "verma-vs-sections", "--n", "-1..1", "--depth", "3", "--format", "json"], capsys
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["pass"] is True
+    reports = payload["results"]
+    assert [r["name"] for r in reports] == [f"verma-to-sections n={n}" for n in (-1, 0, 1)]
+    assert reports[0]["details"]["statement"] == "full rank per bidegree (isomorphism range)"
+    for n, rep in zip((-1, 0, 1), reports):
+        if n >= 0:
+            assert rep["details"]["statement"] == "image dimensions equal the irreducible quotient's"
+        assert rep["checks"] == 2 * len(verma_to_sections(n, 3))
+
+
+def test_affine_verma_vs_sections_raw_count_mismatch_exits_1(monkeypatch, capsys):
+    real = tcdo.p1tcdo.unclamped_sections_dim
+    monkeypatch.setattr(tcdo.p1tcdo, "unclamped_sections_dim", lambda *args: real(*args) + 1)
+    code, out, _ = run(["affine", "verma-vs-sections", "--n", "-2", "--depth", "1", "--format", "json"], capsys)
+    assert code == 1
+    (rep,) = json.loads(out)["results"]
+    assert rep["passed"] is False
+    assert "(d=0, mu=-2): raw PBW 1 != unclamped sections 2" in rep["failures"]
 
 
 # -- output formats ---------------------------------------------------------------
@@ -201,6 +267,8 @@ GOLDEN = {
     "cech --n 2 --weight-max 3 --format csv": "d9b4ad9d93159867e8e7091729da10af137f585dc9525c469bbb5ff12a66dc4b",
     "affine char --n 0..1 --depth 3 --format json": "e8dbfa620ababc943c5ad88f3f7b96926a920a3da7dcd2c456eddcadcd06041d",
     "verify-engine --samples 20 --seed 3 --format json": "b286c7aa2130a10770c181a044a965d4e02afba7e2e7235d462c83e7d31b9f1a",
+    "affine singular --n 2 --weight-max 3 --depth 3 --format json": "d361624dcabcc23983114d598a99e3cdd1484de6b9da0e7a31992f9e7ad0ea4b",
+    "affine verma-vs-sections --n -1..1 --depth 3 --format json": "863df19057b62bdb309cd7ddb80086218ef9850efa385daa589667698c424aef",
 }
 
 
@@ -307,6 +375,57 @@ def test_cech_weight_max_at_limit_reaches_the_scan(monkeypatch, capsys):
     with pytest.raises(Reached):
         main(["cech", "--n", "-2", "--weight-max", str(CECH_WEIGHT_MAX), "--format", "json"])
     assert calls == [(-2, CECH_WEIGHT_MAX)]
+
+
+# the first piece of work behind each ceiling; the stand-ins below replace it
+CEILING_WORK = {
+    ("gluing", None): (tcdo.p1tcdo, "check_gluing_morphism"),
+    ("cech", None): (tcdo.cech, "cech_dims"),
+    ("affine", "singular"): (tcdo.cech, "singular_vectors_h0"),
+    ("affine", "char"): (tcdo.affine, "irreducible_char_oracle"),
+    ("affine", "verma-vs-sections"): (tcdo.affine, "verma_to_sections"),
+}
+FLAGS = {"weight_max": "--weight-max", "depth_max": "--depth"}
+
+
+def _ceiling_argv(command, mode, option, value):
+    argv = [command] + ([mode] if mode else [])
+    if command != "gluing":
+        argv += ["--n", "1"]
+    return argv + [FLAGS[option], str(value), "--samples", "1", "--format", "json"]
+
+
+@pytest.mark.parametrize("key", list(CEILINGS), ids=lambda key: " ".join(filter(None, key)))
+def test_request_above_a_ceiling_exits_2_without_running(key, monkeypatch, capsys):
+    command, mode, option = key
+    ceiling, what = CEILINGS[key]
+    module, name = CEILING_WORK[command, mode]
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: pytest.fail("the work ran"))
+    code, out, err = run(_ceiling_argv(command, mode, option, ceiling + 1), capsys)
+    assert code == 2
+    assert out == ""
+    assert f"{what} up to {FLAGS[option]} {ceiling}, got {ceiling + 1}" in err
+
+
+@pytest.mark.parametrize("key", list(CEILINGS), ids=lambda key: " ".join(filter(None, key)))
+def test_request_at_a_ceiling_reaches_the_work(key, monkeypatch):
+    # the work at a ceiling takes minutes, so a stand-in records the call
+    # and stops it once the guard has let it through
+    command, mode, option = key
+    module, name = CEILING_WORK[command, mode]
+    calls = []
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        calls.append(args)
+        raise Reached
+
+    monkeypatch.setattr(module, name, reached)
+    with pytest.raises(Reached):
+        main(_ceiling_argv(command, mode, option, CEILINGS[key][0]))
+    assert len(calls) == 1
 
 
 def test_unwritable_out_returns_2(tmp_path, capsys):

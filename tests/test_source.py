@@ -94,3 +94,27 @@ def test_delta_matrix_builds_no_states():
             called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
     assert {"sections_bidegree", "_glue_mono"} <= called
     assert sorted(called & DELTA_FORBIDDEN) == []
+
+
+def test_every_public_function_has_a_package_caller():
+    # a public top-level function that nothing in the package reaches is
+    # either an unrun check or dead code; a test-only reference lives in
+    # tests/references.py instead
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+    assert trees, f"no sources under {SRC}"
+    found = []
+    for module, tree in trees.items():
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            own = {id(node) for node in ast.walk(fn)}
+            referenced = any(
+                id(node) not in own
+                and (getattr(node, "id", None) == fn.name or getattr(node, "attr", None) == fn.name)
+                for other in trees.values()
+                for node in ast.walk(other)
+                if isinstance(node, (ast.Name, ast.Attribute))
+            )
+            if not referenced:
+                found.append(f"{module}.{fn.name}")
+    assert found == []

@@ -31,9 +31,10 @@ from tcdo.zhu import (
     diffop_one,
     zhu_reduce,
     zhu_star,
-    zhu_star_linear,
     zhu_star_n,
 )
+
+from references import weight_components, zhu_star_linear
 
 SEED = 42
 
@@ -48,7 +49,7 @@ V1_POOL = [
 
 def rand_homogeneous(rng, wmax):
     while True:
-        comps = random_state(rng, wmax, max_terms=2).weight_components()
+        comps = weight_components(random_state(rng, wmax, max_terms=2))
         if comps:
             return list(comps.values())[rng.randrange(len(comps))]
 
