@@ -258,13 +258,27 @@ def sugawara_zero_eigenvalue(nu) -> Fraction:
 # -- quotients and characters ----------------------------------------------------
 
 
+def _span_columns(basis_words) -> dict:
+    """The column number of each basis word in a span's elimination.  The
+    kernel pivots on the lowest column, so numbering the words backwards
+    makes it pivot first on the word of each image that comes last in basis
+    order.  Over the spans of ``irreducible_char_oracle(n, 4)``, n = 0..3,
+    this keeps 12628 nonzero entries in the echelon rows where the basis
+    order keeps 20587, and for ``irreducible_char_oracle(0, 6)`` 32904 where
+    it keeps 86013.  Dimensions do not depend on the numbering; the residuals
+    ``singular_bidegrees`` stacks do, but the rank of the stack does not."""
+    return {w: -i for i, w in enumerate(basis_words)}
+
+
 def _sugawara_span(nu, d: int, mu, basis_words) -> tuple:
     """A tracker holding all T_(-k) images landing in bidegree (d, mu), and
-    the index of basis_words it uses.  Single applications suffice: T is
-    central, so sum_k T_(-k) M is already a submodule, and iterated T's land
-    inside single-T images; the integer images of 2 T_(-k) span the same."""
+    the index of basis_words it uses: ``_span_columns`` numbers the words so
+    that elimination pivots on the last basis word of each image first.
+    Single applications suffice: T is central, so sum_k T_(-k) M is already a
+    submodule, and iterated T's land inside single-T images; the integer
+    images of 2 T_(-k) span the same."""
     nu = _core_nu(nu)
-    index = {w: i for i, w in enumerate(basis_words)}
+    index = _span_columns(basis_words)
     tracker = SpanTracker()
     for k in range(1, d + 1):
         for src in verma_basis(nu, d - k, mu):
@@ -401,6 +415,9 @@ def verma_to_sections(n: int, d_max: int, mu_values=None) -> dict:
             targets = sections_bidegree(Chart.ZERO, n, d, mu)
             if not words and not targets:
                 continue
+            # the basis order: over n = -3..2, depth <= 5, its rank keeps 9247
+            # echelon entries, against 9637 reversed and 9350 by descending
+            # ground power
             index = {t: i for i, t in enumerate(targets)}
             images = []
             for word in words:
@@ -417,11 +434,19 @@ def verma_to_sections(n: int, d_max: int, mu_values=None) -> dict:
     return table
 
 
+def _sampled_report(name: str, samples: int, seed: int) -> CheckReport:
+    rep = CheckReport(name, details={"samples": samples, "seed": seed})
+    if samples == 0:
+        rep.details["warning"] = "samples=0: vacuous pass"
+    return rep
+
+
 def check_affine_relations(samples: int = 60, seed: int = 42) -> CheckReport:
     """Bracket self-consistency on random PBW vectors: the commutator of two
-    mode actions equals the action of their bracket plus the central term."""
+    mode actions equals the action of their bracket plus the central term;
+    samples=0 is a vacuous pass flagged with a warning."""
     rng = random.Random(seed)
-    rep = CheckReport("affine-bracket", details={"samples": samples, "seed": seed})
+    rep = _sampled_report("affine-bracket", samples, seed)
     nus = [Fraction(0), Fraction(2), Fraction(-3), Fraction(1, 2)]
     for i in range(samples):
         nu = rng.choice(nus)
@@ -438,8 +463,10 @@ def check_affine_relations(samples: int = 60, seed: int = 42) -> CheckReport:
 
 
 def check_sugawara_centrality(samples: int = 30, seed: int = 42) -> CheckReport:
+    """T_k commutes with every mode action on random PBW vectors; samples=0
+    is a vacuous pass flagged with a warning."""
     rng = random.Random(seed)
-    rep = CheckReport("affine-sugawara-central", details={"samples": samples, "seed": seed})
+    rep = _sampled_report("affine-sugawara-central", samples, seed)
     for i in range(samples):
         nu = rng.choice([Fraction(0), Fraction(1), Fraction(-2), Fraction(5, 3)])
         v = random_pbw(rng, 2, nu)

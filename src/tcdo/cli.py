@@ -31,17 +31,20 @@ USAGE_ERROR = 2
 # quickly with the weight, so a deeper request is refused, not truncated
 GLUING_WEIGHT_MAX = 4
 # the deepest Cech scan on offer: one n costs about 3.5x more per unit of
-# weight (n = 0 takes about 10 s at weight 8, 34 s at 9 and 107 s at 10 on a
-# 2-core Xeon, n = 6 about 1.4x that), so weight 11 would pass 5 minutes per
-# n and is refused before it starts
+# weight (n = 0 took about 10 s at weight 8, 34 s at 9 and 107 s at 10 on a
+# 2-core Xeon when this was sized, n = 6 about 1.4x that; 38 s at weight 10
+# since the rank pivots on the highest ground power first), so weight 11
+# would pass 2 minutes per n and is refused before it starts
 CECH_WEIGHT_MAX = 10
 
 # every request ceiling, checked before any work starts: (command, mode,
-# option) -> (ceiling, what the command runs up to it).  Each is sized like
-# CECH_WEIGHT_MAX, so that one small n at the ceiling takes about two minutes
+# option) -> (ceiling, what the command runs up to it).  Each was sized like
+# CECH_WEIGHT_MAX, so that one small n at the ceiling took about two minutes
 # on a 2-core Xeon: affine singular 110 s at weight 8 and 52 s at depth 6,
 # affine char 100 s at depth 7 (n = 0), verma-vs-sections 114 s at depth 7
-# (n = -3).  n = 6 costs 2-3x that, and one more unit 3x to 15x.
+# (n = -3).  n = 6 costs 2-3x that, and one more unit 3x to 15x.  Since the
+# Sugawara spans pivot on the leading word first, the three depth ceilings
+# take 5.4 s (singular), 4.7 s (char) and 12 s (verma-vs-sections).
 CEILINGS = {
     ("gluing", None, "weight_max"): (GLUING_WEIGHT_MAX, "gluing checks the involution"),
     ("cech", None, "weight_max"): (CECH_WEIGHT_MAX, "cech scans"),

@@ -13,6 +13,14 @@ canonical.  ``rank``, ``kernel_basis`` and ``SpanTracker`` are thin fronts
 over that kernel; only the residuals and kernel vectors they return are
 Fractions.
 
+The caller chooses the numbering of the columns, and with it the pivot
+order, which sets how much fill elimination creates.  A rank or a dimension
+does not depend on it, so a caller that reads only those may number its
+columns for the least fill: ``affine._span_columns`` and
+``cech._delta_matrix`` number the leading term lowest, to be pivoted on
+first, and each states its order with its measured fill.  The residuals and
+kernel vectors returned do depend on the numbering.
+
 There is one input format: a vector is a sparse dict ``{key: value}``, and a
 matrix is a list of them.  ``rank`` and ``SpanTracker`` take the vectors as
 rows (their keys are the columns, so they must be mutually comparable).
@@ -154,7 +162,9 @@ class _Echelon:
     ``rows[p]`` is the row whose pivot (lowest column) is p, as a dict
     ``{col: int}`` that includes the pivot entry.  Every row is primitive --
     the gcd of its entries is 1 -- with a positive pivot entry: the one such
-    integer row on its line.
+    integer row on its line.  The pivot order is the column numbering the
+    caller chose; see the module docstring for the callers that number the
+    leading term lowest.
     Vectors are reduced fraction-free (Bareiss, Math. Comp. 22, 1968): against
     the row with pivot entry a, a vector with entry c at the pivot becomes
     ``(a/g) v - (c/g) row`` with g = gcd(a, c), and its content is divided

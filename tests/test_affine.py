@@ -374,6 +374,43 @@ def test_singular_bidegrees_builds_each_sugawara_span_once(monkeypatch):
     assert built and len(built) == len(set(built))
 
 
+def _oracle_under(monkeypatch, columns):
+    """Per-bidegree dims of irreducible_char_oracle(n, 4), n = 0..3, the
+    singular bidegrees of n = 0..2 at depth 3, and the total nonzero entries
+    kept in the echelon rows of every span built, with the span columns
+    numbered by ``columns``."""
+    import tcdo.affine
+
+    trackers = []
+
+    class Recording(tcdo.affine.SpanTracker):
+        def __init__(self):
+            super().__init__()
+            trackers.append(self)
+
+    monkeypatch.setattr(tcdo.affine, "SpanTracker", Recording)
+    monkeypatch.setattr(tcdo.affine, "_span_columns", columns)
+    dims = {n: irreducible_dims(n, 4, tcdo.affine._default_mu_window(n, 4)) for n in range(4)}
+    fill = sum(len(row) for t in trackers for row in t._core.rows.values())
+    singular = {n: singular_bidegrees(n, 3, tcdo.affine._default_mu_window(n, 3)) for n in range(3)}
+    return dims, singular, fill
+
+
+def test_span_columns_keep_every_dim_and_cut_the_fill(monkeypatch):
+    # the leading-word-first numbering against the basis order: the same
+    # dims and singular bidegrees, and strictly fewer nonzero echelon entries
+    # (12628 against 20587 when this was written)
+    import tcdo.affine
+
+    dims, singular, fill = _oracle_under(monkeypatch, tcdo.affine._span_columns)
+    basis_dims, basis_singular, basis_fill = _oracle_under(
+        monkeypatch, lambda words: {w: i for i, w in enumerate(words)}
+    )
+    assert dims == basis_dims
+    assert singular == basis_singular
+    assert fill < basis_fill
+
+
 def test_quotient_depth_zero_is_f0_orbit():
     for j in range(-2, 6):
         assert restricted_verma_dim(3, 0, 3 - 2 * j) == (1 if j >= 0 else 0)

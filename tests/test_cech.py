@@ -18,9 +18,9 @@ from tcdo.cech import (
     singular_vectors_h0,
 )
 from tcdo.affine import restricted_verma_dim
-from tcdo.linalg import coordinate_rows
+from tcdo.linalg import coordinate_rows, rank
 from tcdo.modespace import FreeState, vacuum
-from tcdo.p1tcdo import Chart, glue, include_overlap
+from tcdo.p1tcdo import Chart, glue, include_overlap, sections_bidegree
 from tcdo.qseries import QSeries, eta_inverse_squared
 
 from references import rank_nullity_consistent
@@ -99,6 +99,25 @@ def test_delta_matrix_matches_the_state_path():
                     index,
                 )
                 assert images == want, (n, N, mu)
+                blocks += 1
+    assert blocks == 2245
+
+
+def test_overlap_order_keeps_every_rank():
+    # every block of `tcdo cech --n -4..4 --weight-max 4` (doubled window):
+    # delta over the overlap basis sorted by descending ground power, as
+    # _delta_matrix numbers it, has the rank it has over the basis in the
+    # order of sections_bidegree
+    blocks = 0
+    for n in range(-4, 5):
+        for N in range(5):
+            for mu in mu_window(n, 4, 2):
+                basis0, basisinf, basisov, images = _delta_matrix(n, N, mu)
+                plain = {m: i for i, m in enumerate(sections_bidegree(Chart.OVERLAP, n, N, mu))}
+                assert sorted(plain) == sorted(basisov)
+                assert [m.power for m in basisov] == sorted((m.power for m in basisov), reverse=True)
+                renumbered = [{plain[basisov[k]]: c for k, c in image.items()} for image in images]
+                assert rank(renumbered) == rank(images), (n, N, mu)
                 blocks += 1
     assert blocks == 2245
 

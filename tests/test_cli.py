@@ -443,6 +443,19 @@ def test_zero_samples_is_vacuous_pass(capsys):
     assert "vacuous pass" in out
 
 
+def test_affine_singular_zero_samples_flags_the_sampled_suites(capsys):
+    code, out, _ = run(
+        ["affine", "singular", "--n", "0", "--weight-max", "1", "--depth", "1", "--samples", "0", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    sampled = [r for r in json.loads(out)["results"] if r["name"] in ("affine-bracket", "affine-sugawara-central")]
+    assert len(sampled) == 2
+    for suite in sampled:
+        assert suite["checks"] == 0
+        assert suite["details"] == {"samples": 0, "seed": 42, "warning": "samples=0: vacuous pass"}
+
+
 # -- failure propagation ----------------------------------------------------------
 
 

@@ -211,6 +211,27 @@ def test_kernel_basis_takes_any_hashable_row_keys(case, data):
     assert kernel_basis(images) == ref_kernel(mat, ncols)
 
 
+@given(matrices(max_cols=8), st.data())
+def test_rank_dim_and_nullity_ignore_the_column_numbering(case, data):
+    # callers that read only a rank or a dimension renumber their columns,
+    # negative numbers included, so that the leading term is pivoted on
+    # first; no numbering may change what they read
+    ncols, mat = case
+    perm = data.draw(st.permutations(range(ncols)))
+    sign = data.draw(st.sampled_from([1, -1]))
+    renumbered = [{sign * perm[j]: c for j, c in as_sparse(row).items()} for row in mat]
+    want = ref_rank(mat, ncols)
+    assert rank(renumbered) == want
+    tracker = SpanTracker()
+    for row in renumbered:
+        tracker.add(row)
+    assert tracker.dim == want
+    permuted = [[row[perm[j]] for j in range(ncols)] for row in mat]
+    basis = kernel_basis(column_images(permuted, ncols))
+    assert basis == ref_kernel(permuted, ncols)
+    assert len(basis) == len(ref_kernel(mat, ncols)) == ncols - want
+
+
 def test_edge_cases():
     assert rank([]) == 0
     assert rank([{}]) == 0
