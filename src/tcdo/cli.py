@@ -33,8 +33,9 @@ GLUING_WEIGHT_MAX = 4
 # the deepest Cech scan on offer: one n costs about 3.5x more per unit of
 # weight (n = 0 took about 10 s at weight 8, 34 s at 9 and 107 s at 10 on a
 # 2-core Xeon when this was sized, n = 6 about 1.4x that; 38 s at weight 10
-# since the rank pivots on the highest ground power first), so weight 11
-# would pass 2 minutes per n and is refused before it starts
+# since the rank pivots on the highest ground power first, and 27 s and
+# 411 MB since each mode shape is glued once), so weight 11 would pass
+# 2 minutes per n and is refused before it starts
 CECH_WEIGHT_MAX = 10
 
 # every request ceiling, checked before any work starts: (command, mode,

@@ -36,8 +36,12 @@ division of the recursion (``_ground_apply``) is exact, and ``_exact_div``
 certifies that it is, raising instead of rounding.
 
 The core (``_apply_mono`` and the helpers it calls, and the gluing's
-``_glue_mono``) represents a monomial as a plain 4-tuple ``(amodes, bmodes,
-lmodes, power)`` and never validates one.  ``Monomial`` is the validated form
+``_glue_shape`` and ``_glue_mono``) represents a monomial as a plain 4-tuple
+``(amodes, bmodes, lmodes, power)`` and never validates one.  The gluing
+runs the core once per mode shape, at a few sample ground powers, and reads
+every other power off the interpolating polynomial: a ground power enters a
+structure constant only through the A_(0) contraction with the ground in
+``_gen_mode_mono``, which is linear in it.  ``Monomial`` is the validated form
 of that tuple: a ``tuple`` subclass that equals and hashes as its fields, so
 the core's caches serve plain tuples and monomials alike.  Validation and
 ``Fraction`` enter only at the public boundary: ``_state`` turns every output

@@ -5,7 +5,8 @@ definition; the package itself has no use for them.
 """
 
 from tcdo.cech import BigradedReport
-from tcdo.modespace import FreeState, apply_mode, binom, zero
+from tcdo.modespace import FreeState, _act, _head, apply_mode, binom, zero
+from tcdo.p1tcdo import _SYMBOLIC_IMAGES
 from tcdo.zhu import GradingError, zhu_star
 
 
@@ -19,6 +20,19 @@ def commutator_sides(w: FreeState, r: int, v: FreeState, m: int, u: FreeState):
         if coef:
             rhs = rhs + coef * apply_mode(apply_mode(w, j, v), r + m - j, u)
     return lhs, rhs
+
+
+def ref_glue_mono(mono: tuple, ls) -> dict:
+    """The glued image of one INFTY monomial 4-tuple of sector ls, as
+    {4-tuple: int}, by the head/tail recursion at its own ground power: the
+    head generator's symbolic image acts on the glued tail, and the ground
+    y^k lands on x^((ls or 0) - k).  It keeps no cache of its own."""
+    head = _head(mono)
+    if head is None:
+        return {((), (), (), (ls or 0) - mono[3]): 1}
+    gen, m, tail = head
+    out = _act(_SYMBOLIC_IMAGES[gen], m, ref_glue_mono(tail, ls).items(), ls)
+    return {mo: c for mo, c in out.items() if c}
 
 
 def bigrade(u: FreeState, twist: int = 0) -> tuple[int, int]:

@@ -18,7 +18,8 @@ from tcdo.cech import (
     singular_vectors_h0,
 )
 from tcdo.affine import restricted_verma_dim
-from tcdo.linalg import coordinate_rows, rank
+import tcdo.linalg
+from tcdo.linalg import _Echelon, _integer_row, coordinate_rows, kernel_basis, rank
 from tcdo.modespace import FreeState, vacuum
 from tcdo.p1tcdo import Chart, glue, include_overlap, sections_bidegree
 from tcdo.qseries import QSeries, eta_inverse_squared
@@ -120,6 +121,39 @@ def test_overlap_order_keeps_every_rank():
                 assert rank(renumbered) == rank(images), (n, N, mu)
                 blocks += 1
     assert blocks == 2245
+
+
+def test_kernel_basis_feeds_the_shortest_rows_first(monkeypatch):
+    # the kernel echelon of every base-window block of n = 0, weight <= 5,
+    # as kernel_basis builds it, keeps strictly fewer nonzero entries than
+    # the same rows fed in the order their keys first appear in the images
+    # (3055 against 5525 when this was written)
+    cores = []
+
+    class Recording(_Echelon):
+        def __init__(self):
+            super().__init__()
+            cores.append(self)
+
+    monkeypatch.setattr(tcdo.linalg, "_Echelon", Recording)
+    fill = appearance_fill = 0
+    for N in range(6):
+        for mu in mu_window(0, 5):
+            *_, images = _delta_matrix(0, N, mu)
+            cores.clear()
+            kernel_basis(images)
+            (core,) = cores
+            fill += sum(map(len, core.rows.values()))
+            rows = {}
+            for j, image in enumerate(images):
+                for key, c in image.items():
+                    rows.setdefault(key, {})[j] = c
+            plain = _Echelon()
+            for row in rows.values():
+                plain.add(_integer_row(row)[0])
+            assert sorted(plain.rows) == sorted(core.rows), (N, mu)
+            appearance_fill += sum(map(len, plain.rows.values()))
+    assert fill < appearance_fill
 
 
 @pytest.mark.parametrize(

@@ -265,6 +265,8 @@ GOLDEN = {
     "gluing --twist 3 --format json": "b5f7300eb01b4a20e6f66abc1904aca948d6feb0dff1cc2cca301fe3907ee2f7",
     "cech --n 2 --weight-max 3 --format json": "e4397fc44717665036a3b2289cacd87f587704e40d343ae8e4d38e62f7d2c834",
     "cech --n 2 --weight-max 3 --format csv": "d9b4ad9d93159867e8e7091729da10af137f585dc9525c469bbb5ff12a66dc4b",
+    # negative n, and shapes glued at ten or more ground powers past their samples
+    "cech --n -3 --weight-max 5 --format csv": "136af4e228b747017cf46ac12fd02d92358ed82c793c60ca545c2690df339aae",
     "affine char --n 0..1 --depth 3 --format json": "e8dbfa620ababc943c5ad88f3f7b96926a920a3da7dcd2c456eddcadcd06041d",
     "verify-engine --samples 20 --seed 3 --format json": "b286c7aa2130a10770c181a044a965d4e02afba7e2e7235d462c83e7d31b9f1a",
     "affine singular --n 2 --weight-max 3 --depth 3 --format json": "d361624dcabcc23983114d598a99e3cdd1484de6b9da0e7a31992f9e7ad0ea4b",

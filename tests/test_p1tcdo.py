@@ -23,6 +23,7 @@ from tcdo.modespace import (
 )
 from tcdo.p1tcdo import (
     Chart,
+    _glue_mono,
     check_gluing_morphism,
     check_involution,
     check_sl2_embedding,
@@ -38,7 +39,7 @@ from tcdo.p1tcdo import (
 )
 from tcdo.cech import mu_window
 
-from references import bigrade
+from references import bigrade, ref_glue_mono
 
 SEED = 42
 
@@ -95,6 +96,19 @@ def test_involution_symbolic():
 def test_involution_specialized(n):
     rep = check_involution(n, weight_max=2)
     assert rep.passed, rep.failures[:3]
+
+
+@pytest.mark.parametrize("ls", [None, *range(-4, 5)])
+def test_glue_shape_table_matches_the_per_power_recursion(ls):
+    # every normal-form shape of weight <= 5, glued from its interpolated
+    # table at each ground power of the doubled Cech window and at the
+    # negative overlap powers, against the recursion run at that power
+    powers = sorted(set(mu_window(ls or 0, 5, 2)) | set(range(-25, 0)))
+    for weight in range(6):
+        for amodes, bmodes, lmodes, _ in normal_forms(weight, ls is None):
+            for k in powers:
+                mono = (amodes, bmodes, lmodes, k)
+                assert dict(_glue_mono(mono, ls)) == ref_glue_mono(mono, ls), mono
 
 
 def test_glue_is_weight_preserving_and_h_negating():

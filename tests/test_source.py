@@ -59,7 +59,7 @@ def test_every_imported_name_is_used():
 # belongs to the public boundary (modespace._state), not to every step
 ENGINE_CORE = {
     "modespace.py": ("_gen_mode_mono", "_gen_mode_terms", "_head", "_apply_mono", "_ground_apply", "_act"),
-    "p1tcdo.py": ("_glue_mono",),
+    "p1tcdo.py": ("_glue_shape", "_glue_mono"),
 }
 
 
