@@ -383,7 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(n_spec=None, twist="symbolic", cutoff=3, mode=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify-engine", help="mode-calculus property sweep")
+    p = sub.add_parser(
+        "verify-engine",
+        help="mode-calculus property sweep",
+        description="Seeded property sweep of the mode calculus over states of conformal "
+        "weight <= 3. --weight-max is accepted and echoed in params, but the sweep "
+        "ignores it.",
+    )
     _add_common(p)
 
     p = sub.add_parser("zhu", help="weight-zero associative quotient checks")

@@ -37,23 +37,30 @@ certifies that it is, raising instead of rounding.
 
 The core (``_apply_mono`` and the helpers it calls, and the gluing's
 ``_glue_shape`` and ``_glue_mono``) represents a monomial as a plain 4-tuple
-``(amodes, bmodes, lmodes, power)`` and never validates one.  The gluing
-runs the core once per mode shape, at a few sample ground powers, and reads
-every other power off the interpolating polynomial: a ground power enters a
-structure constant only through the A_(0) contraction with the ground in
-``_gen_mode_mono``, which is linear in it.  ``Monomial`` is the validated form
+``(amodes, bmodes, lmodes, power)`` and never validates one.  Its recursion
+pays only for modes that can act: a creation mode is a key rewrite of each
+term (``_gen_mode_terms``), and of the annihilation modes it runs only those
+that contract with the target (``_contractions``).  The gluing runs the core
+once per mode shape, at a few sample ground powers, and reads every other
+power off the interpolating polynomial: a ground power enters a structure
+constant only through the A_(0) contraction with the ground in
+``_contractions``, which is linear in it.  ``Monomial`` is the validated form
 of that tuple: a ``tuple`` subclass that equals and hashes as its fields, so
 the core's caches serve plain tuples and monomials alike.  Validation and
 ``Fraction`` enter only at the public boundary: ``_state`` turns every output
-key of ``apply_mode``, ``linear_combination`` and ``glue`` into a
-``Monomial``, and a ``FreeState`` rejects any other key.
+key of ``apply_mode``, ``linear_combination``, ``borcherds_sides`` and
+``glue`` into a ``Monomial``, and a ``FreeState`` rejects any other key.  The
+identity checks run on the integer core too: ``borcherds_sides`` scales its
+three states to integers once and sums each side of the Borcherds identity
+as one integer dict over a common denominator, so each side becomes a state
+once, not once per composed action.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import insort
+from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
@@ -288,9 +295,8 @@ def gen_lstar(ring: str = POLY) -> FreeState:
 
 
 def _insort(tup: tuple[int, ...], m: int) -> tuple[int, ...]:
-    lst = list(tup)
-    insort(lst, m)
-    return tuple(lst)
+    i = bisect(tup, m)
+    return tup[:i] + (m,) + tup[i:]
 
 
 def _remove_one(tup: tuple[int, ...], m: int) -> tuple[int, ...]:
@@ -299,51 +305,43 @@ def _remove_one(tup: tuple[int, ...], m: int) -> tuple[int, ...]:
     return tuple(lst)
 
 
-def _gen_mode_mono(gen: str, m: int, u: tuple, ls) -> dict[tuple, int]:
-    """Apply one generator mode to one monomial 4-tuple.  ``ls`` is the target's twist sector."""
-    amodes, bmodes, lmodes, power = u
-    if m <= -1:
-        # creation: all creation modes commute, so this is a normal-form insert
-        if gen == GEN_A:
-            return {(_insort(amodes, m), bmodes, lmodes, power): 1}
-        if gen == GEN_B:
-            if m == -1:
-                return {(amodes, bmodes, lmodes, power + 1): 1}
-            return {(amodes, _insort(bmodes, m), lmodes, power): 1}
-        if ls is not None:
-            return {}  # character value of every LSTAR creation mode is 0
-        return {(amodes, bmodes, _insort(lmodes, m), power): 1}
-
-    # annihilation: commute through to the ground, picking up contractions
-    out: dict[tuple, int] = {}
+def _gen_mode_terms(gen: str, m: int, terms, ls) -> dict[tuple, int]:
+    """One creation mode g_(m), m <= -1, on (monomial 4-tuple, coefficient)
+    pairs.  All creation modes commute, so each key is rewritten by a
+    normal-form insert with coefficient 1; distinct keys stay distinct, so no
+    two terms merge.  In a specialized sector (``ls`` an integer) every
+    LSTAR creation mode acts as 0, its character value."""
     if gen == GEN_A:
-        t = -1 - m
-        if t <= -2:
-            mult = bmodes.count(t)
-            if mult:
-                out[(amodes, _remove_one(bmodes, t), lmodes, power)] = mult
-        if m == 0 and power:
-            mono = (amodes, bmodes, lmodes, power - 1)
-            out[mono] = out.get(mono, 0) + power
-    elif gen == GEN_B:
-        r = -1 - m
-        mult = amodes.count(r)
-        if mult:
-            out[(_remove_one(amodes, r), bmodes, lmodes, power)] = -mult
-    else:  # GEN_LSTAR
-        if ls is not None and m == 0:
-            return {u: ls}
-        # symbolic zero/positive modes annihilate: LSTAR is central with zero pairing
-    return out
+        return {(_insort(a, m), b, lm, p): c for (a, b, lm, p), c in terms}
+    if gen == GEN_B:
+        if m == -1:
+            return {(a, b, lm, p + 1): c for (a, b, lm, p), c in terms}
+        return {(a, _insort(b, m), lm, p): c for (a, b, lm, p), c in terms}
+    if ls is not None:
+        return {}
+    return {(a, b, _insort(lm, m), p): c for (a, b, lm, p), c in terms}
 
 
-def _gen_mode_terms(gen, m, terms, ls) -> dict[tuple, int]:
-    """One generator mode on (monomial, coefficient) pairs."""
-    out: dict[tuple, int] = {}
-    for mono, c in terms:
-        for mono2, c2 in _gen_mode_mono(gen, m, mono, ls).items():
-            out[mono2] = out.get(mono2, 0) + c * c2
-    return out
+def _contractions(gen: str, u: tuple, ls) -> list[tuple[int, tuple, int]]:
+    """(j, monomial 4-tuple, int coeff) for each annihilation mode g_(j),
+    j >= 0, that does not kill the monomial u, in ascending j; every other
+    g_(j) acts on u as 0.  An annihilation mode commutes through to the
+    ground, picking up contractions: A_(0) with the ground x^power, A_(j)
+    with each B-mode -1-j, B_(j) with each A-mode -1-j, and in a specialized
+    sector LSTAR_(0) is the scalar ``ls``.  Symbolic LSTAR is central with
+    zero pairing, so its annihilation modes all act as 0."""
+    amodes, bmodes, lmodes, power = u
+    if gen == GEN_A:
+        out = [(0, (amodes, bmodes, lmodes, power - 1), power)] if power else []
+        for t in sorted(set(bmodes), reverse=True):
+            out.append((-1 - t, (amodes, _remove_one(bmodes, t), lmodes, power), bmodes.count(t)))
+        return out
+    if gen == GEN_B:
+        return [
+            (-1 - r, (_remove_one(amodes, r), bmodes, lmodes, power), -amodes.count(r))
+            for r in sorted(set(amodes), reverse=True)
+        ]
+    return [(0, u, ls)] if ls else []
 
 
 # -- the structural recursion ----------------------------------------------
@@ -385,18 +383,16 @@ def _apply_mono(w: tuple, m: int, u: tuple, ls) -> tuple:
         # (g_(-s) tail)_(m) u
         #   = sum_j (-1)^j C(-s,j) [ g_(-s-j) (tail_(m+j) u)
         #                            - (-1)^s tail_(-s+m-j) (g_(j) u) ]
-        uw = _weight(u)
-        for j in range(_weight(tail) + uw - m):
+        # g_(-s-j) is a creation mode; g_(j) u is nonzero only for the j of
+        # _contractions, which come in ascending order as the sum runs
+        for j in range(_weight(tail) + _weight(u) - m):
             inner = _apply_mono(tail, m + j, u, ls)
             if inner:
-                created = _gen_mode_terms(gen, mode - j, inner, ls)
-                _merge(out, created.items(), (-1) ** j * binom(mode, j))
+                _merge(out, _gen_mode_terms(gen, mode - j, inner, ls).items(), (-1) ** j * binom(mode, j))
         sign = -((-1) ** s)
-        for j in range(uw + 1):
-            gu = _gen_mode_mono(gen, j, u, ls)
-            for mono, c in gu.items():
-                inner = _apply_mono(tail, mode + m - j, mono, ls)
-                _merge(out, inner, sign * (-1) ** j * binom(mode, j) * c)
+        for j, mono, c in _contractions(gen, u, ls):
+            inner = _apply_mono(tail, mode + m - j, mono, ls)
+            _merge(out, inner, sign * (-1) ** j * binom(mode, j) * c)
     return tuple(out.items())
 
 
@@ -454,6 +450,18 @@ def _state(out: dict, den: int, ring: str, lstar) -> FreeState:
     )
 
 
+def _action_sector(wring: str, wls, uring: str, uls) -> tuple[str, int | None]:
+    """The (ring, lstar) sector of w_(m) u for w and u of the given sectors,
+    raising where w cannot act on u."""
+    if wring == LAURENT and uring == POLY:
+        raise RingMismatchError("Laurent states cannot act on polynomial-chart states")
+    if wls is not None and wls != uls:
+        raise SpecializationError(
+            f"specialized state (n={wls}) cannot act on sector {uls!r}"
+        )
+    return (LAURENT if LAURENT in (wring, uring) else POLY), uls
+
+
 def apply_mode(w: FreeState, m: int, u: FreeState) -> FreeState:
     """The mode action w_(m) u, extended bilinearly over normal-form monomials.
 
@@ -463,16 +471,10 @@ def apply_mode(w: FreeState, m: int, u: FreeState) -> FreeState:
     are scaled to integers, the sum runs over the integer structure
     constants, and each output coefficient becomes a ``Fraction`` once.
     """
-    if w.ring == LAURENT and u.ring == POLY:
-        raise RingMismatchError("Laurent states cannot act on polynomial-chart states")
-    if w.lstar is not None and w.lstar != u.lstar:
-        raise SpecializationError(
-            f"specialized state (n={w.lstar}) cannot act on sector {u.lstar!r}"
-        )
-    ring = LAURENT if LAURENT in (w.ring, u.ring) else POLY
+    ring, ls = _action_sector(w.ring, w.lstar, u.ring, u.lstar)
     dw, wterms = _numerators(w.terms)
     du, uterms = _numerators(u.terms)
-    return _state(_act(wterms, m, uterms, u.lstar), dw * du, ring, u.lstar)
+    return _state(_act(wterms, m, uterms, ls), dw * du, ring, ls)
 
 
 def linear_combination(parts, ring: str = POLY, lstar: int | None = None) -> FreeState:
@@ -512,6 +514,11 @@ def translation(u: FreeState) -> FreeState:
 # -- identity checks ----------------------------------------------------------
 
 
+def _nonzero(terms: dict) -> dict:
+    """The terms of ``terms`` with a nonzero coefficient."""
+    return {mono: c for mono, c in terms.items() if c}
+
+
 def borcherds_sides(a: FreeState, b: FreeState, c: FreeState, m: int, n: int, k: int):
     """Both sides of the Borcherds identity
 
@@ -519,26 +526,43 @@ def borcherds_sides(a: FreeState, b: FreeState, c: FreeState, m: int, n: int, k:
           = sum_j (-1)^j C(n,j) [ a_(m+n-j) (b_(k+j) c)
                                   - (-1)^n b_(n+k-j) (a_(m+j) c) ]
 
-    with the j-sums bounded by exact weight bookkeeping.
+    with the j-sums bounded by exact weight bookkeeping.  Both sides run on
+    the integer core: a, b and c are scaled to integers once, by their least
+    common denominators da, db and dc, and each side is summed in one
+    {4-tuple: int} dict from nested ``_act`` calls.  Every term of either
+    side then has the common denominator da*db*dc, so the sides agree
+    exactly when their integer numerators do; each becomes a state once.
+    The sector of every action the identity takes is checked once, in the
+    order the composed ``apply_mode`` calls would meet it.
     """
+    ab = _action_sector(a.ring, a.lstar, b.ring, b.lstar)
+    ring, ls = _action_sector(*ab, c.ring, c.lstar)
+    _action_sector(a.ring, a.lstar, *_action_sector(b.ring, b.lstar, c.ring, c.lstar))
+    _action_sector(b.ring, b.lstar, *_action_sector(a.ring, a.lstar, c.ring, c.lstar))
     wa = max(a.weights(), default=0)
     wb = max(b.weights(), default=0)
     wc = max(c.weights(), default=0)
-    ring = LAURENT if LAURENT in (a.ring, b.ring, c.ring) else POLY
-    lhs = zero(ring, c.lstar)
+    da, aterms = _numerators(a.terms)
+    db, bterms = _numerators(b.terms)
+    dc, cterms = _numerators(c.terms)
+    lhs: dict[tuple, int] = {}
     for j in range(max(wa + wb - n, 0) + 1):
         coef = binom(m, j)
         if coef:
-            lhs = lhs + coef * apply_mode(apply_mode(a, n + j, b), m + k - j, c)
-    rhs = zero(ring, c.lstar)
+            inner = _nonzero(_act(aterms, n + j, bterms, b.lstar))
+            _merge(lhs, _act(inner.items(), m + k - j, cterms, ls).items(), coef)
+    rhs: dict[tuple, int] = {}
     for j in range(max(wb + wc - k, wa + wc - m, 0) + 1):
         coef = binom(n, j)
         if not coef:
             continue
-        rhs = rhs + ((-1) ** j * coef) * apply_mode(a, m + n - j, apply_mode(b, k + j, c))
-        sgn = 1 if (j + n) % 2 == 0 else -1
-        rhs = rhs - (sgn * coef) * apply_mode(b, n + k - j, apply_mode(a, m + j, c))
-    return lhs, rhs
+        inner = _nonzero(_act(bterms, k + j, cterms, ls))
+        _merge(rhs, _act(aterms, m + n - j, inner.items(), ls).items(), (-1) ** j * coef)
+        inner = _nonzero(_act(aterms, m + j, cterms, ls))
+        sign = -1 if (j + n) % 2 == 0 else 1
+        _merge(rhs, _act(bterms, n + k - j, inner.items(), ls).items(), sign * coef)
+    den = da * db * dc
+    return _state(lhs, den, ring, ls), _state(rhs, den, ring, ls)
 
 
 def check_borcherds(a, b, c, m: int, n: int, k: int) -> bool:

@@ -101,7 +101,7 @@ def _glue_shape(amodes: tuple, bmodes: tuple, lmodes: tuple, ls) -> tuple:
     determine the polynomial.  h-weight is preserved, so each output power
     is (ls or 0) - k plus a shift fixed by its modes.  k enters a
     coefficient only where the A_(0) of an image contracts with the ground
-    of the glued tail (in ``_gen_mode_mono``): the factor is the ground
+    of the glued tail (in ``_contractions``): the factor is the ground
     power, linear in k.  Each symbolic image carries at most one A-mode, so
     a term picks up at most one such factor per A-mode of the shape, and
     its degree in k is at most len(amodes).  The identity holds for every

@@ -5,7 +5,7 @@ definition; the package itself has no use for them.
 """
 
 from tcdo.cech import BigradedReport
-from tcdo.modespace import FreeState, _act, _head, apply_mode, binom, zero
+from tcdo.modespace import LAURENT, POLY, FreeState, _act, _head, apply_mode, binom, zero
 from tcdo.p1tcdo import _SYMBOLIC_IMAGES
 from tcdo.zhu import GradingError, zhu_star
 
@@ -22,17 +22,49 @@ def commutator_sides(w: FreeState, r: int, v: FreeState, m: int, u: FreeState):
     return lhs, rhs
 
 
-def ref_glue_mono(mono: tuple, ls) -> dict:
+def ref_borcherds_sides(a: FreeState, b: FreeState, c: FreeState, m: int, n: int, k: int):
+    """Both sides of the Borcherds identity, composed from public
+    ``apply_mode`` calls and summed as ``Fraction`` states term by term:
+    the engine's borcherds_sides as it was before it ran on the integer
+    core."""
+    wa = max(a.weights(), default=0)
+    wb = max(b.weights(), default=0)
+    wc = max(c.weights(), default=0)
+    ring = LAURENT if LAURENT in (a.ring, b.ring, c.ring) else POLY
+    lhs = zero(ring, c.lstar)
+    for j in range(max(wa + wb - n, 0) + 1):
+        coef = binom(m, j)
+        if coef:
+            lhs = lhs + coef * apply_mode(apply_mode(a, n + j, b), m + k - j, c)
+    rhs = zero(ring, c.lstar)
+    for j in range(max(wb + wc - k, wa + wc - m, 0) + 1):
+        coef = binom(n, j)
+        if not coef:
+            continue
+        rhs = rhs + ((-1) ** j * coef) * apply_mode(a, m + n - j, apply_mode(b, k + j, c))
+        sgn = 1 if (j + n) % 2 == 0 else -1
+        rhs = rhs - (sgn * coef) * apply_mode(b, n + k - j, apply_mode(a, m + j, c))
+    return lhs, rhs
+
+
+def ref_glue_mono(mono: tuple, ls, memo: dict) -> dict:
     """The glued image of one INFTY monomial 4-tuple of sector ls, as
     {4-tuple: int}, by the head/tail recursion at its own ground power: the
     head generator's symbolic image acts on the glued tail, and the ground
-    y^k lands on x^((ls or 0) - k).  It keeps no cache of its own."""
-    head = _head(mono)
-    if head is None:
-        return {((), (), (), (ls or 0) - mono[3]): 1}
-    gen, m, tail = head
-    out = _act(_SYMBOLIC_IMAGES[gen], m, ref_glue_mono(tail, ls).items(), ls)
-    return {mo: c for mo, c in out.items() if c}
+    y^k lands on x^((ls or 0) - k).  ``memo`` is a dict the caller owns for
+    one test call: the image of each monomial met, keyed by (monomial, ls),
+    is kept there, so a tail shared by many shapes is glued once per power.
+    The recursion keeps no cache of its own."""
+    key = (mono, ls)
+    if key not in memo:
+        head = _head(mono)
+        if head is None:
+            memo[key] = {((), (), (), (ls or 0) - mono[3]): 1}
+        else:
+            gen, m, tail = head
+            out = _act(_SYMBOLIC_IMAGES[gen], m, ref_glue_mono(tail, ls, memo).items(), ls)
+            memo[key] = {mo: c for mo, c in out.items() if c}
+    return memo[key]
 
 
 def bigrade(u: FreeState, twist: int = 0) -> tuple[int, int]:

@@ -17,7 +17,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tcdo import modespace
@@ -43,6 +43,7 @@ from tcdo.modespace import (
     gen_lstar,
     ground,
     linear_combination,
+    normal_forms,
     random_state,
     translation,
     vacuum,
@@ -50,7 +51,7 @@ from tcdo.modespace import (
 )
 from tcdo.p1tcdo import glue
 
-from references import bigrade, commutator_sides, weight_components
+from references import bigrade, commutator_sides, ref_borcherds_sides, weight_components
 
 SEED = 42
 
@@ -144,6 +145,64 @@ def test_borcherds_samples_specialized_module():
         c = random_state(rng, 2, lstar=rng.choice([-3, 0, 2]))
         m, n, k = (rng.randint(-2, 2) for _ in range(3))
         assert check_borcherds(a, b, c, m, n, k), (m, n, k)
+
+
+@pytest.mark.parametrize("sector", ["poly", "laurent", "module"])
+def test_borcherds_sides_match_the_fraction_composition(sector):
+    # the integer-core sides against the same sides composed from public
+    # apply_mode calls and summed as Fraction states, on the suite's samples
+    rng = random.Random(SEED + 4)
+    for _ in range(40):
+        if sector == "poly":
+            a, b, c = (random_state(rng, 3) for _ in range(3))
+        elif sector == "laurent":
+            a, b, c = (random_state(rng, 3, LAURENT) for _ in range(3))
+        else:
+            a, b = random_state(rng, 3), random_state(rng, 3)
+            c = random_state(rng, 3, lstar=rng.randint(-3, 3))
+        m, n, k = (rng.randint(-2, 2) for _ in range(3))
+        got = borcherds_sides(a, b, c, m, n, k)
+        assert got == ref_borcherds_sides(a, b, c, m, n, k), (m, n, k)
+        assert all(type(key) is Monomial for side in got for key in side.terms)
+
+
+def test_check_borcherds_catches_one_wrong_structure_constant(monkeypatch):
+    # (a_(0) x)_(-1) x = a_(0)(x^2) - x (a_(0) x) reads x = 2x - x; one wrong
+    # coefficient of a_(0) x^2, met only on the right, must break it.  The
+    # fault runs behind a fresh cache, so the engine's own memo stays clean.
+    a, x = gen_a(), gen_b()
+    assert check_borcherds(a, x, x, 0, 0, -1)
+    core = modespace._apply_mono.__wrapped__
+    target = (Monomial(amodes=(-1,)), 0, Monomial(power=2), None)
+
+    @lru_cache(maxsize=None)
+    def faulty(w, m, u, ls):
+        out = core(w, m, u, ls)
+        if (w, m, u, ls) == target:
+            (mono, c), *rest = out
+            out = ((mono, c + 1), *rest)
+        return out
+
+    monkeypatch.setattr(modespace, "_apply_mono", faulty)
+    assert not check_borcherds(a, x, x, 0, 0, -1)
+
+
+@pytest.mark.parametrize(
+    "a, b, c, error",
+    [
+        # a Laurent a acting on a polynomial c
+        (ground(-1, LAURENT), gen_b(LAURENT), vacuum(POLY), RingMismatchError),
+        # a specialized a acting on a symbolic c
+        (vacuum(lstar=2), ground(1, lstar=2), vacuum(), SpecializationError),
+    ],
+)
+def test_borcherds_sides_raise_the_sector_errors(a, b, c, error):
+    with pytest.raises(error):
+        ref_borcherds_sides(a, b, c, 0, 0, -1)
+    with pytest.raises(error):
+        borcherds_sides(a, b, c, 0, 0, -1)
+    with pytest.raises(error):
+        check_borcherds(a, b, c, 0, 0, -1)
 
 
 def test_commutator_formula():
@@ -472,10 +531,6 @@ def _ref_ground_apply(k, m, u, ls):
     return out
 
 
-def _nonzero(pairs) -> dict:
-    return {mono: c for mono, c in pairs if c}
-
-
 # (ring, lstar): the polynomial and Laurent charts, symbolic, and the
 # specialized sectors lstar = -3..3 over both rings
 SECTORS = [(POLY, None), (LAURENT, None)] + [(ring, n) for n in range(-3, 4) for ring in (POLY, LAURENT)]
@@ -505,12 +560,33 @@ def engine_cases(draw, weight_max):
 
 
 @given(engine_cases(4))
+@example((Monomial(amodes=(-1,), power=1), 1, Monomial(bmodes=(-3, -2)), None))
 @settings(max_examples=300, deadline=None)
 def test_apply_mono_matches_fraction_reference(case):
+    # the same terms in the same order, zero sums included; the example
+    # contracts A_(j) with two distinct B-modes, where the j order shows
     w, m, u, ls = case
     got = _apply_mono(w, m, u, ls)
     assert all(type(c) is int for _, c in got)
-    assert _nonzero(got) == _nonzero(_ref_apply_mono(w, m, u, ls))
+    assert list(got) == list(_ref_apply_mono(w, m, u, ls))
+
+
+@pytest.mark.parametrize("ring, ls", SECTORS)
+def test_apply_mono_matches_fraction_reference_on_every_small_pair(ring, ls):
+    """Every pair of normal-form monomials w, u of combined weight <= 3, at
+    ground powers 0..2 (-2..2 over LAURENT), with u in sector ls, and every
+    m in -3..3: the same terms in the same order, zero sums included."""
+    powers = range(-2, 3) if ring == LAURENT else range(3)
+
+    def monomials_of(weight, tower):
+        return [Monomial(a, b, lm, p) for a, b, lm, _ in normal_forms(weight, tower) for p in powers]
+
+    for ww in range(4):
+        for uw in range(4 - ww):
+            for w in monomials_of(ww, True):
+                for u in monomials_of(uw, ls is None):
+                    for m in range(-3, 4):
+                        assert list(_apply_mono(w, m, u, ls)) == list(_ref_apply_mono(w, m, u, ls)), (w, m, u)
 
 
 _COEFFS = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)])

@@ -102,13 +102,15 @@ def test_involution_specialized(n):
 def test_glue_shape_table_matches_the_per_power_recursion(ls):
     # every normal-form shape of weight <= 5, glued from its interpolated
     # table at each ground power of the doubled Cech window and at the
-    # negative overlap powers, against the recursion run at that power
+    # negative overlap powers, against the recursion run at that power (its
+    # memo lives for this call only)
     powers = sorted(set(mu_window(ls or 0, 5, 2)) | set(range(-25, 0)))
+    memo = {}
     for weight in range(6):
         for amodes, bmodes, lmodes, _ in normal_forms(weight, ls is None):
             for k in powers:
                 mono = (amodes, bmodes, lmodes, k)
-                assert dict(_glue_mono(mono, ls)) == ref_glue_mono(mono, ls), mono
+                assert dict(_glue_mono(mono, ls)) == ref_glue_mono(mono, ls, memo), mono
 
 
 def test_glue_is_weight_preserving_and_h_negating():

@@ -58,7 +58,10 @@ def test_every_imported_name_is_used():
 # the mode engine's integer core runs on plain 4-tuples; Monomial validation
 # belongs to the public boundary (modespace._state), not to every step
 ENGINE_CORE = {
-    "modespace.py": ("_gen_mode_mono", "_gen_mode_terms", "_head", "_apply_mono", "_ground_apply", "_act"),
+    "modespace.py": (
+        "_gen_mode_terms", "_contractions", "_head", "_apply_mono", "_ground_apply", "_act",
+        "_nonzero",
+    ),
     "p1tcdo.py": ("_glue_shape", "_glue_mono"),
 }
 
