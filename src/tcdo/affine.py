@@ -32,7 +32,7 @@ from functools import lru_cache
 
 from .linalg import LinearCombination, SpanTracker, _coefficient, _merge, coordinate_rows, rank
 from .modespace import apply_mode, vacuum
-from .p1tcdo import SL2_BRACKETS, SL2_FORM, Chart, sections_bidegree, sl2_embedding
+from .p1tcdo import RAISING, SL2_BRACKETS, SL2_FORM, Chart, sections_bidegree, sl2_embedding
 from .qseries import QSeries
 from .reports import CheckReport
 
@@ -305,8 +305,8 @@ def _default_mu_window(n: int, d_max: int):
 
 def singular_bidegrees(nu, d_max: int, mu_values) -> list:
     """Bidegrees of M_{nu/z} holding a nonzero vector killed by e_0, e_1, h_1
-    and f_1 (these generate all raising modes).  Works per bidegree with the
-    Sugawara span quotiented out exactly."""
+    and f_1 (``RAISING``, which generate all raising modes).  Works per
+    bidegree with the Sugawara span quotiented out exactly."""
     core_nu = _core_nu(nu)
     spans: dict = {}  # (d, mu) -> _sugawara_span, built once per call
 
@@ -322,11 +322,10 @@ def singular_bidegrees(nu, d_max: int, mu_values) -> list:
             if not basis_words:
                 continue
             own, _ = span(d, mu, basis_words)
-            raising = [("e", 0), ("e", 1), ("h", 1), ("f", 1)]
             # the image of each basis word: the coordinates of X w in each
             # target bidegree, reduced modulo the target's Sugawara span
             images = [{} for _ in basis_words]
-            for gen, m in raising:
+            for gen, m in RAISING:
                 tgt_d = d - m
                 tgt_mu = mu + _H_SHIFT[gen]
                 tgt_words = verma_basis(nu, tgt_d, tgt_mu)
@@ -390,7 +389,7 @@ def check_singular_generator(n: int) -> CheckReport:
     """f_0^(n+1) v is annihilated by e_0 and the level-one raising modes."""
     rep = CheckReport("affine-singular-vector", details={"n": n})
     w = PBWVector(dict(_straighten((("f", 0),) * (n + 1))), n)
-    for gen, m in (("e", 0), ("e", 1), ("h", 1), ("f", 1)):
+    for gen, m in RAISING:
         rep.record(act(gen, m, w).is_zero, f"{gen}_({m}) on f0^{n + 1} v")
     return rep
 

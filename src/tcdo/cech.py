@@ -18,22 +18,21 @@ sufficiency is re-verified by scanning a doubled window — the ``stable``
 flag on a report records that nothing nonzero lives outside the base window.
 Blocks are pure functions of (n, N, mu); reports merge deterministically by
 sorted bidegree.
+
+The sl2 side of ``tcdo affine singular`` is one pass, ``scan_h0_sl2``: it
+takes each base-window kernel once and, on the integer core (``_act`` and
+``_glue_mono``), both finds the classes killed by the raising generators and
+checks that every sl2 image of the kernel is again a cocycle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from .linalg import kernel_basis, rank
-from .modespace import FreeState, apply_mode, linear_combination
-from .p1tcdo import (
-    Chart,
-    _glue_mono,
-    glue,
-    include_overlap,
-    sections_bidegree,
-    sl2_embedding,
-)
+from .linalg import _merge, kernel_basis, rank
+from .modespace import _act, _numerators, linear_combination
+from .p1tcdo import RAISING, Chart, _glue_mono, sections_bidegree, sl2_embedding
 from .qseries import QSeries, char_H1, char_L, eta_inverse_squared
 from .reports import CheckReport
 
@@ -181,75 +180,61 @@ def character_check(report: BigradedReport) -> bool:
     return report.h0_character == want_h0 and report.h1_character == want_h1
 
 
-def _chart_pair(vec, basis0, basisinf, n):
-    """A kernel vector over (zero ++ infinity) bases as its pair of states."""
-    k = len(basis0)
-    s0 = FreeState(dict(zip(basis0, vec[:k])), Chart.ZERO.ring, n)
-    sinf = FreeState(dict(zip(basisinf, vec[k:])), Chart.INFTY.ring, n)
-    return s0, sinf
+def scan_h0_sl2(n: int, weight_max: int):
+    """One pass over the H^0 kernels of the base window: (found, report).
 
+    ``found`` lists the H^0 classes killed by the raising generators
+    ``RAISING`` as [(weight, mu, zero-chart representative)].  H^0 is
+    literally the kernel subspace of C^0 (no quotient is taken), so
+    singularity is a plain linear condition on kernel vectors, and since
+    those four generate every raising mode, their images are its only rows.
+    ``report`` checks that delta intertwines the chart actions: the image
+    pair of every kernel vector under e, h and f at the modes -2..2 is again
+    a cocycle, img0 - glue(imginf) = 0.
 
-def _pair_image(gen, m, pair, rho0, rhoinf):
-    s0, sinf = pair
-    return apply_mode(rho0[gen], m, s0), apply_mode(rhoinf[gen], m, sinf)
-
-
-def singular_vectors_h0(n: int, weight_max: int):
-    """All H^0 classes killed by rho(e)_(0) and every positive mode: returns
-    [(weight, mu, zero-chart representative)].  Because H^0 is literally the
-    kernel subspace of C^0 (no quotient is taken), singularity is a plain
-    linear condition on kernel vectors; modes beyond m = N kill weight-N
-    states identically and need no rows."""
-    if n < 0:
-        raise ValueError("the singular-vector scan expects n >= 0")
-    rho0 = sl2_embedding(Chart.ZERO)
-    rhoinf = sl2_embedding(Chart.INFTY)
+    Each block's kernel is scaled to integers by one common denominator, and
+    the currents of both charts by another; that scales the condition map as
+    a whole, so its reduced kernel basis, and with it every representative,
+    stays the same.  Each image is computed once, on the integer core."""
+    _, pairs = _numerators({
+        (chart, gen, mono): c
+        for chart in (Chart.ZERO, Chart.INFTY)
+        for gen, state in sl2_embedding(chart).items()
+        for mono, c in state.terms.items()
+    })
+    rho: dict = {}
+    for (chart, gen, mono), c in pairs:
+        rho.setdefault((chart, gen), []).append((mono, c))
     found = []
+    rep = CheckReport("cech-sl2-stability", details={"n": n, "weight_max": weight_max})
     for N in range(weight_max + 1):
         for mu in mu_window(n, weight_max):
             basis0, basisinf, kernel = cech_kernel(n, N, mu)
             if not kernel:
                 continue
-            raising = [("e", 0)] + [
-                (x, m) for m in range(1, N + 1) for x in ("e", "h", "f")
-            ]
-            # the condition map: each kernel vector goes to the target
-            # coefficients of its images under every raising op, on both charts
-            pairs = [_chart_pair(vec, basis0, basisinf, n) for vec in kernel]
-            images = []
-            for pair in pairs:
-                image = {}
-                for gen, m in raising:
-                    img0, imginf = _pair_image(gen, m, pair, rho0, rhoinf)
-                    image.update(((gen, m, Chart.ZERO, mo), c) for mo, c in img0.terms.items())
-                    image.update(((gen, m, Chart.INFTY, mo), c) for mo, c in imginf.terms.items())
-                images.append(image)
-            for coeffs in kernel_basis(images):
-                rep = linear_combination(
-                    zip(coeffs, (s0.terms.items() for s0, _ in pairs)), Chart.ZERO.ring, n
-                )
-                found.append((N, mu, rep))
-    return found
-
-
-def check_sl2_stability(n: int, weight_max: int, modes=(-2, -1, 0, 1, 2)) -> CheckReport:
-    """delta intertwines the chart actions, so ker delta must be preserved:
-    apply every generator mode to every kernel vector and check the image
-    pair is again a cocycle (delta of it vanishes identically)."""
-    rho0 = sl2_embedding(Chart.ZERO)
-    rhoinf = sl2_embedding(Chart.INFTY)
-    rep = CheckReport("cech-sl2-stability", details={"n": n, "weight_max": weight_max})
-    for N in range(weight_max + 1):
-        for mu in mu_window(n, weight_max):
-            basis0, basisinf, kernel = cech_kernel(n, N, mu)
+            k = len(basis0)
+            den = math.lcm(*(c.denominator for vec in kernel for c in vec))
+            conditions = []
             for vec in kernel:
-                pair = _chart_pair(vec, basis0, basisinf, n)
+                ints = [c.numerator * (den // c.denominator) for c in vec]
+                s0 = [(mono, c) for mono, c in zip(basis0, ints[:k]) if c]
+                sinf = [(mono, c) for mono, c in zip(basisinf, ints[k:]) if c]
+                condition = {}
                 for gen in "ehf":
-                    for m in modes:
-                        img0, imginf = _pair_image(gen, m, pair, rho0, rhoinf)
-                        delta = include_overlap(img0) - glue(imginf)
+                    for m in range(-2, 3):
+                        img0 = _act(rho[Chart.ZERO, gen], m, s0, n)
+                        imginf = _act(rho[Chart.INFTY, gen], m, sinf, n)
+                        if (gen, m) in RAISING:
+                            condition.update(((gen, m, Chart.ZERO, mo), c) for mo, c in img0.items())
+                            condition.update(((gen, m, Chart.INFTY, mo), c) for mo, c in imginf.items())
+                        for mono, c in imginf.items():
+                            _merge(img0, _glue_mono(mono, n), -c)
                         rep.record(
-                            delta.is_zero,
+                            not any(img0.values()),
                             f"(N={N}, mu={mu}) {gen}_({m}) image leaves ker delta",
                         )
-    return rep
+                conditions.append(condition)
+            for coeffs in kernel_basis(conditions):
+                terms = (zip(basis0, vec[:k]) for vec in kernel)
+                found.append((N, mu, linear_combination(zip(coeffs, terms), Chart.ZERO.ring, n)))
+    return found, rep

@@ -45,16 +45,24 @@ CECH_WEIGHT_MAX = 10
 # affine char 100 s at depth 7 (n = 0), verma-vs-sections 114 s at depth 7
 # (n = -3).  n = 6 costs 2-3x that, and one more unit 3x to 15x.  Since the
 # Sugawara spans pivot on the leading word first, the three depth ceilings
-# take 5.4 s (singular), 4.7 s (char) and 12 s (verma-vs-sections).
+# take 5.4 s (singular), 4.7 s (char) and 12 s (verma-vs-sections); since
+# the H^0 scan takes each kernel once, weight 8 takes 39 s.  The sample
+# ceilings, one run each with the other flags at their defaults: gluing
+# 105 s and 346 MB, affine singular 123 s at n = 0; verify-engine 38 s, but
+# its caches grow by about 75 MB per 1000 samples (759 MB at the ceiling),
+# so memory, not time, sets that one.
 CEILINGS = {
+    ("verify-engine", None, "samples"): (10_000, "verify-engine draws"),
+    ("gluing", None, "samples"): (250_000, "gluing draws"),
     ("gluing", None, "weight_max"): (GLUING_WEIGHT_MAX, "gluing checks the involution"),
     ("cech", None, "weight_max"): (CECH_WEIGHT_MAX, "cech scans"),
     ("affine", "singular", "weight_max"): (8, "affine singular scans H^0"),
     ("affine", "singular", "depth_max"): (6, "affine singular scans the Verma module"),
+    ("affine", "singular", "samples"): (500_000, "affine singular draws"),
     ("affine", "char", "depth_max"): (7, "affine char runs the PBW oracle"),
     ("affine", "verma-vs-sections", "depth_max"): (7, "affine verma-vs-sections replays"),
 }
-_FLAGS = {"weight_max": "--weight-max", "depth_max": "--depth"}
+_FLAGS = {"weight_max": "--weight-max", "depth_max": "--depth", "samples": "--samples"}
 
 
 class UsageError(ValueError):
@@ -64,18 +72,15 @@ class UsageError(ValueError):
 def parse_n_spec(spec: str, lo: int = -6, hi: int = 6) -> list[int]:
     """Accept a single integer 'k' or an inclusive range 'a..b'."""
     try:
-        if ".." in spec:
-            a, b = spec.split("..", 1)
-            values = list(range(int(a), int(b) + 1))
-        else:
-            values = [int(spec)]
+        a, b = map(int, spec.split("..", 1)) if ".." in spec else (int(spec),) * 2
     except ValueError as exc:
         raise UsageError(f"cannot parse --n value {spec!r}") from exc
-    if not values:
+    if a > b:
         raise UsageError(f"empty --n range {spec!r}")
-    if any(v < lo or v > hi for v in values):
+    # the endpoints bound the range, so it is built only once they pass
+    if a < lo or b > hi:
         raise UsageError(f"--n values must lie in [{lo}, {hi}], got {spec!r}")
-    return values
+    return list(range(a, b + 1))
 
 
 # -- commands -----------------------------------------------------------------
@@ -222,7 +227,7 @@ def cmd_affine(args: argparse.Namespace):
     # the central character n(n+2)/2, and the Sugawara operators are central
     results = []
     for n in parse_n_spec(args.n_spec or "0..3", lo=0, hi=6):
-        found = cech.singular_vectors_h0(n, args.weight_max)
+        found, stability = cech.scan_h0_sl2(n, args.weight_max)
         window = [n - 2 * k for k in range(2 * args.depth_max + n + 2)]
         bidegrees = affine.singular_bidegrees(n, args.depth_max, window)
         rep = CheckReport(
@@ -251,7 +256,7 @@ def cmd_affine(args: argparse.Namespace):
         zero_mode.record(free == pbw == want, f"free-field T_0 = {free}, PBW T_0 = {pbw}")
         results += [
             rep,
-            cech.check_sl2_stability(n, args.weight_max),
+            stability,
             affine.check_singular_generator(n),
             zero_mode,
         ]

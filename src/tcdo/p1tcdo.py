@@ -265,6 +265,11 @@ SL2_BRACKETS = {
 
 SL2_FORM = {("e", "f"): 1, ("f", "e"): 1, ("h", "h"): 2}
 
+# the raising generators (x, m) for x_(m): e_0, e_1, h_1 and f_1 generate the
+# positive part of the affine algebra (Kac, Infinite-dimensional Lie algebras,
+# 1.3), so a vector they kill is killed by every raising mode
+RAISING = (("e", 0), ("e", 1), ("h", 1), ("f", 1))
+
 
 def check_sl2_embedding(chart: Chart) -> CheckReport:
     """The level-(-2) affine sl2 relations for the embedded currents:

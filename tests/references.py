@@ -4,9 +4,21 @@ Each one restates an identity or a bookkeeping rule directly from its
 definition; the package itself has no use for them.
 """
 
-from tcdo.cech import BigradedReport
-from tcdo.modespace import LAURENT, POLY, FreeState, _act, _head, apply_mode, binom, zero
-from tcdo.p1tcdo import _SYMBOLIC_IMAGES
+from tcdo.cech import BigradedReport, cech_kernel, mu_window
+from tcdo.linalg import kernel_basis
+from tcdo.modespace import (
+    LAURENT,
+    POLY,
+    FreeState,
+    _act,
+    _head,
+    apply_mode,
+    binom,
+    linear_combination,
+    zero,
+)
+from tcdo.p1tcdo import _SYMBOLIC_IMAGES, Chart, glue, include_overlap, sl2_embedding
+from tcdo.reports import CheckReport
 from tcdo.zhu import GradingError, zhu_star
 
 
@@ -109,3 +121,80 @@ def rank_nullity_consistent(report: BigradedReport) -> bool:
         if lhs != rhs:
             return False
     return True
+
+
+# the two H^0 scans as they were before cech.scan_h0_sl2 merged them: each
+# takes every kernel apart into chart states and acts through apply_mode
+
+def _chart_pair(vec, basis0, basisinf, n):
+    """A kernel vector over (zero ++ infinity) bases as its pair of states."""
+    k = len(basis0)
+    s0 = FreeState(dict(zip(basis0, vec[:k])), Chart.ZERO.ring, n)
+    sinf = FreeState(dict(zip(basisinf, vec[k:])), Chart.INFTY.ring, n)
+    return s0, sinf
+
+
+def _pair_image(gen, m, pair, rho0, rhoinf):
+    s0, sinf = pair
+    return apply_mode(rho0[gen], m, s0), apply_mode(rhoinf[gen], m, sinf)
+
+
+def ref_singular_vectors_h0(n: int, weight_max: int):
+    """All H^0 classes killed by rho(e)_(0) and every positive mode: returns
+    [(weight, mu, zero-chart representative)].  Because H^0 is literally the
+    kernel subspace of C^0 (no quotient is taken), singularity is a plain
+    linear condition on kernel vectors; modes beyond m = N kill weight-N
+    states identically and need no rows."""
+    if n < 0:
+        raise ValueError("the singular-vector scan expects n >= 0")
+    rho0 = sl2_embedding(Chart.ZERO)
+    rhoinf = sl2_embedding(Chart.INFTY)
+    found = []
+    for N in range(weight_max + 1):
+        for mu in mu_window(n, weight_max):
+            basis0, basisinf, kernel = cech_kernel(n, N, mu)
+            if not kernel:
+                continue
+            raising = [("e", 0)] + [
+                (x, m) for m in range(1, N + 1) for x in ("e", "h", "f")
+            ]
+            # the condition map: each kernel vector goes to the target
+            # coefficients of its images under every raising op, on both charts
+            pairs = [_chart_pair(vec, basis0, basisinf, n) for vec in kernel]
+            images = []
+            for pair in pairs:
+                image = {}
+                for gen, m in raising:
+                    img0, imginf = _pair_image(gen, m, pair, rho0, rhoinf)
+                    image.update(((gen, m, Chart.ZERO, mo), c) for mo, c in img0.terms.items())
+                    image.update(((gen, m, Chart.INFTY, mo), c) for mo, c in imginf.terms.items())
+                images.append(image)
+            for coeffs in kernel_basis(images):
+                rep = linear_combination(
+                    zip(coeffs, (s0.terms.items() for s0, _ in pairs)), Chart.ZERO.ring, n
+                )
+                found.append((N, mu, rep))
+    return found
+
+
+def ref_check_sl2_stability(n: int, weight_max: int, modes=(-2, -1, 0, 1, 2)) -> CheckReport:
+    """delta intertwines the chart actions, so ker delta must be preserved:
+    apply every generator mode to every kernel vector and check the image
+    pair is again a cocycle (delta of it vanishes identically)."""
+    rho0 = sl2_embedding(Chart.ZERO)
+    rhoinf = sl2_embedding(Chart.INFTY)
+    rep = CheckReport("cech-sl2-stability", details={"n": n, "weight_max": weight_max})
+    for N in range(weight_max + 1):
+        for mu in mu_window(n, weight_max):
+            basis0, basisinf, kernel = cech_kernel(n, N, mu)
+            for vec in kernel:
+                pair = _chart_pair(vec, basis0, basisinf, n)
+                for gen in "ehf":
+                    for m in modes:
+                        img0, imginf = _pair_image(gen, m, pair, rho0, rhoinf)
+                        delta = include_overlap(img0) - glue(imginf)
+                        rep.record(
+                            delta.is_zero,
+                            f"(N={N}, mu={mu}) {gen}_({m}) image leaves ker delta",
+                        )
+    return rep

@@ -11,11 +11,10 @@ from tcdo.cech import (
     cech_dims,
     cech_kernel,
     character_check,
-    check_sl2_stability,
     euler_check,
     expected_characters,
     mu_window,
-    singular_vectors_h0,
+    scan_h0_sl2,
 )
 from tcdo.affine import restricted_verma_dim
 import tcdo.linalg
@@ -24,7 +23,7 @@ from tcdo.modespace import FreeState, vacuum
 from tcdo.p1tcdo import Chart, glue, include_overlap, sections_bidegree
 from tcdo.qseries import QSeries, eta_inverse_squared
 
-from references import rank_nullity_consistent
+from references import rank_nullity_consistent, ref_check_sl2_stability, ref_singular_vectors_h0
 
 WM = 3
 
@@ -180,23 +179,57 @@ def test_kernel_vectors_are_cocycles():
 
 def test_singular_vector_unique_at_ground(reports):
     for n in (0, 1, 3):
-        sing = singular_vectors_h0(n, 2)
+        sing, _ = scan_h0_sl2(n, 2)
         assert len(sing) == 1
         N, mu, rep = sing[0]
         assert (N, mu) == (0, n)
         assert rep == vacuum(lstar=n)
 
 
-def test_singular_scan_rejects_negative():
-    with pytest.raises(ValueError):
-        singular_vectors_h0(-2, 1)
-
-
 def test_sl2_stability_of_kernel():
     for n in (-2, 0, 1):
-        rep = check_sl2_stability(n, 1, modes=(-1, 0, 1))
+        _, rep = scan_h0_sl2(n, 1)
         assert rep.passed
         assert rep.checks > 0
+
+
+@pytest.mark.parametrize("n, weight_max", [(0, 4), (1, 4), (2, 4), (3, 4), (0, 5)])
+def test_scan_matches_the_two_state_path_scans(n, weight_max):
+    # the reference stacks the rows of e_0 and of e, h, f at every mode
+    # 1..N, so from weight 3 up it also has rows at m >= 3 that the scan
+    # leaves to the four raising generators
+    found, rep = scan_h0_sl2(n, weight_max)
+    assert found == ref_singular_vectors_h0(n, weight_max)
+    assert all(isinstance(v, FreeState) for *_, v in found)
+    assert rep.as_dict() == ref_check_sl2_stability(n, weight_max).as_dict()
+
+
+def test_scan_stability_matches_the_state_path_at_negative_n():
+    for weight_max in range(3):
+        _, rep = scan_h0_sl2(-2, weight_max)
+        assert rep.as_dict() == ref_check_sl2_stability(-2, weight_max).as_dict()
+
+
+def test_scan_fails_on_a_corrupted_gluing(monkeypatch):
+    # the kernels come from the true delta; only the cocycle test of the
+    # images sees the one corrupted coefficient
+    kernels = {(N, mu): cech_kernel(0, N, mu) for N in range(3) for mu in mu_window(0, 2)}
+    monkeypatch.setattr(tcdo.cech, "cech_kernel", lambda n, N, mu: kernels[N, mu])
+    real = tcdo.cech._glue_mono
+    calls = []
+
+    def corrupted(mono, ls):
+        out = real(mono, ls)
+        calls.append(mono)
+        if len(calls) > 1:
+            return out
+        (key, c), *rest = out
+        return ((key, c + 1), *rest)
+
+    monkeypatch.setattr(tcdo.cech, "_glue_mono", corrupted)
+    _, rep = scan_h0_sl2(0, 2)
+    assert calls and not rep.passed
+    assert len(rep.failures) == 1
 
 
 def test_unstable_report_refuses_aggregates():

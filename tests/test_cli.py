@@ -9,6 +9,7 @@ import csv
 import hashlib
 import io
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,23 @@ def test_parse_n_spec_rejects_garbage_and_out_of_range():
     for bad in ("x", "1..", "..2", "2..-1", "7", "-7..0", "0..9"):
         with pytest.raises(UsageError):
             parse_n_spec(bad)
+
+
+def test_parse_n_spec_checks_the_bounds_before_building_the_range():
+    # the endpoints are checked first, so a range far past the bounds is
+    # refused without allocating it; the huge specs run only once the
+    # smaller one has shown that no list is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(UsageError):
+            parse_n_spec("0..3000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    for huge in ("0..100000000000", "-100000000000..0"):
+        with pytest.raises(UsageError):
+            parse_n_spec(huge)
 
 
 def test_parse_n_spec_custom_bounds():
@@ -129,8 +147,13 @@ def test_affine_singular_passes(capsys):
 
 def test_affine_singular_mismatch_exits_1(monkeypatch, capsys):
     # a second H^0 class breaks the verdict that both ends see one class
-    real = tcdo.cech.singular_vectors_h0
-    monkeypatch.setattr(tcdo.cech, "singular_vectors_h0", lambda n, w: real(n, w) * 2)
+    real = tcdo.cech.scan_h0_sl2
+
+    def doubled(n, w):
+        found, stability = real(n, w)
+        return found * 2, stability
+
+    monkeypatch.setattr(tcdo.cech, "scan_h0_sl2", doubled)
     code, out, _ = run(["affine", "singular", "--n", "1", "--weight-max", "1", "--depth", "1"], capsys)
     assert code == 1
     assert "[FAIL] singular-vectors n=1" in out
@@ -381,20 +404,23 @@ def test_cech_weight_max_at_limit_reaches_the_scan(monkeypatch, capsys):
 
 # the first piece of work behind each ceiling; the stand-ins below replace it
 CEILING_WORK = {
+    ("verify-engine", None): (tcdo.modespace, "engine_property_suite"),
     ("gluing", None): (tcdo.p1tcdo, "check_gluing_morphism"),
     ("cech", None): (tcdo.cech, "cech_dims"),
-    ("affine", "singular"): (tcdo.cech, "singular_vectors_h0"),
+    ("affine", "singular"): (tcdo.cech, "scan_h0_sl2"),
     ("affine", "char"): (tcdo.affine, "irreducible_char_oracle"),
     ("affine", "verma-vs-sections"): (tcdo.affine, "verma_to_sections"),
 }
-FLAGS = {"weight_max": "--weight-max", "depth_max": "--depth"}
+FLAGS = {"weight_max": "--weight-max", "depth_max": "--depth", "samples": "--samples"}
 
 
 def _ceiling_argv(command, mode, option, value):
     argv = [command] + ([mode] if mode else [])
-    if command != "gluing":
+    if command in ("cech", "affine"):
         argv += ["--n", "1"]
-    return argv + [FLAGS[option], str(value), "--samples", "1", "--format", "json"]
+    if option != "samples":
+        argv += ["--samples", "1"]
+    return argv + [FLAGS[option], str(value), "--format", "json"]
 
 
 @pytest.mark.parametrize("key", list(CEILINGS), ids=lambda key: " ".join(filter(None, key)))

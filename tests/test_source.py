@@ -82,21 +82,38 @@ def test_engine_core_never_builds_a_monomial():
     assert found == []
 
 
+def _calls(filename: str, function: str) -> set:
+    """The names one top-level function of the package calls."""
+    tree = ast.parse((SRC / filename).read_text(), filename=filename)
+    (fn,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function]
+    called = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    return called
+
+
 # the Cech differential is read straight off the integer gluing core over the
 # monomial section bases; no state is built or taken apart per block
 DELTA_FORBIDDEN = {"FreeState", "Fraction", "Monomial", "glue", "include_overlap", "coordinate_rows"}
 
 
 def test_delta_matrix_builds_no_states():
-    tree = ast.parse((SRC / "cech.py").read_text(), filename="cech.py")
-    (delta,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_delta_matrix"]
-    called = set()
-    for node in ast.walk(delta):
-        if isinstance(node, ast.Call):
-            func = node.func
-            called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    called = _calls("cech.py", "_delta_matrix")
     assert {"sections_bidegree", "_glue_mono"} <= called
     assert sorted(called & DELTA_FORBIDDEN) == []
+
+
+# the H^0 scan acts and glues on the integer core too; a state is built only
+# for each representative it returns, by linear_combination
+SCAN_FORBIDDEN = {"FreeState", "apply_mode", "glue", "include_overlap"}
+
+
+def test_h0_scan_runs_on_the_integer_core():
+    called = _calls("cech.py", "scan_h0_sl2")
+    assert {"_act", "_glue_mono", "linear_combination"} <= called
+    assert sorted(called & SCAN_FORBIDDEN) == []
 
 
 def test_every_public_function_has_a_package_caller():
