@@ -19,8 +19,13 @@ The mode action runs in a cached integer core (``_straighten``,
 coefficients are ints whenever nu is integral (``_core_nu`` turns an integral
 nu into an int).  The core computes 2 T_k rather than the Sugawara operator
 T_k, whose 1/2 h_(-1)h term is the only non-integer constant; the oracle
-spans the images of 2 T_k, which span the same space.  Fractions appear only
-at the public boundary: in ``PBWVector`` and in the results of ``act`` and
+spans the images of 2 T_k, which span the same space.  ``_t_image`` builds
+2 T_k (w hw) from the module expansion of T and is the one definition of T:
+``sugawara_apply`` and the centrality suite run on it.  The Sugawara spans
+take their vectors from ``_central_image`` instead, as w (2 T_k hw), which
+equals 2 T_k (w hw) because T is central at the critical level; a tier-1
+test certifies the two equal word by word.  Fractions appear only at the
+public boundary: in ``PBWVector`` and in the results of ``act`` and
 ``sugawara_apply``.
 """
 
@@ -221,7 +226,9 @@ def _t_image(k: int, word: tuple, nu) -> tuple:
     (x_(-1)y)_(m), m = k + 1, acts by the module expansion
     (x_(-1)y)_(m) u = sum_{j>=0} [x_(-1-j) y_(m+j) u + y_(m-1-j) x_(j) u];
     the sums stop where y_(m+j) and x_(j) exceed the depth of the word and
-    so kill it."""
+    so kill it.  This expansion is the definition of T that
+    ``sugawara_apply`` and the centrality suite check; the spans use
+    ``_central_image``, which calls it only on the highest-weight vector."""
     m = k + 1
     d = word_depth(word)
     out: dict = {}
@@ -231,6 +238,20 @@ def _t_image(k: int, word: tuple, nu) -> tuple:
         for j in range(d + 1):
             _merge(out, _act_terms(yg, m - 1 - j, _act_word(xg, j, word, nu), nu).items(), coef)
     return tuple((w, c) for w, c in out.items() if c)
+
+
+@lru_cache(maxsize=None)
+def _central_image(k: int, word: tuple, nu) -> tuple:
+    """The nonzero PBW term items of word * (2 T_k hw): the head mode of the
+    word acting on the cached image of its tail.  T_k is central at the
+    critical level, so this is 2 T_k (word * hw), and words that share a
+    tail share its image; each new word costs one lowering action instead of
+    ``_t_image``'s module expansion, which stays the definition of T and the
+    base case.  tests/test_affine.py certifies the two equal word by word."""
+    if not word:
+        return _t_image(k, (), nu)
+    gen, m = word[0]
+    return tuple((w, c) for w, c in _act_terms(gen, m, _central_image(k, word[1:], nu), nu).items() if c)
 
 
 def sugawara_apply(k: int, v: PBWVector) -> PBWVector:
@@ -276,13 +297,15 @@ def _sugawara_span(nu, d: int, mu, basis_words) -> tuple:
     that elimination pivots on the last basis word of each image first.
     Single applications suffice: T is central, so sum_k T_(-k) M is already a
     submodule, and iterated T's land inside single-T images; the integer
-    images of 2 T_(-k) span the same."""
+    images of 2 T_(-k) span the same.  By the same centrality each image
+    2 T_(-k)(w v) is taken as w (2 T_(-k) v) from ``_central_image``, not
+    from the module expansion, which ``sugawara_apply`` keeps."""
     nu = _core_nu(nu)
     index = _span_columns(basis_words)
     tracker = SpanTracker()
     for k in range(1, d + 1):
         for src in verma_basis(nu, d - k, mu):
-            tracker.add({index[w]: c for w, c in _t_image(-k, src, nu)})
+            tracker.add({index[w]: c for w, c in _central_image(-k, src, nu)})
     return tracker, index
 
 

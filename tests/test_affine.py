@@ -16,6 +16,7 @@ from tcdo.affine import (
     LEVEL,
     PBWVector,
     _act_word,
+    _central_image,
     _core_nu,
     _is_lowering,
     _key,
@@ -39,6 +40,7 @@ from tcdo.affine import (
     word_depth,
     word_h_shift,
 )
+from tcdo.cli import main
 from tcdo.p1tcdo import Chart, sections_bidegree, unclamped_sections_dim
 from tcdo.qseries import char_L
 
@@ -194,6 +196,71 @@ def test_t_image_is_twice_the_sugawara_reference(nu):
             assert all(c != 0 for _, c in got)
 
 
+# -- the Sugawara span by centrality ------------------------------------------------
+#
+# _sugawara_span takes 2 T_(-k)(w v) as w applied to the cached 2 T_(-k) v,
+# which is only right because T is central at the critical level.  The
+# certificate compares that shortcut with the module expansion of
+# _t_image, word by word, so a fault in either shows as a mismatch.
+
+CENTRAL_NUS = (0, 1, 3, -2, Fraction(1, 2), Fraction(5, 3))
+
+
+def _central_mismatches(central, depth_max=4, ks=range(-4, 2), nus=CENTRAL_NUS):
+    """The (k, word, nu) on which ``central`` differs from the module
+    expansion or keeps a zero coefficient, over every word neg + f_0^j with
+    j <= 2 and word_depth(neg) + |k| <= depth_max, and the number of cases."""
+    bad, cases = [], 0
+    for nu in nus:
+        core = _core_nu(nu)
+        for k in ks:
+            for word in _core_words(depth_max - abs(k)):
+                cases += 1
+                got = central(k, word, core)
+                if dict(got) != dict(_t_image(k, word, core)) or any(c == 0 for _, c in got):
+                    bad.append((k, word, nu))
+    return bad, cases
+
+
+def test_central_image_equals_the_module_expansion():
+    bad, cases = _central_mismatches(_central_image)
+    assert bad == []
+    assert cases > 2500
+
+
+def test_central_certificate_catches_a_skipped_head_action():
+    # the certificate must see a shortcut that forgets to act with the word
+    def headless(k, word, nu):
+        return _t_image(k, (), nu)
+
+    bad, _ = _central_mismatches(headless, depth_max=2)
+    assert bad
+
+
+def test_corrupted_base_image_breaks_the_oracle_and_the_cli(monkeypatch, capsys):
+    # add h_(-1) v to 2 T_(-1) v.  Scaling a coefficient would not do: at
+    # nu = 0 the image is the single term 4 e_(-1)f_0 v, and a multiple of it
+    # spans the same line, so every dim would stay as it is
+    import tcdo.affine
+
+    real = tcdo.affine._t_image
+
+    def corrupted(k, word, nu):
+        items = real(k, word, nu)
+        if k == -1 and word == ():
+            items = items + (((("h", -1),), 1),)
+        return items
+
+    _central_image.cache_clear()
+    monkeypatch.setattr(tcdo.affine, "_t_image", corrupted)
+    try:
+        assert irreducible_char_oracle(0, 4) != char_L(0, 4)
+        assert main(["affine", "char", "--n", "0", "--depth", "4"]) == 1
+        assert "[FAIL] irreducible-character n=0" in capsys.readouterr().out
+    finally:
+        _central_image.cache_clear()
+
+
 def test_integral_weights_keep_int_coefficients():
     # the core must not slide back to Fraction: for integral nu, whichever
     # type the weight came in, every cached coefficient is an int
@@ -205,6 +272,7 @@ def test_integral_weights_keep_int_coefficients():
             assert all(type(c) is int for _, c in _straighten((("e", -1),) + word))
             for k in range(-2, 2):
                 assert all(type(c) is int for _, c in _t_image(k, word, core))
+                assert all(type(c) is int for _, c in _central_image(k, word, core))
             for gen in "ehf":
                 for m in range(-2, 3):
                     assert all(type(c) is int for _, c in _act_word(gen, m, word, core))
@@ -221,7 +289,13 @@ def test_int_and_fraction_weights_share_cache_entries():
     v = PBWVector({word: 1}, Fraction(2))
     assert act("h", 0, v) == 2 * v  # h-weight 2 + 2 + 0 - 2
     sugawara_apply(-1, v)
-    for cached, args in ((_act_word, ("h", 0, word, 2)), (_t_image, (-1, word, 2))):
+    # the span path: T_(-1) of the depth-1 word (h_(-1), f_0) lands in (2, 0)
+    restricted_verma_dim(Fraction(2), 2, 0)
+    for cached, args in (
+        (_act_word, ("h", 0, word, 2)),
+        (_t_image, (-1, word, 2)),
+        (_central_image, (-1, (("h", -1), ("f", 0)), 2)),
+    ):
         before = cached.cache_info()
         items = cached(*args)
         after = cached.cache_info()

@@ -138,3 +138,15 @@ def test_every_public_function_has_a_package_caller():
             if not referenced:
                 found.append(f"{module}.{fn.name}")
     assert found == []
+
+
+# the Sugawara spans take their vectors by centrality, w (2 T_(-k) v); the
+# suites that check T keep the module expansion, so centrality is never
+# assumed by the code that checks it
+def test_sugawara_spans_use_centrality_and_the_checks_keep_the_expansion():
+    span = _calls("affine.py", "_sugawara_span")
+    assert "_central_image" in span and "_t_image" not in span
+    apply = _calls("affine.py", "sugawara_apply")
+    assert "_t_image" in apply and "_central_image" not in apply
+    check = _calls("affine.py", "check_sugawara_centrality")
+    assert "sugawara_apply" in check and "_central_image" not in check
