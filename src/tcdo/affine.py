@@ -15,29 +15,32 @@ possible even though depth slices alone are infinite (powers of f_0 all live
 at depth 0).
 
 The mode action runs in a cached integer core (``_straighten``,
-``_act_word``, ``_act_terms``): the structure constants are integers, so its
-coefficients are ints whenever nu is integral (``_core_nu`` turns an integral
-nu into an int).  The core computes 2 T_k rather than the Sugawara operator
-T_k, whose 1/2 h_(-1)h term is the only non-integer constant; the oracle
-spans the images of 2 T_k, which span the same space.  ``_t_image`` builds
-2 T_k (w hw) from the module expansion of T and is the one definition of T:
-``sugawara_apply`` and the centrality suite run on it.  The Sugawara spans
-take their vectors from ``_central_image`` instead, as w (2 T_k hw), which
-equals 2 T_k (w hw) because T is central at the critical level; a tier-1
-test certifies the two equal word by word.  Fractions appear only at the
-public boundary: in ``PBWVector`` and in the results of ``act`` and
-``sugawara_apply``.
+``_act_word``, ``_act_terms``) whose coefficients are ints whenever nu is
+integral (``_core_nu`` makes it an int).  The core computes 2 T_k, not T_k,
+whose 1/2 h_(-1)h term is the only non-integer constant; the images of
+2 T_k span the same space.  ``_t_image`` builds 2 T_k (w hw) from the module
+expansion of T and is the one definition of T: ``sugawara_apply`` and the
+centrality suite run on it.  The Sugawara spans take their vectors from
+``_central_image`` instead, as w (2 T_k hw), which equals 2 T_k (w hw)
+because T is central at the critical level; a tier-1 test certifies the two
+equal word by word.  Every other replay of lowering words goes through one
+helper, ``_replay``, which shares tail images within a call:
+``irreducible_dims`` on f_0^(n+1) hw, and ``verma_to_sections`` on the
+ground state with ``modespace._act`` and the integer currents of
+``p1tcdo._sl2_currents``, so no free-field state is built.  Fractions appear
+only at the public boundary: in ``PBWVector`` and in the results of ``act``
+and ``sugawara_apply``.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .linalg import LinearCombination, SpanTracker, _coefficient, _merge, coordinate_rows, rank
-from .modespace import apply_mode, vacuum
-from .p1tcdo import RAISING, SL2_BRACKETS, SL2_FORM, Chart, sections_bidegree, sl2_embedding
+from .linalg import LinearCombination, SpanTracker, _coefficient, _merge, rank
+from .modespace import VACUUM_MONO, _act
+from .p1tcdo import RAISING, SL2_BRACKETS, SL2_FORM, Chart, _sl2_currents, sections_bidegree
 from .qseries import QSeries
 from .reports import CheckReport
 
@@ -200,19 +203,34 @@ def _negative_words(d: int) -> tuple:
     return tuple(out)
 
 
-def verma_basis(nu, d: int, mu) -> list[tuple]:
+@lru_cache(maxsize=4096)
+def verma_basis(nu, d: int, mu) -> tuple:
     """PBW words spanning the (depth d, h-weight mu) bidegree of the Verma
     module: a negative-mode word plus the f_0 power that lands on mu."""
     base = Fraction(nu) - Fraction(mu)
     if base.denominator != 1:
-        return []
+        return ()
     base = base.numerator
     out = []
     for neg in _negative_words(d):
         gap = base + word_h_shift(neg)
         if gap >= 0 and gap % 2 == 0:
             out.append(neg + (("f", 0),) * (gap // 2))
-    return out
+    return tuple(out)
+
+
+def _replay(word: tuple, act_one, memo: dict) -> tuple:
+    """The nonzero (key, int) items of word * base: the head mode acts,
+    through ``act_one(gen, m, items)``, on the image of the tail.  ``memo``
+    belongs to one caller's call (one n), is seeded with {(): base items} and
+    keeps tail images only: the longest words' own are never reused."""
+    if not word:
+        return memo[()]
+    tail = word[1:]
+    if tail not in memo:
+        memo[tail] = _replay(tail, act_one, memo)
+    gen, m = word[0]
+    return tuple((k, c) for k, c in act_one(gen, m, memo[tail]).items() if c)
 
 
 # -- Sugawara -------------------------------------------------------------------
@@ -243,11 +261,10 @@ def _t_image(k: int, word: tuple, nu) -> tuple:
 @lru_cache(maxsize=None)
 def _central_image(k: int, word: tuple, nu) -> tuple:
     """The nonzero PBW term items of word * (2 T_k hw): the head mode of the
-    word acting on the cached image of its tail.  T_k is central at the
-    critical level, so this is 2 T_k (word * hw), and words that share a
-    tail share its image; each new word costs one lowering action instead of
-    ``_t_image``'s module expansion, which stays the definition of T and the
-    base case.  tests/test_affine.py certifies the two equal word by word."""
+    word acting on the cached image of its tail, so words that share a tail
+    share its image.  T_k is central at the critical level, so this is
+    2 T_k (word * hw); tests/test_affine.py certifies it against ``_t_image``
+    word by word."""
     if not word:
         return _t_image(k, (), nu)
     gen, m = word[0]
@@ -331,13 +348,7 @@ def singular_bidegrees(nu, d_max: int, mu_values) -> list:
     and f_1 (``RAISING``, which generate all raising modes).  Works per
     bidegree with the Sugawara span quotiented out exactly."""
     core_nu = _core_nu(nu)
-    spans: dict = {}  # (d, mu) -> _sugawara_span, built once per call
-
-    def span(d, mu, words):
-        if (d, mu) not in spans:
-            spans[(d, mu)] = _sugawara_span(nu, d, mu, words)
-        return spans[(d, mu)]
-
+    span = lru_cache(maxsize=None)(partial(_sugawara_span, nu))  # each built once per call
     found = []
     for d in range(d_max + 1):
         for mu in mu_values:
@@ -376,25 +387,18 @@ def irreducible_dims(n: int, d_max: int, mu_values) -> dict:
     images of the singular vector f_0^(n+1) v, then count what is left."""
     if n < 0:
         raise ValueError("the oracle covers nonnegative integral weight only")
-    sing_word = (("f", 0),) * (n + 1)
+    act_one = partial(_act_terms, nu=n)
+    memo = {(): (((("f", 0),) * (n + 1), 1),)}
     out = {}
     for d in range(d_max + 1):
         for mu in mu_values:
             basis_words = verma_basis(n, d, mu)
-            if not basis_words:
-                out[(d, mu)] = 0
-                continue
             tracker, index = _sugawara_span(n, d, mu, basis_words)
-            # lowering words sending the singular vector into (d, mu);
-            # U(g^)w = U(lowering)w because w is singular (verified by
-            # check_singular_generator in `tcdo affine singular`, not assumed)
-            for neg in _negative_words(d):
-                gap = n + word_h_shift(neg) - 2 * (n + 1) - mu
-                if gap >= 0 and gap % 2 == 0:
-                    terms = ((sing_word, 1),)
-                    for gen, m in reversed(neg + (("f", 0),) * (gap // 2)):
-                        terms = _act_terms(gen, m, terms, n).items()
-                    tracker.add({index[w]: c for w, c in terms})
+            # lowering words sending the singular vector (h-weight -n-2) into
+            # (d, mu); U(g^)w = U(lowering)w because w is singular (verified
+            # by check_singular_generator in `tcdo affine singular`)
+            for word in verma_basis(-n - 2, d, mu):
+                tracker.add({index[w]: c for w, c in _replay(word, act_one, memo)})
             out[(d, mu)] = len(basis_words) - tracker.dim
     return out
 
@@ -421,14 +425,21 @@ def check_singular_generator(n: int) -> CheckReport:
 
 
 def verma_to_sections(n: int, d_max: int, mu_values=None) -> dict:
-    """Replay each PBW word through the chart sl2 currents on the ground
-    state 1 of the residue-n module; returns a per-bidegree table
+    """Replay each PBW word through the integer chart sl2 currents on the
+    ground state 1 of the residue-n module; returns a per-bidegree table
     (d, mu) -> (raw PBW dim, restricted dim, section dim, rank of the map).
 
     The sections carry the clamped central character, so the map factors
     through M_{n/z}; "full rank" means rank == restricted dim == section dim.
+    At negative n a corrupted current keeps the rank full, so only the word
+    by word differential test against the state path catches it there.
     """
-    rho = sl2_embedding(Chart.ZERO)
+    currents = _sl2_currents(Chart.ZERO)
+
+    def act_one(gen, m, items):
+        return _act(currents[gen], m, items, n)
+
+    memo = {(): ((VACUUM_MONO, 1),)}
     mus = mu_values if mu_values is not None else _default_mu_window(n, d_max)
     table = {}
     for d in range(d_max + 1):
@@ -441,18 +452,8 @@ def verma_to_sections(n: int, d_max: int, mu_values=None) -> dict:
             # echelon entries, against 9637 reversed and 9350 by descending
             # ground power
             index = {t: i for i, t in enumerate(targets)}
-            images = []
-            for word in words:
-                img = vacuum(lstar=n)
-                for gen, m in reversed(word):
-                    img = apply_mode(rho[gen], m, img)
-                images.append(img)
-            table[(d, mu)] = (
-                len(words),
-                restricted_verma_dim(n, d, mu),
-                len(targets),
-                rank(coordinate_rows(images, index)),
-            )
+            images = [{index[k]: c for k, c in _replay(word, act_one, memo)} for word in words]
+            table[(d, mu)] = (len(words), restricted_verma_dim(n, d, mu), len(targets), rank(images))
     return table
 
 

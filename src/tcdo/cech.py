@@ -31,8 +31,8 @@ import math
 from dataclasses import dataclass, field
 
 from .linalg import _merge, kernel_basis, rank
-from .modespace import _act, _numerators, linear_combination
-from .p1tcdo import RAISING, Chart, _glue_mono, sections_bidegree, sl2_embedding
+from .modespace import _act, linear_combination
+from .p1tcdo import RAISING, Chart, _glue_mono, _sl2_currents, sections_bidegree
 from .qseries import QSeries, char_H1, char_L, eta_inverse_squared
 from .reports import CheckReport
 
@@ -192,19 +192,11 @@ def scan_h0_sl2(n: int, weight_max: int):
     pair of every kernel vector under e, h and f at the modes -2..2 is again
     a cocycle, img0 - glue(imginf) = 0.
 
-    Each block's kernel is scaled to integers by one common denominator, and
-    the currents of both charts by another; that scales the condition map as
-    a whole, so its reduced kernel basis, and with it every representative,
-    stays the same.  Each image is computed once, on the integer core."""
-    _, pairs = _numerators({
-        (chart, gen, mono): c
-        for chart in (Chart.ZERO, Chart.INFTY)
-        for gen, state in sl2_embedding(chart).items()
-        for mono, c in state.terms.items()
-    })
-    rho: dict = {}
-    for (chart, gen, mono), c in pairs:
-        rho.setdefault((chart, gen), []).append((mono, c))
+    Each block's kernel is scaled to integers by one common denominator;
+    that scales the condition map as a whole, so its reduced kernel basis,
+    and with it every representative, stays the same.  Each image is
+    computed once, on the integer core."""
+    rho0, rhoinf = _sl2_currents(Chart.ZERO), _sl2_currents(Chart.INFTY)
     found = []
     rep = CheckReport("cech-sl2-stability", details={"n": n, "weight_max": weight_max})
     for N in range(weight_max + 1):
@@ -222,8 +214,8 @@ def scan_h0_sl2(n: int, weight_max: int):
                 condition = {}
                 for gen in "ehf":
                     for m in range(-2, 3):
-                        img0 = _act(rho[Chart.ZERO, gen], m, s0, n)
-                        imginf = _act(rho[Chart.INFTY, gen], m, sinf, n)
+                        img0 = _act(rho0[gen], m, s0, n)
+                        imginf = _act(rhoinf[gen], m, sinf, n)
                         if (gen, m) in RAISING:
                             condition.update(((gen, m, Chart.ZERO, mo), c) for mo, c in img0.items())
                             condition.update(((gen, m, Chart.INFTY, mo), c) for mo, c in imginf.items())

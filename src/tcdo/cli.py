@@ -43,15 +43,13 @@ CECH_WEIGHT_MAX = 10
 # CECH_WEIGHT_MAX, so that one small n at the ceiling took about two minutes
 # on a 2-core Xeon: affine singular 110 s at weight 8 and 52 s at depth 6,
 # affine char 100 s at depth 7 (n = 0), verma-vs-sections 114 s at depth 7
-# (n = -3).  n = 6 costs 2-3x that, and one more unit 3x to 15x.  Since the
-# Sugawara spans pivot on the leading word first and take their vectors by
-# centrality, the three depth ceilings take 4.3 s (singular), 2.5 s (char)
-# and 11 s (verma-vs-sections, 4.4 s at n = 0); since the H^0 scan takes
-# each kernel once, weight 8 takes 39 s.  The sample
-# ceilings, one run each with the other flags at their defaults: gluing
-# 105 s and 346 MB, affine singular 123 s at n = 0; verify-engine 38 s, but
-# its caches grow by about 75 MB per 1000 samples (759 MB at the ceiling),
-# so memory, not time, sets that one.
+# (n = -3).  n = 6 costs 2-3x that, and one more unit 3x to 15x.  Since
+# then the depth ceilings take 4.3 s (singular), 2.5 s (char) and 4.6 s
+# (verma-vs-sections, which replays on the integer core; 3.4 s at n = 0),
+# and weight 8 takes 39 s.  The sample ceilings, one run each with the
+# other flags at their defaults: gluing 105 s and 346 MB, affine singular
+# 123 s at n = 0; verify-engine 38 s, but its caches grow by about 75 MB per
+# 1000 samples (759 MB at the ceiling), so memory, not time, sets that one.
 CEILINGS = {
     ("verify-engine", None, "samples"): (10_000, "verify-engine draws"),
     ("gluing", None, "samples"): (250_000, "gluing draws"),

@@ -252,6 +252,15 @@ def sl2_embedding(chart: Chart) -> dict[str, FreeState]:
     return {"e": lowering, "h": 2 * a_x - 1 * gen_lstar(), "f": gen_a()}
 
 
+def _sl2_currents(chart: Chart) -> dict:
+    """``sl2_embedding(chart)`` for the integer core, {gen: ((monomial
+    4-tuple, int), ...)}; a non-integer coefficient raises ValueError."""
+    rho = sl2_embedding(chart)
+    if any(c.denominator != 1 for s in rho.values() for c in s.terms.values()):
+        raise ValueError(f"the sl2 currents on the {chart.value} chart are not integral")
+    return {g: tuple((tuple(k), int(c)) for k, c in s.terms.items()) for g, s in rho.items()}
+
+
 # the sl2 structure constants: [x, y] = coeff * gen on ordered pairs (a
 # missing pair brackets to zero), and the invariant form (x|y)
 SL2_BRACKETS = {

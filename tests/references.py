@@ -4,6 +4,7 @@ Each one restates an identity or a bookkeeping rule directly from its
 definition; the package itself has no use for them.
 """
 
+from tcdo.affine import _act_terms, _negative_words, _sugawara_span, verma_basis, word_h_shift
 from tcdo.cech import BigradedReport, cech_kernel, mu_window
 from tcdo.linalg import kernel_basis
 from tcdo.modespace import (
@@ -15,6 +16,7 @@ from tcdo.modespace import (
     apply_mode,
     binom,
     linear_combination,
+    vacuum,
     zero,
 )
 from tcdo.p1tcdo import _SYMBOLIC_IMAGES, Chart, glue, include_overlap, sl2_embedding
@@ -198,3 +200,47 @@ def ref_check_sl2_stability(n: int, weight_max: int, modes=(-2, -1, 0, 1, 2)) ->
                             f"(N={N}, mu={mu}) {gen}_({m}) image leaves ker delta",
                         )
     return rep
+
+
+# the two word replays as they were before affine._replay shared their tails
+
+def ref_verma_images(n: int, words) -> list:
+    """The free-field image of each PBW word on the ground state of the
+    residue-n module, by the state path: from ``vacuum(lstar=n)``, one public
+    ``apply_mode`` with the ZERO-chart current of each mode, last mode first.
+    Returns one ``FreeState`` per word.  The state of every word suffix met
+    is kept for the call, so a suffix that many words share is replayed once."""
+    rho = sl2_embedding(Chart.ZERO)
+    memo = {(): vacuum(lstar=n)}
+
+    def image(word):
+        if word not in memo:
+            gen, m = word[0]
+            memo[word] = apply_mode(rho[gen], m, image(word[1:]))
+        return memo[word]
+
+    return [image(word) for word in words]
+
+
+def ref_irreducible_dims(n: int, d_max: int, mu_values) -> dict:
+    """Per-bidegree dimensions of L_n, replaying each lowering word on
+    f_0^(n+1) v from scratch: the negative-mode words of each depth, with the
+    f_0 power that lands on mu worked out from the h-weight gap."""
+    sing_word = (("f", 0),) * (n + 1)
+    out = {}
+    for d in range(d_max + 1):
+        for mu in mu_values:
+            basis_words = verma_basis(n, d, mu)
+            if not basis_words:
+                out[(d, mu)] = 0
+                continue
+            tracker, index = _sugawara_span(n, d, mu, basis_words)
+            for neg in _negative_words(d):
+                gap = n + word_h_shift(neg) - 2 * (n + 1) - mu
+                if gap >= 0 and gap % 2 == 0:
+                    terms = ((sing_word, 1),)
+                    for gen, m in reversed(neg + (("f", 0),) * (gap // 2)):
+                        terms = _act_terms(gen, m, terms, n).items()
+                    tracker.add({index[w]: c for w, c in terms})
+            out[(d, mu)] = len(basis_words) - tracker.dim
+    return out

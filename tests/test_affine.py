@@ -1,5 +1,6 @@
 """Affine PBW engine: bracket consistency, Sugawara, characters, replay map."""
 
+import functools
 import itertools
 import os
 import random
@@ -18,9 +19,11 @@ from tcdo.affine import (
     _act_word,
     _central_image,
     _core_nu,
+    _default_mu_window,
     _is_lowering,
     _key,
     _negative_words,
+    _replay,
     _straighten,
     _t_image,
     act,
@@ -41,8 +44,11 @@ from tcdo.affine import (
     word_h_shift,
 )
 from tcdo.cli import main
-from tcdo.p1tcdo import Chart, sections_bidegree, unclamped_sections_dim
+from tcdo.modespace import VACUUM_MONO, _act
+from tcdo.p1tcdo import Chart, _sl2_currents, sections_bidegree, unclamped_sections_dim
 from tcdo.qseries import char_L
+
+from references import ref_irreducible_dims, ref_verma_images
 
 SEED = 42
 
@@ -557,6 +563,97 @@ def test_replay_image_of_hw_killed_by_f0_power():
         for _ in range(n + 1):
             img = apply_mode(rho["f"], 0, img)
         assert img.is_zero
+
+
+# -- the shared word replay against the state path ----------------------------------
+#
+# verma_to_sections replays its PBW words with _replay over the integer
+# currents of _sl2_currents; the reference replays the same words through
+# FreeState and apply_mode.  At negative n a corrupted current keeps every
+# rank full, so this word-by-word comparison is what catches one there.
+
+REPLAY_DEPTH = 5
+
+
+@functools.lru_cache(maxsize=None)
+def _replay_reference(n):
+    """Every word verma_to_sections(n, 5) replays, each with its state-path
+    image as a {4-tuple: coefficient} dict; shared by the tests below."""
+    window = _default_mu_window(n, REPLAY_DEPTH)
+    words = [w for d in range(REPLAY_DEPTH + 1) for mu in window for w in verma_basis(n, d, mu)]
+    images = ref_verma_images(n, words)
+    return tuple((w, {tuple(mono): c for mono, c in img.terms.items()}) for w, img in zip(words, images))
+
+
+def _replay_mismatches(replay=_replay, currents=None, ns=range(-3, 3), depth_max=REPLAY_DEPTH):
+    """The (n, word) on which ``replay`` over ``currents`` (by default the
+    integer ZERO-chart ones) differs from the state path or keeps a zero
+    coefficient, over the words of depth <= depth_max, and the number of
+    words compared."""
+    currents = currents or _sl2_currents(Chart.ZERO)
+    bad, cases = [], 0
+    for n in ns:
+        def act_one(gen, m, items):
+            return _act(currents[gen], m, items, n)
+
+        memo = {(): ((VACUUM_MONO, 1),)}
+        for word, want in _replay_reference(n):
+            if word_depth(word) <= depth_max:
+                cases += 1
+                got = replay(word, act_one, memo)
+                if dict(got) != want or any(c == 0 for _, c in got):
+                    bad.append((n, word))
+    return bad, cases
+
+
+def test_replay_matches_the_state_path_word_by_word():
+    bad, cases = _replay_mismatches()
+    assert bad == []
+    assert cases > 10000
+
+
+def test_replay_certificate_catches_a_skipped_head_action():
+    def headless(word, act_one, memo):
+        return _replay(word[1:], act_one, memo) if word else memo[()]
+
+    bad, _ = _replay_mismatches(headless, ns=(-1, 0), depth_max=2)
+    assert bad
+
+
+@pytest.mark.parametrize("gen", ["e", "h"])
+def test_replay_certificate_catches_a_corrupted_current(gen):
+    # one coefficient off by one: e_(-1) a_(-1) becomes 2 a_(-1), and h's
+    # -2 a_(-1) x becomes -a_(-1) x
+    currents = _sl2_currents(Chart.ZERO)
+    (key, c), *rest = currents[gen]
+    currents[gen] = ((key, c + 1), *rest)
+    bad, _ = _replay_mismatches(currents=currents, ns=(-3,), depth_max=3)
+    assert bad
+
+
+def test_corrupted_lowering_current_fails_verma_vs_sections(monkeypatch, capsys):
+    # f's B_(-2) coefficient -2 becomes -1; at n = 0..1 the rank then falls
+    # short of an irreducible dimension
+    import tcdo.affine
+
+    real = tcdo.affine._sl2_currents
+    b2 = ((), (-2,), (), 0)
+
+    def corrupted(chart):
+        currents = real(chart)
+        assert (b2, -2) in currents["f"]
+        currents["f"] = tuple((k, -1 if k == b2 else c) for k, c in currents["f"])
+        return currents
+
+    monkeypatch.setattr(tcdo.affine, "_sl2_currents", corrupted)
+    assert main(["affine", "verma-vs-sections", "--n", "0..1", "--depth", "3", "--format", "json"]) == 1
+    capsys.readouterr()
+
+
+def test_irreducible_dims_match_the_from_scratch_replay():
+    for n in range(4):
+        window = _default_mu_window(n, 4)
+        assert irreducible_dims(n, 4, window) == ref_irreducible_dims(n, 4, window)
 
 
 def test_act_word_composition():

@@ -24,6 +24,7 @@ from tcdo.modespace import (
 from tcdo.p1tcdo import (
     Chart,
     _glue_mono,
+    _sl2_currents,
     check_gluing_morphism,
     check_involution,
     check_sl2_embedding,
@@ -354,3 +355,26 @@ def test_overlap_basis_respects_bounds():
     for mono in overlap_basis(2, 6):
         assert mono.weight <= 2
         assert abs(mono.h_shift) <= 6
+
+
+def test_sl2_currents_are_the_embedding_with_int_coefficients():
+    for chart in (Chart.ZERO, Chart.INFTY):
+        currents = _sl2_currents(chart)
+        for gen, state in sl2_embedding(chart).items():
+            assert dict(currents[gen]) == state.terms
+            assert all(type(k) is tuple and type(c) is int for k, c in currents[gen])
+
+
+def test_sl2_currents_refuse_a_non_integer_coefficient(monkeypatch):
+    import tcdo.p1tcdo
+
+    real = tcdo.p1tcdo.sl2_embedding
+
+    def halved(chart):
+        rho = real(chart)
+        rho["h"] = Fraction(1, 2) * rho["h"]
+        return rho
+
+    monkeypatch.setattr(tcdo.p1tcdo, "sl2_embedding", halved)
+    with pytest.raises(ValueError, match="not integral"):
+        _sl2_currents(Chart.ZERO)

@@ -150,3 +150,20 @@ def test_sugawara_spans_use_centrality_and_the_checks_keep_the_expansion():
     assert "_t_image" in apply and "_central_image" not in apply
     check = _calls("affine.py", "check_sugawara_centrality")
     assert "sugawara_apply" in check and "_central_image" not in check
+
+
+# lowering words are replayed on the integer core by one helper, _replay; the
+# state path (FreeState through apply_mode) survives only as the reference in
+# tests/references.py
+def test_affine_replays_words_on_the_integer_core():
+    tree = ast.parse((SRC / "affine.py").read_text(), filename="affine.py")
+    imported = {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    assert sorted(imported & {"apply_mode", "vacuum", "coordinate_rows", "FreeState"}) == []
+    for name in ("verma_to_sections", "irreducible_dims"):
+        assert "_replay" in _calls("affine.py", name)
+    for filename, name in (("affine.py", "verma_to_sections"), ("cech.py", "scan_h0_sl2")):
+        called = _calls(filename, name)
+        assert "_sl2_currents" in called
+        assert sorted(called & {"sl2_embedding", "_numerators"}) == []
