@@ -27,9 +27,11 @@ equal word by word.  Every other replay of lowering words goes through one
 helper, ``_replay``, which shares tail images within a call:
 ``irreducible_dims`` on f_0^(n+1) hw, and ``verma_to_sections`` on the
 ground state with ``modespace._act`` and the integer currents of
-``p1tcdo._sl2_currents``, so no free-field state is built.  Fractions appear
-only at the public boundary: in ``PBWVector`` and in the results of ``act``
-and ``sugawara_apply``.
+``p1tcdo._sl2_currents``, so no free-field state is built.  Its table holds,
+beside each rank, the quotient dimension the rank is checked against (L_n at
+n >= 0, M_{n/z} below), so each Sugawara span is built once per bidegree.
+Fractions appear only at the public boundary: in ``PBWVector`` and in the
+results of ``act`` and ``sugawara_apply``.
 """
 
 from __future__ import annotations
@@ -308,33 +310,35 @@ def _span_columns(basis_words) -> dict:
     return {w: -i for i, w in enumerate(basis_words)}
 
 
-def _sugawara_span(nu, d: int, mu, basis_words) -> tuple:
-    """A tracker holding all T_(-k) images landing in bidegree (d, mu), and
-    the index of basis_words it uses: ``_span_columns`` numbers the words so
-    that elimination pivots on the last basis word of each image first.
-    Single applications suffice: T is central, so sum_k T_(-k) M is already a
-    submodule, and iterated T's land inside single-T images; the integer
-    images of 2 T_(-k) span the same.  By the same centrality each image
-    2 T_(-k)(w v) is taken as w (2 T_(-k) v) from ``_central_image``, not
-    from the module expansion, which ``sugawara_apply`` keeps."""
+def _sugawara_span(nu, d: int, mu) -> tuple:
+    """The PBW basis words of bidegree (d, mu), a tracker holding all T_(-k)
+    images landing there, and the index of the words it uses:
+    ``_span_columns`` numbers the words so that elimination pivots on the
+    last basis word of each image first.  An empty bidegree gets an empty
+    tracker and no images.  Single applications suffice: T is central, so
+    sum_k T_(-k) M is already a submodule, and iterated T's land inside
+    single-T images; the integer images of 2 T_(-k) span the same.  By the
+    same centrality each image 2 T_(-k)(w v) is taken as w (2 T_(-k) v) from
+    ``_central_image``, not from the module expansion, which
+    ``sugawara_apply`` keeps."""
     nu = _core_nu(nu)
-    index = _span_columns(basis_words)
+    words = verma_basis(nu, d, mu)
+    index = _span_columns(words)
     tracker = SpanTracker()
+    if not words:
+        return words, tracker, index
     for k in range(1, d + 1):
         for src in verma_basis(nu, d - k, mu):
             tracker.add({index[w]: c for w, c in _central_image(-k, src, nu)})
-    return tracker, index
+    return words, tracker, index
 
 
 def restricted_verma_dim(nu, d: int, mu) -> int:
     """Bidegree dimension of M_{nu/z} = M_nu / sum_{k>0} T_(-k) M_nu, the
     Verma module with its central character clamped to nu/z.  This — not the
     raw PBW count — is what matches the lambda*-specialized section spaces."""
-    basis_words = verma_basis(nu, d, mu)
-    if not basis_words:
-        return 0
-    tracker, _ = _sugawara_span(nu, d, mu, basis_words)
-    return len(basis_words) - tracker.dim
+    words, tracker, _ = _sugawara_span(nu, d, mu)
+    return len(words) - tracker.dim
 
 
 def _default_mu_window(n: int, d_max: int):
@@ -352,20 +356,12 @@ def singular_bidegrees(nu, d_max: int, mu_values) -> list:
     found = []
     for d in range(d_max + 1):
         for mu in mu_values:
-            basis_words = verma_basis(nu, d, mu)
-            if not basis_words:
-                continue
-            own, _ = span(d, mu, basis_words)
+            basis_words, own, _ = span(d, mu)
             # the image of each basis word: the coordinates of X w in each
             # target bidegree, reduced modulo the target's Sugawara span
             images = [{} for _ in basis_words]
             for gen, m in RAISING:
-                tgt_d = d - m
-                tgt_mu = mu + _H_SHIFT[gen]
-                tgt_words = verma_basis(nu, tgt_d, tgt_mu)
-                if not tgt_words:
-                    continue
-                tracker, index = span(tgt_d, tgt_mu, tgt_words)
+                _, tracker, index = span(d - m, mu + _H_SHIFT[gen])
                 for image, w in zip(images, basis_words):
                     row = {index[x]: c for x, c in _act_word(gen, m, w, core_nu)}
                     image.update(((gen, m, i), c) for i, c in tracker.residual(row).items())
@@ -392,8 +388,7 @@ def irreducible_dims(n: int, d_max: int, mu_values) -> dict:
     out = {}
     for d in range(d_max + 1):
         for mu in mu_values:
-            basis_words = verma_basis(n, d, mu)
-            tracker, index = _sugawara_span(n, d, mu, basis_words)
+            basis_words, tracker, index = _sugawara_span(n, d, mu)
             # lowering words sending the singular vector (h-weight -n-2) into
             # (d, mu); U(g^)w = U(lowering)w because w is singular (verified
             # by check_singular_generator in `tcdo affine singular`)
@@ -424,15 +419,18 @@ def check_singular_generator(n: int) -> CheckReport:
 # -- the replay map onto free-field sections ---------------------------------------
 
 
-def verma_to_sections(n: int, d_max: int, mu_values=None) -> dict:
+def verma_to_sections(n: int, d_max: int) -> dict:
     """Replay each PBW word through the integer chart sl2 currents on the
     ground state 1 of the residue-n module; returns a per-bidegree table
-    (d, mu) -> (raw PBW dim, restricted dim, section dim, rank of the map).
+    (d, mu) -> (raw PBW dim, quotient dim, section dim, rank of the map).
 
     The sections carry the clamped central character, so the map factors
-    through M_{n/z}; "full rank" means rank == restricted dim == section dim.
-    At negative n a corrupted current keeps the rank full, so only the word
-    by word differential test against the state path catches it there.
+    through M_{n/z}.  The quotient dim is what the rank should reach: the
+    dimension of the irreducible quotient L_n (``irreducible_dims``) at
+    n >= 0, and of M_{n/z} (``restricted_verma_dim``) at n < 0, where "full
+    rank" means rank == quotient dim == section dim.  At negative n a
+    corrupted current keeps the rank full, so only the word by word
+    differential test against the state path catches it there.
     """
     currents = _sl2_currents(Chart.ZERO)
 
@@ -440,7 +438,8 @@ def verma_to_sections(n: int, d_max: int, mu_values=None) -> dict:
         return _act(currents[gen], m, items, n)
 
     memo = {(): ((VACUUM_MONO, 1),)}
-    mus = mu_values if mu_values is not None else _default_mu_window(n, d_max)
+    mus = _default_mu_window(n, d_max)
+    irreducible = irreducible_dims(n, d_max, mus) if n >= 0 else {}
     table = {}
     for d in range(d_max + 1):
         for mu in mus:
@@ -453,7 +452,8 @@ def verma_to_sections(n: int, d_max: int, mu_values=None) -> dict:
             # ground power
             index = {t: i for i, t in enumerate(targets)}
             images = [{index[k]: c for k, c in _replay(word, act_one, memo)} for word in words]
-            table[(d, mu)] = (len(words), restricted_verma_dim(n, d, mu), len(targets), rank(images))
+            quotient = irreducible[(d, mu)] if n >= 0 else restricted_verma_dim(n, d, mu)
+            table[(d, mu)] = (len(words), quotient, len(targets), rank(images))
     return table
 
 

@@ -39,16 +39,13 @@ GLUING_WEIGHT_MAX = 4
 CECH_WEIGHT_MAX = 10
 
 # every request ceiling, checked before any work starts: (command, mode,
-# option) -> (ceiling, what the command runs up to it).  Each was sized like
-# CECH_WEIGHT_MAX, so that one small n at the ceiling took about two minutes
-# on a 2-core Xeon: affine singular 110 s at weight 8 and 52 s at depth 6,
-# affine char 100 s at depth 7 (n = 0), verma-vs-sections 114 s at depth 7
-# (n = -3).  n = 6 costs 2-3x that, and one more unit 3x to 15x.  Since
-# then the depth ceilings take 4.3 s (singular), 2.5 s (char) and 4.6 s
-# (verma-vs-sections, which replays on the integer core; 3.4 s at n = 0),
-# and weight 8 takes 39 s.  The sample ceilings, one run each with the
-# other flags at their defaults: gluing 105 s and 346 MB, affine singular
-# 123 s at n = 0; verify-engine 38 s, but its caches grow by about 75 MB per
+# option) -> (ceiling, what the command runs up to it).  Each is sized like
+# CECH_WEIGHT_MAX: one small n at the ceiling must finish within about two
+# minutes on a 2-core Xeon, and n = 6 costs 2-3x that.  Now, one run each
+# with the other flags at their defaults: affine singular 39 s at weight 8,
+# 4.3 s at depth 6 and 123 s at its sample ceiling; affine char 2.5 s and
+# verma-vs-sections 2.1 s at depth 7 (n = 0; 3.7 s at n = -3); gluing 105 s
+# and 346 MB; verify-engine 38 s, but its caches grow by about 75 MB per
 # 1000 samples (759 MB at the ceiling), so memory, not time, sets that one.
 CEILINGS = {
     ("verify-engine", None, "samples"): (10_000, "verify-engine draws"),
@@ -201,12 +198,11 @@ def cmd_affine(args: argparse.Namespace):
                     )
                 rep.details["statement"] = "full rank per bidegree (isomorphism range)"
             else:
-                mus = sorted({mu for _, mu in table})
-                ldims = affine.irreducible_dims(n, args.depth_max, mus)
-                for key, (_, _, _, rk) in sorted(table.items()):
+                # at n >= 0 the table's quotient column is the irreducible dim
+                for (d, mu), (_, irreducible, _, rk) in sorted(table.items()):
                     rep.record(
-                        rk == ldims[key],
-                        f"(d={key[0]}, mu={key[1]}): rank {rk} != irreducible dim {ldims[key]}",
+                        rk == irreducible,
+                        f"(d={d}, mu={mu}): rank {rk} != irreducible dim {irreducible}",
                     )
                 rep.details["statement"] = "image dimensions equal the irreducible quotient's"
             # the free lambda*-tower lines the raw PBW count up with the sections

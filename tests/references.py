@@ -4,7 +4,7 @@ Each one restates an identity or a bookkeeping rule directly from its
 definition; the package itself has no use for them.
 """
 
-from tcdo.affine import _act_terms, _negative_words, _sugawara_span, verma_basis, word_h_shift
+from tcdo.affine import _act_terms, _negative_words, _sugawara_span, word_h_shift
 from tcdo.cech import BigradedReport, cech_kernel, mu_window
 from tcdo.linalg import kernel_basis
 from tcdo.modespace import (
@@ -230,11 +230,7 @@ def ref_irreducible_dims(n: int, d_max: int, mu_values) -> dict:
     out = {}
     for d in range(d_max + 1):
         for mu in mu_values:
-            basis_words = verma_basis(n, d, mu)
-            if not basis_words:
-                out[(d, mu)] = 0
-                continue
-            tracker, index = _sugawara_span(n, d, mu, basis_words)
+            basis_words, tracker, index = _sugawara_span(n, d, mu)
             for neg in _negative_words(d):
                 gap = n + word_h_shift(neg) - 2 * (n + 1) - mu
                 if gap >= 0 and gap % 2 == 0:

@@ -440,9 +440,9 @@ def test_singular_bidegrees_builds_each_sugawara_span_once(monkeypatch):
     built = []
     real = tcdo.affine._sugawara_span
 
-    def counting(nu, d, mu, words):
+    def counting(nu, d, mu):
         built.append((nu, d, mu))
-        return real(nu, d, mu, words)
+        return real(nu, d, mu)
 
     monkeypatch.setattr(tcdo.affine, "_sugawara_span", counting)
     window = [m for m in range(-9, 6) if m % 2 == 0]
@@ -451,6 +451,24 @@ def test_singular_bidegrees_builds_each_sugawara_span_once(monkeypatch):
     built.clear()
     window = [Fraction(1, 2) + 2 * k for k in range(-4, 3)]
     assert singular_bidegrees(Fraction(1, 2), 2, window) == []
+    assert built and len(built) == len(set(built))
+
+
+def test_verma_vs_sections_builds_each_sugawara_span_once(monkeypatch, capsys):
+    # the replay table carries the quotient dimension the command checks, so
+    # no bidegree's Sugawara span is built a second time for the check
+    import tcdo.affine
+
+    built = []
+    real = tcdo.affine._sugawara_span
+
+    def counting(nu, d, mu):
+        built.append((nu, d, mu))
+        return real(nu, d, mu)
+
+    monkeypatch.setattr(tcdo.affine, "_sugawara_span", counting)
+    assert main(["affine", "verma-vs-sections", "--n", "0..1", "--depth", "3", "--format", "json"]) == 0
+    capsys.readouterr()
     assert built and len(built) == len(set(built))
 
 
@@ -549,6 +567,15 @@ def test_replay_rank_equals_irreducible_dims_for_dominant_twist():
     ldims = irreducible_dims(n, d_max, mus)
     for key, (_, _, _, rk) in table.items():
         assert rk == ldims[key]
+    # the quotient column is the dimension the command checks the rank
+    # against: L_n at n >= 0, M_{n/z} below
+    for n in range(-3, 3):
+        table = verma_to_sections(n, d_max)
+        assert table
+        if n >= 0:
+            ldims = irreducible_dims(n, d_max, _default_mu_window(n, d_max))
+        for (d, mu), (_, quotient, _, _) in table.items():
+            assert quotient == (ldims[(d, mu)] if n >= 0 else restricted_verma_dim(n, d, mu))
 
 
 def test_replay_image_of_hw_killed_by_f0_power():

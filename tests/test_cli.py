@@ -210,6 +210,37 @@ def test_affine_verma_vs_sections_raw_count_mismatch_exits_1(monkeypatch, capsys
     assert "(d=0, mu=-2): raw PBW 1 != unclamped sections 2" in rep["failures"]
 
 
+# the command reads the quotient dimension from the replay table; an error in
+# either function that fills that column, irreducible_dims at n >= 0 and
+# restricted_verma_dim at n < 0, must still fail the run.  Each fault puts
+# the (0, n) dimension one too high.
+QUOTIENT_FAULTS = {
+    "irreducible_dims": (
+        "0..1",
+        lambda real: lambda n, d_max, mus: {
+            key: dim + (key == (0, n)) for key, dim in real(n, d_max, mus).items()
+        },
+        "(d=0, mu=0): rank 1 != irreducible dim 2",
+    ),
+    "restricted_verma_dim": (
+        "-3..-2",
+        lambda real: lambda n, d, mu: real(n, d, mu) + ((d, mu) == (0, n)),
+        "(d=0, mu=-3): rank 1, restricted 2, sections 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(QUOTIENT_FAULTS))
+def test_affine_verma_vs_sections_wrong_quotient_dim_exits_1(name, monkeypatch, capsys):
+    n_spec, fault, failure = QUOTIENT_FAULTS[name]
+    monkeypatch.setattr(tcdo.affine, name, fault(getattr(tcdo.affine, name)))
+    code, out, _ = run(["affine", "verma-vs-sections", "--n", n_spec, "--depth", "3", "--format", "json"], capsys)
+    assert code == 1
+    first = json.loads(out)["results"][0]
+    assert first["passed"] is False
+    assert failure in first["failures"]
+
+
 # -- output formats ---------------------------------------------------------------
 
 

@@ -152,6 +152,15 @@ def test_sugawara_spans_use_centrality_and_the_checks_keep_the_expansion():
     assert "sugawara_apply" in check and "_central_image" not in check
 
 
+# the replay table carries the quotient dimension verma-vs-sections checks,
+# so the command never builds a Sugawara span of its own
+def test_verma_vs_sections_reads_the_quotient_dim_from_the_table():
+    called = _calls("cli.py", "cmd_affine")
+    assert "verma_to_sections" in called
+    assert sorted(called & {"irreducible_dims", "restricted_verma_dim"}) == []
+    assert {"irreducible_dims", "restricted_verma_dim"} <= _calls("affine.py", "verma_to_sections")
+
+
 # lowering words are replayed on the integer core by one helper, _replay; the
 # state path (FreeState through apply_mode) survives only as the reference in
 # tests/references.py
