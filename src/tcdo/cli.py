@@ -45,10 +45,12 @@ CECH_WEIGHT_MAX = 10
 # with the other flags at their defaults: affine singular 39 s at weight 8,
 # 4.3 s at depth 6 and 123 s at its sample ceiling; affine char 2.5 s and
 # verma-vs-sections 2.1 s at depth 7 (n = 0; 3.7 s at n = -3); gluing 105 s
-# and 346 MB; verify-engine 38 s, but its caches grow by about 75 MB per
-# 1000 samples (759 MB at the ceiling), so memory, not time, sets that one.
+# and 346 MB; zhu 92 s and 87 MB at cutoff 60 (135 s at 64); verify-engine
+# 38 s, but its caches grow by about 75 MB per 1000 samples (759 MB at the
+# ceiling), so memory, not time, sets that one.
 CEILINGS = {
     ("verify-engine", None, "samples"): (10_000, "verify-engine draws"),
+    ("zhu", None, "cutoff"): (60, "zhu reduces the filtration words"),
     ("gluing", None, "samples"): (250_000, "gluing draws"),
     ("gluing", None, "weight_max"): (GLUING_WEIGHT_MAX, "gluing checks the involution"),
     ("cech", None, "weight_max"): (CECH_WEIGHT_MAX, "cech scans"),
@@ -58,7 +60,9 @@ CEILINGS = {
     ("affine", "char", "depth_max"): (7, "affine char runs the PBW oracle"),
     ("affine", "verma-vs-sections", "depth_max"): (7, "affine verma-vs-sections replays"),
 }
-_FLAGS = {"weight_max": "--weight-max", "depth_max": "--depth", "samples": "--samples"}
+_FLAGS = {
+    "weight_max": "--weight-max", "depth_max": "--depth", "samples": "--samples", "cutoff": "--cutoff",
+}
 
 
 class UsageError(ValueError):

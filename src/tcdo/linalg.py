@@ -279,14 +279,8 @@ def kernel_basis(images):
     return basis
 
 
-def coordinate_rows(states, index: dict) -> list[dict]:
-    """Sparse coordinate rows ``{column: coefficient}`` of states (anything
-    with a ``terms`` dict) over a basis index ``{basis key: column}``."""
-    return [{index[key]: c for key, c in state.terms.items()} for state in states]
-
-
 class SpanTracker:
-    """Incrementally built row space with exact membership tests.
+    """Incrementally built row space; a vector's residual is empty iff it lies in it.
 
     Vectors are sparse dicts ``{col: value}``; ``add`` returns True when the
     vector actually enlarged the span, so rank is just ``dim``.
@@ -294,11 +288,6 @@ class SpanTracker:
 
     def __init__(self):
         self._core = _Echelon()
-
-    def contains(self, vec) -> bool:
-        row, _ = _integer_row(vec)
-        self._core.reduce(row)
-        return not row
 
     def residual(self, vec) -> dict:
         """The vector reduced against the current span, as a sparse dict of

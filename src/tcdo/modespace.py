@@ -65,7 +65,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
 
-from .linalg import LinearCombination, _merge
+from .linalg import LinearCombination, _integer_row, _merge
 
 POLY = "poly"
 LAURENT = "laurent"
@@ -434,13 +434,6 @@ def _act(wterms, m: int, uterms, ls) -> dict[tuple, int]:
     return out
 
 
-def _numerators(terms: dict) -> tuple[int, list]:
-    """(D, [(monomial, c * D)]) for the least common denominator D of the
-    coefficients of ``terms``."""
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    return den, [(mono, c.numerator * (den // c.denominator)) for mono, c in terms.items()]
-
-
 def _state(out: dict, den: int, ring: str, lstar) -> FreeState:
     """The state with coefficients out[mono] / den.  This is the engine's
     public boundary: each nonzero key, a 4-tuple from the core, is validated
@@ -472,9 +465,9 @@ def apply_mode(w: FreeState, m: int, u: FreeState) -> FreeState:
     constants, and each output coefficient becomes a ``Fraction`` once.
     """
     ring, ls = _action_sector(w.ring, w.lstar, u.ring, u.lstar)
-    dw, wterms = _numerators(w.terms)
-    du, uterms = _numerators(u.terms)
-    return _state(_act(wterms, m, uterms, ls), dw * du, ring, ls)
+    wterms, dw = _integer_row(w.terms)
+    uterms, du = _integer_row(u.terms)
+    return _state(_act(wterms.items(), m, uterms.items(), ls), dw * du, ring, ls)
 
 
 def linear_combination(parts, ring: str = POLY, lstar: int | None = None) -> FreeState:
@@ -542,9 +535,8 @@ def borcherds_sides(a: FreeState, b: FreeState, c: FreeState, m: int, n: int, k:
     wa = max(a.weights(), default=0)
     wb = max(b.weights(), default=0)
     wc = max(c.weights(), default=0)
-    da, aterms = _numerators(a.terms)
-    db, bterms = _numerators(b.terms)
-    dc, cterms = _numerators(c.terms)
+    (arow, da), (brow, db), (crow, dc) = (_integer_row(s.terms) for s in (a, b, c))
+    aterms, bterms, cterms = arow.items(), brow.items(), crow.items()
     lhs: dict[tuple, int] = {}
     for j in range(max(wa + wb - n, 0) + 1):
         coef = binom(m, j)

@@ -4,24 +4,30 @@ Each one restates an identity or a bookkeeping rule directly from its
 definition; the package itself has no use for them.
 """
 
+from functools import lru_cache
+
 from tcdo.affine import _act_terms, _negative_words, _sugawara_span, word_h_shift
 from tcdo.cech import BigradedReport, cech_kernel, mu_window
 from tcdo.linalg import kernel_basis
 from tcdo.modespace import (
+    GEN_A,
     LAURENT,
     POLY,
     FreeState,
+    Monomial,
     _act,
     _head,
     apply_mode,
     binom,
+    gen_a,
+    gen_lstar,
     linear_combination,
     vacuum,
     zero,
 )
 from tcdo.p1tcdo import _SYMBOLIC_IMAGES, Chart, glue, include_overlap, sl2_embedding
 from tcdo.reports import CheckReport
-from tcdo.zhu import GradingError, zhu_star
+from tcdo.zhu import DiffOp, GradingError, diffop, diffop_zero, zhu_star
 
 
 def commutator_sides(w: FreeState, r: int, v: FreeState, m: int, u: FreeState):
@@ -240,3 +246,34 @@ def ref_irreducible_dims(n: int, d_max: int, mu_values) -> dict:
                     tracker.add({index[w]: c for w, c in terms})
             out[(d, mu)] = len(basis_words) - tracker.dim
     return out
+
+
+# the Zhu class map as it was before zhu_reduce took the closed form: the
+# rewriting rules modulo O'(V), with the zero mode run through the engine
+
+def ref_zhu_reduce(u: FreeState) -> DiffOp:
+    """Class of u in the Zhu algebra, in functions-then-derivations order."""
+    out = diffop_zero()
+    for mono, c in u.terms.items():
+        out = out + c * _ref_reduce_mono(mono, u.ring, u.lstar)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _ref_reduce_mono(mono: Monomial, ring: str, ls) -> DiffOp:
+    if mono.bmodes:
+        return diffop_zero()
+    head = _head(mono)
+    if head is None:
+        return diffop(k=mono.power)
+    gen, mode, tail = head
+    tail = Monomial(*tail)
+    if gen == GEN_A:
+        gen_op, gen_state = diffop(p=1), gen_a()
+    else:
+        gen_op, gen_state = diffop(e=1), gen_lstar()
+    sign = 1 if mode % 2 else -1  # (-1)^(s-1) for the mode -s
+    tail_state = FreeState({tail: 1}, ring, ls)
+    zero_mode = apply_mode(gen_state, 0, tail_state)
+    reduced = gen_op * _ref_reduce_mono(tail, ring, ls) - ref_zhu_reduce(zero_mode)
+    return sign * reduced

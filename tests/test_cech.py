@@ -18,7 +18,7 @@ from tcdo.cech import (
 )
 from tcdo.affine import restricted_verma_dim
 import tcdo.linalg
-from tcdo.linalg import _Echelon, _integer_row, coordinate_rows, kernel_basis, rank
+from tcdo.linalg import _Echelon, _integer_row, kernel_basis, rank
 from tcdo.modespace import FreeState, vacuum
 from tcdo.p1tcdo import Chart, glue, include_overlap, sections_bidegree
 from tcdo.qseries import QSeries, eta_inverse_squared
@@ -94,10 +94,8 @@ def test_delta_matrix_matches_the_state_path():
                 index = {m: i for i, m in enumerate(basisov)}
                 states0 = [FreeState({m: 1}, Chart.ZERO.ring, n) for m in basis0]
                 statesinf = [FreeState({m: 1}, Chart.INFTY.ring, n) for m in basisinf]
-                want = coordinate_rows(
-                    [include_overlap(s) for s in states0] + [-1 * glue(s) for s in statesinf],
-                    index,
-                )
+                states = [include_overlap(s) for s in states0] + [-1 * glue(s) for s in statesinf]
+                want = [{index[m]: c for m, c in s.terms.items()} for s in states]
                 assert images == want, (n, N, mu)
                 blocks += 1
     assert blocks == 2245

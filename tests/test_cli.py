@@ -18,6 +18,7 @@ import tcdo.affine
 import tcdo.cech
 import tcdo.modespace
 import tcdo.p1tcdo
+import tcdo.zhu
 from tcdo.affine import verma_to_sections
 from tcdo.cli import CECH_WEIGHT_MAX, CEILINGS, UsageError, main, parse_n_spec
 from tcdo.reports import CheckReport
@@ -433,6 +434,35 @@ def test_cech_weight_max_at_limit_reaches_the_scan(monkeypatch, capsys):
     assert calls == [(-2, CECH_WEIGHT_MAX)]
 
 
+ZHU_CUTOFF_MAX = CEILINGS["zhu", None, "cutoff"][0]
+
+
+def test_zhu_cutoff_above_limit_returns_2(monkeypatch, capsys):
+    for name in ("check_alpha_relations", "check_zhu_of_tcdo_chart"):
+        monkeypatch.setattr(tcdo.zhu, name, lambda *args: pytest.fail("the suite ran"))
+    too_deep = str(ZHU_CUTOFF_MAX + 1)
+    code, out, err = run(["zhu", "--cutoff", too_deep, "--format", "json"], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"--cutoff {ZHU_CUTOFF_MAX}" in err and f"got {too_deep}" in err
+
+
+def test_zhu_cutoff_at_limit_reaches_the_chart_check(monkeypatch, capsys):
+    # the chart check at the limit takes minutes, so a passing stand-in
+    # records the cutoff it was handed
+    calls = []
+
+    def reached(cutoff):
+        calls.append(cutoff)
+        return CheckReport("zhu-of-chart")
+
+    monkeypatch.setattr(tcdo.zhu, "check_zhu_of_tcdo_chart", reached)
+    code, out, _ = run(["zhu", "--cutoff", str(ZHU_CUTOFF_MAX), "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["params"]["cutoff"] == ZHU_CUTOFF_MAX
+    assert calls == [ZHU_CUTOFF_MAX]
+
+
 # the first piece of work behind each ceiling; the stand-ins below replace it
 CEILING_WORK = {
     ("verify-engine", None): (tcdo.modespace, "engine_property_suite"),
@@ -441,8 +471,9 @@ CEILING_WORK = {
     ("affine", "singular"): (tcdo.cech, "scan_h0_sl2"),
     ("affine", "char"): (tcdo.affine, "irreducible_char_oracle"),
     ("affine", "verma-vs-sections"): (tcdo.affine, "verma_to_sections"),
+    ("zhu", None): (tcdo.zhu, "check_alpha_relations"),
 }
-FLAGS = {"weight_max": "--weight-max", "depth_max": "--depth", "samples": "--samples"}
+FLAGS = {"weight_max": "--weight-max", "depth_max": "--depth", "samples": "--samples", "cutoff": "--cutoff"}
 
 
 def _ceiling_argv(command, mode, option, value):

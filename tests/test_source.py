@@ -175,4 +175,14 @@ def test_affine_replays_words_on_the_integer_core():
     for filename, name in (("affine.py", "verma_to_sections"), ("cech.py", "scan_h0_sl2")):
         called = _calls(filename, name)
         assert "_sl2_currents" in called
-        assert sorted(called & {"sl2_embedding", "_numerators"}) == []
+        assert sorted(called & {"sl2_embedding", "_integer_row"}) == []
+
+
+# the Zhu class map is a closed form, independent of the mode engine whose
+# products its checks reduce, and keeps no cache
+def test_zhu_classes_are_read_off_without_the_engine():
+    assert sorted(_calls("zhu.py", "zhu_reduce") & {"apply_mode", "_apply_mono", "_head"}) == []
+    tree = ast.parse((SRC / "zhu.py").read_text(), filename="zhu.py")
+    names = {getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+             for node in ast.walk(tree)}
+    assert "lru_cache" not in names

@@ -11,6 +11,8 @@ from fractions import Fraction
 import pytest
 
 from tcdo.modespace import (
+    LAURENT,
+    POLY,
     FreeState,
     Monomial,
     apply_mode,
@@ -18,6 +20,7 @@ from tcdo.modespace import (
     gen_b,
     gen_lstar,
     ground,
+    normal_forms,
     random_state,
     translation,
     vacuum,
@@ -34,7 +37,7 @@ from tcdo.zhu import (
     zhu_star_n,
 )
 
-from references import weight_components, zhu_star_linear
+from references import ref_zhu_reduce, weight_components, zhu_star_linear
 
 SEED = 42
 
@@ -204,6 +207,39 @@ def test_reduce_is_linear():
         u, v = random_state(rng, 3), random_state(rng, 3)
         lhs = zhu_reduce(u + 3 * v)
         assert lhs == zhu_reduce(u) + Fraction(3) * zhu_reduce(v)
+
+
+# the closed form against the rewriting rules it replaced, in every sector: the
+# ground powers each ring allows and the symbolic twist (the only sector with
+# lambda*-modes) besides three specialized ones
+ZHU_SECTORS = [
+    (ring, twist, powers)
+    for ring, powers in ((POLY, range(0, 4)), (LAURENT, range(-3, 4)))
+    for twist in (None, 0, 2, -3)
+]
+
+
+def test_closed_form_matches_the_rewriting_reference_on_every_small_monomial():
+    seen = 0
+    for ring, twist, powers in ZHU_SECTORS:
+        for weight in range(7):
+            for amodes, bmodes, lmodes, _ in normal_forms(weight, twist is None):
+                for k in powers:
+                    u = FreeState({Monomial(amodes, bmodes, lmodes, k): 1}, ring, twist)
+                    assert zhu_reduce(u) == ref_zhu_reduce(u), u
+                    seen += 1
+    assert seen == 9152
+
+
+def test_closed_form_matches_the_rewriting_reference_on_sums():
+    rng = random.Random(SEED + 8)
+    for ring, twist, _ in ZHU_SECTORS:
+        for _ in range(10):
+            u = random_state(rng, 5, ring, twist, max_terms=4)
+            v = random_state(rng, 5, ring, twist, max_terms=4)
+            w = u + Fraction(-2, 3) * v
+            assert zhu_reduce(w) == ref_zhu_reduce(w)
+            assert zhu_reduce(w) == zhu_reduce(u) + Fraction(-2, 3) * zhu_reduce(v)
 
 
 def test_diffop_rejects_bad_keys():
