@@ -238,7 +238,6 @@ def _replay(word: tuple, act_one, memo: dict) -> tuple:
 # -- Sugawara -------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _t_image(k: int, word: tuple, nu) -> tuple:
     """The nonzero PBW term items of 2 T_k (word * hw), for nu as
     ``_core_nu`` gives it: twice the Sugawara field, 2 e_(-1)f + 2 f_(-1)e +

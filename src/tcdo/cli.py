@@ -27,9 +27,6 @@ CONVENTIONS = (
 )
 
 USAGE_ERROR = 2
-# the deepest gluing involution check on offer: its overlap basis grows
-# quickly with the weight, so a deeper request is refused, not truncated
-GLUING_WEIGHT_MAX = 4
 # the deepest Cech scan on offer: one n costs about 3.5x more per unit of
 # weight (n = 0 took about 10 s at weight 8, 34 s at 9 and 107 s at 10 on a
 # 2-core Xeon when this was sized, n = 6 about 1.4x that; 38 s at weight 10
@@ -38,6 +35,23 @@ GLUING_WEIGHT_MAX = 4
 # 2 minutes per n and is refused before it starts
 CECH_WEIGHT_MAX = 10
 
+# every numeric option: dest -> (flag, default)
+_OPTIONS = {
+    "weight_max": ("--weight-max", 4), "depth_max": ("--depth", 4), "samples": ("--samples", 100),
+    "seed": ("--seed", 42), "cutoff": ("--cutoff", 3),
+}
+# (command, mode) -> (help, the numeric options it reads), keyed like
+# CEILINGS; a command accepts no other numeric flag
+_COMMANDS = {
+    ("verify-engine", None): ("mode-calculus property sweep, conformal weight <= 3", ("samples", "seed")),
+    ("zhu", None): ("weight-zero associative quotient checks", ("cutoff",)),
+    ("gluing", None): ("two-chart gluing, involution, sl2, Sugawara", ("weight_max", "samples", "seed")),
+    ("cech", None): ("bigraded cohomology scan and character comparison", ("weight_max",)),
+    ("affine", "char"): ("PBW character oracle vs closed form", ("depth_max",)),
+    ("affine", "verma-vs-sections"): ("replay PBW words into sections", ("depth_max",)),
+    ("affine", "singular"): ("singular vectors: H^0 vs PBW", ("weight_max", "depth_max", "samples", "seed")),
+}
+
 # every request ceiling, checked before any work starts: (command, mode,
 # option) -> (ceiling, what the command runs up to it).  Each is sized like
 # CECH_WEIGHT_MAX: one small n at the ceiling must finish within about two
@@ -45,23 +59,21 @@ CECH_WEIGHT_MAX = 10
 # with the other flags at their defaults: affine singular 39 s at weight 8,
 # 4.3 s at depth 6 and 123 s at its sample ceiling; affine char 2.5 s and
 # verma-vs-sections 2.1 s at depth 7 (n = 0; 3.7 s at n = -3); gluing 105 s
-# and 346 MB; zhu 92 s and 87 MB at cutoff 60 (135 s at 64); verify-engine
-# 38 s, but its caches grow by about 75 MB per 1000 samples (759 MB at the
-# ceiling), so memory, not time, sets that one.
+# and 346 MB, and its involution check's overlap basis grows fast past
+# weight 4; zhu 38 s and 86 MB at cutoff 60; verify-engine 38 s, but its
+# caches grow by about 75 MB per 1000 samples (759 MB at the ceiling), so
+# memory, not time, sets that one.
 CEILINGS = {
     ("verify-engine", None, "samples"): (10_000, "verify-engine draws"),
     ("zhu", None, "cutoff"): (60, "zhu reduces the filtration words"),
     ("gluing", None, "samples"): (250_000, "gluing draws"),
-    ("gluing", None, "weight_max"): (GLUING_WEIGHT_MAX, "gluing checks the involution"),
+    ("gluing", None, "weight_max"): (4, "gluing checks the involution"),
     ("cech", None, "weight_max"): (CECH_WEIGHT_MAX, "cech scans"),
     ("affine", "singular", "weight_max"): (8, "affine singular scans H^0"),
     ("affine", "singular", "depth_max"): (6, "affine singular scans the Verma module"),
     ("affine", "singular", "samples"): (500_000, "affine singular draws"),
     ("affine", "char", "depth_max"): (7, "affine char runs the PBW oracle"),
     ("affine", "verma-vs-sections", "depth_max"): (7, "affine verma-vs-sections replays"),
-}
-_FLAGS = {
-    "weight_max": "--weight-max", "depth_max": "--depth", "samples": "--samples", "cutoff": "--cutoff",
 }
 
 
@@ -370,49 +382,32 @@ def emit(args: argparse.Namespace, results, passed: bool, csv_rows) -> None:
 # -- argument parsing -----------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--weight-max", type=int, default=4)
-    p.add_argument("--depth", dest="depth_max", type=int, default=4)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--out", default=None, help="write the report to a file")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tcdo",
         description="Exact verification suites for the chiral sheaf calculus on the projective line.",
     )
-    parser.set_defaults(n_spec=None, twist="symbolic", cutoff=3, mode=None)
+    # every numeric default lives on the top parser, so params echoes the
+    # four common values whichever of them the command reads
+    parser.set_defaults(n_spec=None, twist="symbolic", mode=None, **{o: d for o, (_, d) in _OPTIONS.items()})
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "verify-engine",
-        help="mode-calculus property sweep",
-        description="Seeded property sweep of the mode calculus over states of conformal "
-        "weight <= 3. --weight-max is accepted and echoed in params, but the sweep "
-        "ignores it.",
-    )
-    _add_common(p)
-
-    p = sub.add_parser("zhu", help="weight-zero associative quotient checks")
-    p.add_argument("--cutoff", type=int, default=3)
-    _add_common(p)
-
-    p = sub.add_parser("gluing", help="two-chart gluing, involution, sl2, Sugawara")
-    p.add_argument("--twist", default="symbolic", help="'symbolic' or an integer residue")
-    _add_common(p)
-
-    p = sub.add_parser("cech", help="bigraded cohomology scan and character comparison")
-    p.add_argument("--n", dest="n_spec", default="-4..4", help="integer or a..b range in [-6,6]")
-    _add_common(p)
-
-    p = sub.add_parser("affine", help="independent PBW oracle")
-    p.add_argument("mode", choices=("char", "verma-vs-sections", "singular"))
-    p.add_argument("--n", dest="n_spec", default=None, help="integer or a..b range")
-    _add_common(p)
-
+    modes = {}
+    for (command, mode), (text, options) in _COMMANDS.items():
+        if mode and command not in modes:
+            modes[command] = sub.add_parser(command, help="independent PBW oracle").add_subparsers(
+                dest="mode", required=True
+            )
+        p = (modes[command] if mode else sub).add_parser(mode or command, help=text, description=text)
+        for option in options:
+            flag, default = _OPTIONS[option]
+            p.add_argument(flag, dest=option, type=int, default=default)
+        if command in ("cech", "affine"):
+            p.add_argument("--n", dest="n_spec", default="-4..4" if command == "cech" else None,
+                           help="integer or a..b range")
+        if command == "gluing":
+            p.add_argument("--twist", default="symbolic", help="'symbolic' or an integer residue")
+        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        p.add_argument("--out", default=None, help="write the report to a file")
     return parser
 
 
@@ -449,7 +444,7 @@ def main(argv=None) -> int:
     for (command, mode, option), (ceiling, what) in CEILINGS.items():
         value = getattr(args, option)
         if (command, mode) == (args.command, args.mode) and value > ceiling:
-            print(f"error: {what} up to {_FLAGS[option]} {ceiling}, got {value}", file=sys.stderr)
+            print(f"error: {what} up to {_OPTIONS[option][0]} {ceiling}, got {value}", file=sys.stderr)
             return USAGE_ERROR
     try:
         results, passed, csv_rows = _DISPATCH[args.command](args)

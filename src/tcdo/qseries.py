@@ -58,18 +58,6 @@ class QSeries:
         coeffs = (0,) * min(p, self.order + 1) + self.coeffs
         return QSeries(coeffs[: self.order + 1], self.order)
 
-    def __str__(self) -> str:
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if j == 0:
-                parts.append(str(c))
-            else:
-                q = "q" if j == 1 else f"q^{j}"
-                parts.append(q if c == 1 else f"{c}*{q}")
-        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
-
 
 def _check_orders(a: QSeries, b: QSeries) -> None:
     if a.order != b.order:

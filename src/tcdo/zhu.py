@@ -206,18 +206,22 @@ def check_zhu_of_tcdo_chart(cutoff: int = 3) -> CheckReport:
         comm = zhu_reduce(zhu_star(lam, v) - zhu_star(v, lam))
         rep.record(comm.is_zero, f"[l*, {name}] = 0")
 
-    # enumerate the reduced classes of the products x^d a^k l*^e
+    # enumerate the reduced classes of the products x^d a^k l*^e, each one
+    # product onto a stored word: x onto (d-1, k, e), else a onto (0, k-1, e),
+    # else l* onto (0, 0, e-1); only the layer d-1 is kept
     words = []
+    layer: dict = {}
     for d in range(cutoff + 1):
+        below, layer = layer, {}
         for k in range(cutoff + 1 - d):
             for e in range(cutoff + 1 - d - k):
-                w = vacuum()
-                for _ in range(e):
-                    w = zhu_star(lam, w)
-                for _ in range(k):
-                    w = zhu_star(a, w)
-                for _ in range(d):
-                    w = zhu_star(x, w)
+                if d:
+                    w = zhu_star(x, below[k, e])
+                elif k:
+                    w = zhu_star(a, layer[k - 1, e])
+                else:
+                    w = zhu_star(lam, layer[0, e - 1]) if e else vacuum()
+                layer[k, e] = w
                 words.append(((d, k, e), zhu_reduce(w)))
 
     keys = sorted({key for _, op in words for key in op.terms})

@@ -294,12 +294,10 @@ def test_int_and_fraction_weights_share_cache_entries():
     word = (("e", -3), ("h", -2), ("f", 0))
     v = PBWVector({word: 1}, Fraction(2))
     assert act("h", 0, v) == 2 * v  # h-weight 2 + 2 + 0 - 2
-    sugawara_apply(-1, v)
     # the span path: T_(-1) of the depth-1 word (h_(-1), f_0) lands in (2, 0)
     restricted_verma_dim(Fraction(2), 2, 0)
     for cached, args in (
         (_act_word, ("h", 0, word, 2)),
-        (_t_image, (-1, word, 2)),
         (_central_image, (-1, (("h", -1), ("f", 0)), 2)),
     ):
         before = cached.cache_info()

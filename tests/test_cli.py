@@ -20,7 +20,7 @@ import tcdo.modespace
 import tcdo.p1tcdo
 import tcdo.zhu
 from tcdo.affine import verma_to_sections
-from tcdo.cli import CECH_WEIGHT_MAX, CEILINGS, UsageError, main, parse_n_spec
+from tcdo.cli import _COMMANDS, _DISPATCH, CECH_WEIGHT_MAX, CEILINGS, UsageError, build_parser, main, parse_n_spec
 from tcdo.reports import CheckReport
 
 
@@ -79,7 +79,7 @@ def test_verify_engine_passes(capsys):
 
 
 def test_zhu_passes(capsys):
-    code, out, _ = run(["zhu", "--samples", "20", "--cutoff", "2"], capsys)
+    code, out, _ = run(["zhu", "--cutoff", "2"], capsys)
     assert code == 0
     assert "weyl-relation" in out
     assert "[d, x] = 1" in out
@@ -289,7 +289,7 @@ def test_cech_csv_schema(capsys):
 
 
 def test_generic_csv_schema(capsys):
-    code, out, _ = run(["zhu", "--samples", "8", "--format", "csv"], capsys)
+    code, out, _ = run(["zhu", "--format", "csv"], capsys)
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["name", "checks", "failures", "passed"]
@@ -473,16 +473,66 @@ CEILING_WORK = {
     ("affine", "verma-vs-sections"): (tcdo.affine, "verma_to_sections"),
     ("zhu", None): (tcdo.zhu, "check_alpha_relations"),
 }
-FLAGS = {"weight_max": "--weight-max", "depth_max": "--depth", "samples": "--samples", "cutoff": "--cutoff"}
+FLAGS = {
+    "weight_max": "--weight-max", "depth_max": "--depth", "samples": "--samples", "seed": "--seed",
+    "cutoff": "--cutoff",
+}
+# the numeric flags each command reads; it refuses every other one
+READS = {
+    ("verify-engine", None): {"--samples", "--seed"},
+    ("zhu", None): {"--cutoff"},
+    ("gluing", None): {"--weight-max", "--samples", "--seed"},
+    ("cech", None): {"--weight-max"},
+    ("affine", "char"): {"--depth"},
+    ("affine", "verma-vs-sections"): {"--depth"},
+    ("affine", "singular"): {"--weight-max", "--depth", "--samples", "--seed"},
+}
+# the common flags a command used to accept, echo in params, and ignore
+IGNORED = [
+    (command, mode, flag)
+    for (command, mode), reads in READS.items()
+    for flag in ("--weight-max", "--depth", "--samples", "--seed")
+    if flag not in reads
+]
 
 
 def _ceiling_argv(command, mode, option, value):
     argv = [command] + ([mode] if mode else [])
     if command in ("cech", "affine"):
         argv += ["--n", "1"]
-    if option != "samples":
+    if option != "samples" and "--samples" in READS[command, mode]:
         argv += ["--samples", "1"]
     return argv + [FLAGS[option], str(value), "--format", "json"]
+
+
+def test_the_command_table_matches_the_ceilings_and_the_dispatch():
+    assert {key: {FLAGS[o] for o in options} for key, (_, options) in _COMMANDS.items()} == READS
+    for command, mode, option in CEILINGS:
+        assert option in _COMMANDS[command, mode][1]
+    assert {command for command, _ in _COMMANDS} == set(_DISPATCH)
+    assert len(IGNORED) == 16
+
+
+@pytest.mark.parametrize("command, mode, flag", IGNORED, ids=[" ".join(filter(None, i)) for i in IGNORED])
+def test_a_flag_the_command_does_not_read_exits_2_without_running(command, mode, flag, monkeypatch, capsys):
+    module, name = CEILING_WORK[command, mode]
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: pytest.fail("the work ran"))
+    with pytest.raises(SystemExit) as exc:
+        main([command] + ([mode] if mode else []) + [flag, "1", "--format", "json"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unrecognized arguments: {flag} 1" in err
+
+
+@pytest.mark.parametrize("key", list(READS), ids=lambda key: " ".join(filter(None, key)))
+def test_every_flag_a_command_reads_is_accepted(key):
+    command, mode = key
+    dest = {flag: option for option, flag in FLAGS.items()}
+    values = {flag: i + 1 for i, flag in enumerate(sorted(READS[key]))}
+    argv = [command] + ([mode] if mode else []) + [t for flag, v in values.items() for t in (flag, str(v))]
+    args = build_parser().parse_args(argv)
+    assert {flag: getattr(args, dest[flag]) for flag in values} == values
 
 
 @pytest.mark.parametrize("key", list(CEILINGS), ids=lambda key: " ".join(filter(None, key)))
