@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import affine, cech, modespace, p1tcdo, zhu
 from .p1tcdo import Chart
@@ -27,53 +28,11 @@ CONVENTIONS = (
 )
 
 USAGE_ERROR = 2
-# the deepest Cech scan on offer: one n costs about 3.5x more per unit of
-# weight (n = 0 took about 10 s at weight 8, 34 s at 9 and 107 s at 10 on a
-# 2-core Xeon when this was sized, n = 6 about 1.4x that; 38 s at weight 10
-# since the rank pivots on the highest ground power first, and 27 s and
-# 411 MB since each mode shape is glued once), so weight 11 would pass
-# 2 minutes per n and is refused before it starts
-CECH_WEIGHT_MAX = 10
 
 # every numeric option: dest -> (flag, default)
 _OPTIONS = {
     "weight_max": ("--weight-max", 4), "depth_max": ("--depth", 4), "samples": ("--samples", 100),
     "seed": ("--seed", 42), "cutoff": ("--cutoff", 3),
-}
-# (command, mode) -> (help, the numeric options it reads), keyed like
-# CEILINGS; a command accepts no other numeric flag
-_COMMANDS = {
-    ("verify-engine", None): ("mode-calculus property sweep, conformal weight <= 3", ("samples", "seed")),
-    ("zhu", None): ("weight-zero associative quotient checks", ("cutoff",)),
-    ("gluing", None): ("two-chart gluing, involution, sl2, Sugawara", ("weight_max", "samples", "seed")),
-    ("cech", None): ("bigraded cohomology scan and character comparison", ("weight_max",)),
-    ("affine", "char"): ("PBW character oracle vs closed form", ("depth_max",)),
-    ("affine", "verma-vs-sections"): ("replay PBW words into sections", ("depth_max",)),
-    ("affine", "singular"): ("singular vectors: H^0 vs PBW", ("weight_max", "depth_max", "samples", "seed")),
-}
-
-# every request ceiling, checked before any work starts: (command, mode,
-# option) -> (ceiling, what the command runs up to it).  Each is sized like
-# CECH_WEIGHT_MAX: one small n at the ceiling must finish within about two
-# minutes on a 2-core Xeon, and n = 6 costs 2-3x that.  Now, one run each
-# with the other flags at their defaults: affine singular 39 s at weight 8,
-# 4.3 s at depth 6 and 123 s at its sample ceiling; affine char 2.5 s and
-# verma-vs-sections 2.1 s at depth 7 (n = 0; 3.7 s at n = -3); gluing 105 s
-# and 346 MB, and its involution check's overlap basis grows fast past
-# weight 4; zhu 38 s and 86 MB at cutoff 60; verify-engine 38 s, but its
-# caches grow by about 75 MB per 1000 samples (759 MB at the ceiling), so
-# memory, not time, sets that one.
-CEILINGS = {
-    ("verify-engine", None, "samples"): (10_000, "verify-engine draws"),
-    ("zhu", None, "cutoff"): (60, "zhu reduces the filtration words"),
-    ("gluing", None, "samples"): (250_000, "gluing draws"),
-    ("gluing", None, "weight_max"): (4, "gluing checks the involution"),
-    ("cech", None, "weight_max"): (CECH_WEIGHT_MAX, "cech scans"),
-    ("affine", "singular", "weight_max"): (8, "affine singular scans H^0"),
-    ("affine", "singular", "depth_max"): (6, "affine singular scans the Verma module"),
-    ("affine", "singular", "samples"): (500_000, "affine singular draws"),
-    ("affine", "char", "depth_max"): (7, "affine char runs the PBW oracle"),
-    ("affine", "verma-vs-sections", "depth_max"): (7, "affine verma-vs-sections replays"),
 }
 
 
@@ -169,73 +128,75 @@ def cmd_cech(args: argparse.Namespace):
     return results, passed, csv_rows
 
 
-def cmd_affine(args: argparse.Namespace):
-    if args.mode == "char":
-        ns = parse_n_spec(args.n_spec or "0..3", lo=0, hi=6)
-        results = []
-        passed = True
-        for n in ns:
-            oracle = affine.irreducible_char_oracle(n, args.depth_max)
-            closed = char_L(n, args.depth_max)
-            ok = oracle == closed
-            passed = passed and ok
-            results.append(
-                {
-                    "name": f"irreducible-character n={n}",
-                    "passed": ok,
-                    "oracle": list(oracle.coeffs),
-                    "closed_form": list(closed.coeffs),
-                    "failures": []
-                    if ok
-                    else [f"oracle {oracle.coeffs} != closed form {closed.coeffs}"],
-                }
-            )
-        probe = CheckReport("generic-irreducibility-probe")
-        for nu in (Fraction(1, 2), Fraction(5, 3), -1):
-            window = [Fraction(nu) + 2 * k for k in range(-4, 3)]
-            found = affine.singular_bidegrees(nu, 2, window)
-            probe.record(not found, f"unexpected singular vectors at nu={nu}: {found}")
-        probe.details["statement"] = "no singular vectors found (nu = 1/2, 5/3, -1)"
-        results.append(probe.as_dict())
-        return results, passed and probe.passed, None
+def cmd_affine_char(args: argparse.Namespace):
+    ns = parse_n_spec(args.n_spec or "0..3", lo=0, hi=6)
+    results = []
+    passed = True
+    for n in ns:
+        oracle = affine.irreducible_char_oracle(n, args.depth_max)
+        closed = char_L(n, args.depth_max)
+        ok = oracle == closed
+        passed = passed and ok
+        results.append(
+            {
+                "name": f"irreducible-character n={n}",
+                "passed": ok,
+                "oracle": list(oracle.coeffs),
+                "closed_form": list(closed.coeffs),
+                "failures": []
+                if ok
+                else [f"oracle {oracle.coeffs} != closed form {closed.coeffs}"],
+            }
+        )
+    probe = CheckReport("generic-irreducibility-probe")
+    for nu in (Fraction(1, 2), Fraction(5, 3), -1):
+        window = [Fraction(nu) + 2 * k for k in range(-4, 3)]
+        found = affine.singular_bidegrees(nu, 2, window)
+        probe.record(not found, f"unexpected singular vectors at nu={nu}: {found}")
+    probe.details["statement"] = "no singular vectors found (nu = 1/2, 5/3, -1)"
+    results.append(probe.as_dict())
+    return results, passed and probe.passed, None
 
-    if args.mode == "verma-vs-sections":
-        ns = parse_n_spec(args.n_spec or "-3..-2")
-        results = []
-        passed = True
-        for n in ns:
-            table = affine.verma_to_sections(n, args.depth_max)
-            rep = CheckReport(f"verma-to-sections n={n}", details={"depth_max": args.depth_max})
-            if n < 0:
-                for (d, mu), (raw, restricted, secdim, rk) in sorted(table.items()):
-                    rep.record(
-                        rk == restricted == secdim,
-                        f"(d={d}, mu={mu}): rank {rk}, restricted {restricted}, sections {secdim}",
-                    )
-                rep.details["statement"] = "full rank per bidegree (isomorphism range)"
-            else:
-                # at n >= 0 the table's quotient column is the irreducible dim
-                for (d, mu), (_, irreducible, _, rk) in sorted(table.items()):
-                    rep.record(
-                        rk == irreducible,
-                        f"(d={d}, mu={mu}): rank {rk} != irreducible dim {irreducible}",
-                    )
-                rep.details["statement"] = "image dimensions equal the irreducible quotient's"
-            # the free lambda*-tower lines the raw PBW count up with the sections
-            for (d, mu), (raw, *_) in sorted(table.items()):
-                unclamped = p1tcdo.unclamped_sections_dim(Chart.ZERO, n, d, mu)
+
+def cmd_affine_verma_vs_sections(args: argparse.Namespace):
+    ns = parse_n_spec(args.n_spec or "-3..-2")
+    results = []
+    passed = True
+    for n in ns:
+        table = affine.verma_to_sections(n, args.depth_max)
+        rep = CheckReport(f"verma-to-sections n={n}", details={"depth_max": args.depth_max})
+        if n < 0:
+            for (d, mu), (raw, restricted, secdim, rk) in sorted(table.items()):
                 rep.record(
-                    raw == unclamped,
-                    f"(d={d}, mu={mu}): raw PBW {raw} != unclamped sections {unclamped}",
+                    rk == restricted == secdim,
+                    f"(d={d}, mu={mu}): rank {rk}, restricted {restricted}, sections {secdim}",
                 )
-            passed = passed and rep.passed
-            results.append(rep.as_dict())
-        return results, passed, None
+            rep.details["statement"] = "full rank per bidegree (isomorphism range)"
+        else:
+            # at n >= 0 the table's quotient column is the irreducible dim
+            for (d, mu), (_, irreducible, _, rk) in sorted(table.items()):
+                rep.record(
+                    rk == irreducible,
+                    f"(d={d}, mu={mu}): rank {rk} != irreducible dim {irreducible}",
+                )
+            rep.details["statement"] = "image dimensions equal the irreducible quotient's"
+        # the free lambda*-tower lines the raw PBW count up with the sections
+        for (d, mu), (raw, *_) in sorted(table.items()):
+            unclamped = p1tcdo.unclamped_sections_dim(Chart.ZERO, n, d, mu)
+            rep.record(
+                raw == unclamped,
+                f"(d={d}, mu={mu}): raw PBW {raw} != unclamped sections {unclamped}",
+            )
+        passed = passed and rep.passed
+        results.append(rep.as_dict())
+    return results, passed, None
 
-    # singular: the singular vectors seen from both ends of the construction,
-    # the sl2 stability of the H^0 kernel they are found in, and the premises
-    # of the comparison with L_n: f_0^(n+1) v is singular, both sides share
-    # the central character n(n+2)/2, and the Sugawara operators are central
+
+def cmd_affine_singular(args: argparse.Namespace):
+    # the singular vectors seen from both ends of the construction, the sl2
+    # stability of the H^0 kernel they are found in, and the premises of the
+    # comparison with L_n: f_0^(n+1) v is singular, both sides share the
+    # central character n(n+2)/2, and the Sugawara operators are central
     results = []
     for n in parse_n_spec(args.n_spec or "0..3", lo=0, hi=6):
         found, stability = cech.scan_h0_sl2(n, args.weight_max)
@@ -276,6 +237,43 @@ def cmd_affine(args: argparse.Namespace):
         affine.check_sugawara_centrality(args.samples, args.seed),
     ]
     return [r.as_dict() for r in results], all(r.passed for r in results), None
+
+
+# (command, mode) -> (handler, help, {numeric option it reads: ceiling}); a
+# command accepts no other numeric flag.  A ceiling, (limit, what runs up to
+# it) or None, is checked in row order before any work starts.  Each is sized
+# so that one small n at it finishes within about two minutes on a 2-core
+# Xeon, and n = 6 costs 2-3x that.  A cech n costs about 3.5x more per unit of
+# weight (n = 0 took about 10 s at weight 8, 34 s at 9 and 107 s at 10 when
+# this was sized, n = 6 about 1.4x that; 38 s at weight 10 since the rank
+# pivots on the highest ground power first, and 27 s and 411 MB since each
+# mode shape is glued once), so weight 11 would pass 2 minutes per n.  Now,
+# one run each with the other flags at their defaults: affine singular 39 s at
+# weight 8, 4.3 s at depth 6 and 123 s at its sample ceiling; affine char
+# 2.5 s and verma-vs-sections 2.1 s at depth 7 (n = 0; 3.7 s at n = -3);
+# gluing 105 s and 346 MB, and its involution check's overlap basis grows fast
+# past weight 4; zhu 38 s and 86 MB at cutoff 60; verify-engine 38 s, but its
+# caches grow by about 75 MB per 1000 samples (759 MB at the ceiling), so
+# memory, not time, sets that one.
+_COMMANDS = {
+    ("verify-engine", None): (cmd_verify_engine, "mode-calculus property sweep, conformal weight <= 3",
+                              {"samples": (10_000, "verify-engine draws"), "seed": None}),
+    ("zhu", None): (cmd_zhu, "weight-zero associative quotient checks",
+                    {"cutoff": (60, "zhu reduces the filtration words")}),
+    ("gluing", None): (cmd_gluing, "two-chart gluing, involution, sl2, Sugawara",
+                       {"samples": (250_000, "gluing draws"), "weight_max": (4, "gluing checks the involution"),
+                        "seed": None}),
+    ("cech", None): (cmd_cech, "bigraded cohomology scan and character comparison",
+                     {"weight_max": (10, "cech scans")}),
+    ("affine", "char"): (cmd_affine_char, "PBW character oracle vs closed form",
+                         {"depth_max": (7, "affine char runs the PBW oracle")}),
+    ("affine", "verma-vs-sections"): (cmd_affine_verma_vs_sections, "replay PBW words into sections",
+                                      {"depth_max": (7, "affine verma-vs-sections replays")}),
+    ("affine", "singular"): (cmd_affine_singular, "singular vectors: H^0 vs PBW",
+                             {"weight_max": (8, "affine singular scans H^0"),
+                              "depth_max": (6, "affine singular scans the Verma module"),
+                              "samples": (500_000, "affine singular draws"), "seed": None}),
+}
 
 
 # -- output -------------------------------------------------------------------
@@ -382,6 +380,7 @@ def emit(args: argparse.Namespace, results, passed: bool, csv_rows) -> None:
 # -- argument parsing -----------------------------------------------------------
 
 
+@lru_cache(maxsize=1)  # the tree never changes, so it is built once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tcdo",
@@ -392,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(n_spec=None, twist="symbolic", mode=None, **{o: d for o, (_, d) in _OPTIONS.items()})
     sub = parser.add_subparsers(dest="command", required=True)
     modes = {}
-    for (command, mode), (text, options) in _COMMANDS.items():
+    for (command, mode), (_, text, options) in _COMMANDS.items():
         if mode and command not in modes:
             modes[command] = sub.add_parser(command, help="independent PBW oracle").add_subparsers(
                 dest="mode", required=True
@@ -409,15 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--out", default=None, help="write the report to a file")
     return parser
-
-
-_DISPATCH = {
-    "verify-engine": cmd_verify_engine,
-    "zhu": cmd_zhu,
-    "gluing": cmd_gluing,
-    "cech": cmd_cech,
-    "affine": cmd_affine,
-}
 
 
 def _normalize_argv(argv: list[str]) -> list[str]:
@@ -441,13 +431,14 @@ def main(argv=None) -> int:
     if min(args.samples, args.weight_max, args.depth_max, args.cutoff) < 0:
         print("error: numeric limits must be nonnegative", file=sys.stderr)
         return USAGE_ERROR
-    for (command, mode, option), (ceiling, what) in CEILINGS.items():
+    handler, _, options = _COMMANDS[args.command, args.mode]
+    for option, ceiling in options.items():
         value = getattr(args, option)
-        if (command, mode) == (args.command, args.mode) and value > ceiling:
-            print(f"error: {what} up to {_OPTIONS[option][0]} {ceiling}, got {value}", file=sys.stderr)
+        if ceiling and value > ceiling[0]:
+            print(f"error: {ceiling[1]} up to {_OPTIONS[option][0]} {ceiling[0]}, got {value}", file=sys.stderr)
             return USAGE_ERROR
     try:
-        results, passed, csv_rows = _DISPATCH[args.command](args)
+        results, passed, csv_rows = handler(args)
         emit(args, results, passed, csv_rows)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

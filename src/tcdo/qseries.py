@@ -64,38 +64,19 @@ def _check_orders(a: QSeries, b: QSeries) -> None:
         raise OrderMismatchError(f"series orders differ: {a.order} != {b.order}")
 
 
-def series_one(order: int) -> QSeries:
-    return QSeries((1,) + (0,) * order, order)
-
-
-def series_mul(a: QSeries, b: QSeries) -> QSeries:
-    """Cauchy product of two series truncated at the same order."""
-    _check_orders(a, b)
-    n = a.order
-    out = [0] * (n + 1)
-    for i, ai in enumerate(a.coeffs):
-        if ai == 0:
-            continue
-        for j in range(n + 1 - i):
-            out[i + j] += ai * b.coeffs[j]
-    return QSeries(tuple(out), n)
-
-
-def geometric(p: int, order: int) -> QSeries:
-    """(1 - q^p)^(-1) truncated at ``order``, for p >= 1."""
-    if p < 1:
-        raise ValueError("geometric exponent must be >= 1")
-    coeffs = tuple(1 if j % p == 0 else 0 for j in range(order + 1))
-    return QSeries(coeffs, order)
+def _divide(coeffs: list[int], p: int) -> None:
+    """Multiply by (1 - q^p)^(-1) in place, p >= 1: going up, each entry gains the one p below it."""
+    for j in range(p, len(coeffs)):
+        coeffs[j] += coeffs[j - p]
 
 
 def eta_inverse_squared(order: int) -> QSeries:
     """prod_{j=1..order} (1 - q^j)^(-2), the 2-colored partition generating series."""
-    out = series_one(order)
+    coeffs = [1] + [0] * order
     for j in range(1, order + 1):
-        g = geometric(j, order)
-        out = series_mul(out, series_mul(g, g))
-    return out
+        _divide(coeffs, j)
+        _divide(coeffs, j)
+    return QSeries(tuple(coeffs), order)
 
 
 def char_L(n: int, order: int) -> QSeries:
@@ -106,8 +87,9 @@ def char_L(n: int, order: int) -> QSeries:
     """
     if n < 0:
         raise ValueError(f"char_L is defined for n >= 0, got {n}")
-    out = series_mul(geometric(n + 1, order), eta_inverse_squared(order))
-    return (n + 1) * out
+    coeffs = list(eta_inverse_squared(order).coeffs)
+    _divide(coeffs, n + 1)
+    return (n + 1) * QSeries(tuple(coeffs), order)
 
 
 def char_H1(n: int, order: int) -> QSeries:

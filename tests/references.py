@@ -26,6 +26,7 @@ from tcdo.modespace import (
     zero,
 )
 from tcdo.p1tcdo import _SYMBOLIC_IMAGES, Chart, glue, include_overlap, sl2_embedding
+from tcdo.qseries import QSeries, _check_orders
 from tcdo.reports import CheckReport
 from tcdo.zhu import DiffOp, GradingError, diffop, diffop_zero, zhu_star
 
@@ -277,3 +278,42 @@ def _ref_reduce_mono(mono: Monomial, ring: str, ls) -> DiffOp:
     zero_mode = apply_mode(gen_state, 0, tail_state)
     reduced = gen_op * _ref_reduce_mono(tail, ring, ls) - ref_zhu_reduce(zero_mode)
     return sign * reduced
+
+
+# the q-series convolution the characters were built by before
+# qseries._divide ran the geometric factors as an in-place recurrence
+
+
+def series_one(order: int) -> QSeries:
+    return QSeries((1,) + (0,) * order, order)
+
+
+def series_mul(a: QSeries, b: QSeries) -> QSeries:
+    """Cauchy product of two series truncated at the same order."""
+    _check_orders(a, b)
+    n = a.order
+    out = [0] * (n + 1)
+    for i, ai in enumerate(a.coeffs):
+        if ai == 0:
+            continue
+        for j in range(n + 1 - i):
+            out[i + j] += ai * b.coeffs[j]
+    return QSeries(tuple(out), n)
+
+
+def geometric(p: int, order: int) -> QSeries:
+    """(1 - q^p)^(-1) truncated at ``order``, for p >= 1."""
+    if p < 1:
+        raise ValueError("geometric exponent must be >= 1")
+    coeffs = tuple(1 if j % p == 0 else 0 for j in range(order + 1))
+    return QSeries(coeffs, order)
+
+
+def ref_eta_inverse_squared(order: int) -> QSeries:
+    """prod_{j=1..order} (1 - q^j)^(-2) by convolution."""
+    out = series_one(order)
+    for j in range(1, order + 1):
+        g = geometric(j, order)
+        out = series_mul(out, series_mul(g, g))
+    return out
+

@@ -16,11 +16,12 @@ import pytest
 
 import tcdo.affine
 import tcdo.cech
+import tcdo.cli
 import tcdo.modespace
 import tcdo.p1tcdo
 import tcdo.zhu
 from tcdo.affine import verma_to_sections
-from tcdo.cli import _COMMANDS, _DISPATCH, CECH_WEIGHT_MAX, CEILINGS, UsageError, build_parser, main, parse_n_spec
+from tcdo.cli import _COMMANDS, UsageError, build_parser, main, parse_n_spec
 from tcdo.reports import CheckReport
 
 
@@ -28,6 +29,17 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# every ceiling, (command, mode, option) -> (limit, what the command runs up
+# to it), read off the command table's rows
+CEILINGS = {
+    (command, mode, option): ceiling
+    for (command, mode), (_, _, options) in _COMMANDS.items()
+    for option, ceiling in options.items()
+    if ceiling is not None
+}
+CECH_WEIGHT_MAX = CEILINGS["cech", None, "weight_max"][0]
 
 
 # -- n-spec parsing ---------------------------------------------------------------
@@ -339,6 +351,20 @@ def test_golden_payloads_are_byte_identical():
     assert got == GOLDEN
 
 
+def test_the_parser_is_built_once_and_survives_usage_errors(capsys):
+    # the tree never changes, so every call shares it; a refused request of
+    # each kind leaves it fit for the next command in the same process
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit):
+        main(["cech", "--weight-max", "x"])
+    assert main(["gluing", "--samples", "250001", "--weight-max", "5"]) == 2
+    assert main(["cech", "--n", "9"]) == 2
+    capsys.readouterr()
+    command = "zhu --cutoff 3 --format json"
+    assert main(command.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN[command]
+
+
 # -- usage errors -----------------------------------------------------------------
 
 
@@ -505,12 +531,34 @@ def _ceiling_argv(command, mode, option, value):
     return argv + [FLAGS[option], str(value), "--format", "json"]
 
 
-def test_the_command_table_matches_the_ceilings_and_the_dispatch():
-    assert {key: {FLAGS[o] for o in options} for key, (_, options) in _COMMANDS.items()} == READS
-    for command, mode, option in CEILINGS:
-        assert option in _COMMANDS[command, mode][1]
-    assert {command for command, _ in _COMMANDS} == set(_DISPATCH)
+# the handler main must run for each row
+HANDLERS = {
+    ("verify-engine", None): "cmd_verify_engine",
+    ("zhu", None): "cmd_zhu",
+    ("gluing", None): "cmd_gluing",
+    ("cech", None): "cmd_cech",
+    ("affine", "char"): "cmd_affine_char",
+    ("affine", "verma-vs-sections"): "cmd_affine_verma_vs_sections",
+    ("affine", "singular"): "cmd_affine_singular",
+}
+
+
+def test_the_command_table_matches_the_ceilings_and_the_dispatch(monkeypatch, capsys):
+    assert {key: {FLAGS[o] for o in options} for key, (_, _, options) in _COMMANDS.items()} == READS
     assert len(IGNORED) == 16
+    for key, (handler, text, options) in _COMMANDS.items():
+        assert handler is getattr(tcdo.cli, HANDLERS[key])
+        # main runs whatever handler the row holds, for the row's argv
+        ran = []
+
+        def stand_in(args, ran=ran):
+            ran.append(args)
+            return [], True, None
+
+        monkeypatch.setitem(_COMMANDS, key, (stand_in, text, options))
+        command, mode = key
+        assert main([command] + ([mode] if mode else []) + ["--format", "csv"]) == 0
+        assert [(args.command, args.mode) for args in ran] == [key]
 
 
 @pytest.mark.parametrize("command, mode, flag", IGNORED, ids=[" ".join(filter(None, i)) for i in IGNORED])

@@ -3,17 +3,10 @@
 import itertools
 
 import pytest
+from references import geometric, ref_eta_inverse_squared, series_mul, series_one
 
-from tcdo.qseries import (
-    OrderMismatchError,
-    QSeries,
-    char_H1,
-    char_L,
-    eta_inverse_squared,
-    geometric,
-    series_mul,
-    series_one,
-)
+import tcdo.qseries
+from tcdo.qseries import OrderMismatchError, QSeries, char_H1, char_L, eta_inverse_squared
 
 
 def brute_2colored(j: int) -> int:
@@ -81,6 +74,36 @@ def test_char_L_small_values():
         assert lhs == rhs
     with pytest.raises(ValueError):
         char_L(-1, 4)
+
+
+def _orders_off_the_convolution(max_order=30, max_n=8):
+    """The orders at which a character differs from the convolution reference."""
+    off = set()
+    for order in range(max_order + 1):
+        eta = ref_eta_inverse_squared(order)
+        if eta_inverse_squared(order) != eta:
+            off.add(order)
+        for n in range(max_n + 1):
+            want = (n + 1) * series_mul(geometric(n + 1, order), eta)
+            if char_L(n, order) != want or char_H1(n, order) != want.shift(n + 1):
+                off.add(order)
+    return sorted(off)
+
+
+def test_characters_match_the_convolution_reference():
+    # the in-place recurrence against the Cauchy products it replaced
+    assert _orders_off_the_convolution() == []
+
+
+def test_a_top_down_divide_fails_the_convolution_reference(monkeypatch):
+    # run from the top, each entry gains the old value p below, so the
+    # recurrence divides by (1 - q^p) only to first order
+    def top_down(coeffs, p):
+        for j in range(len(coeffs) - 1, p - 1, -1):
+            coeffs[j] += coeffs[j - p]
+
+    monkeypatch.setattr(tcdo.qseries, "_divide", top_down)
+    assert len(_orders_off_the_convolution()) >= 29
 
 
 def test_char_H1_is_shift_of_char_L():

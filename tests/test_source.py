@@ -152,10 +152,19 @@ def test_sugawara_spans_use_centrality_and_the_checks_keep_the_expansion():
     assert "sugawara_apply" in check and "_central_image" not in check
 
 
+# main takes the handler from the command table's row, so no handler
+# switches on the affine mode
+def test_no_command_handler_reads_the_mode():
+    tree = ast.parse((SRC / "cli.py").read_text(), filename="cli.py")
+    handlers = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert len(handlers) == 7
+    assert [fn.name for fn in handlers if any(getattr(node, "attr", None) == "mode" for node in ast.walk(fn))] == []
+
+
 # the replay table carries the quotient dimension verma-vs-sections checks,
 # so the command never builds a Sugawara span of its own
 def test_verma_vs_sections_reads_the_quotient_dim_from_the_table():
-    called = _calls("cli.py", "cmd_affine")
+    called = _calls("cli.py", "cmd_affine_verma_vs_sections")
     assert "verma_to_sections" in called
     assert sorted(called & {"irreducible_dims", "restricted_verma_dim"}) == []
     assert {"irreducible_dims", "restricted_verma_dim"} <= _calls("affine.py", "verma_to_sections")
@@ -186,3 +195,34 @@ def test_zhu_classes_are_read_off_without_the_engine():
     names = {getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
              for node in ast.walk(tree)}
     assert "lru_cache" not in names
+
+
+# every module-level function cached without a bound; a new one fails here
+# until it is bounded or listed, and bounding one takes it off the list
+UNBOUNDED_CACHES = {
+    "affine.py": ["_straighten", "_act_word", "_negative_words", "_central_image"],
+    "modespace.py": ["_apply_mono"],
+    "p1tcdo.py": ["_glue_shape", "_glue_mono"],
+}
+
+
+def _unbounded(decorator) -> bool:
+    """Whether a decorator is functools.cache or an lru_cache with maxsize None."""
+    func = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = getattr(func, "id", None) or getattr(func, "attr", None)
+    if name == "cache":
+        return True
+    if name != "lru_cache" or not isinstance(decorator, ast.Call):
+        return False
+    sizes = decorator.args[:1] + [kw.value for kw in decorator.keywords if kw.arg == "maxsize"]
+    return any(isinstance(size, ast.Constant) and size.value is None for size in sizes)
+
+
+def test_unbounded_caches_are_the_listed_ones():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef) and any(_unbounded(d) for d in fn.decorator_list):
+                found.setdefault(path.name, []).append(fn.name)
+    assert found == UNBOUNDED_CACHES
