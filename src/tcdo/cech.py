@@ -6,8 +6,10 @@ For each bidegree (conformal weight N, h-weight mu) the two-term complex
     Gamma(C_0) (+) Gamma(C_oo)  --delta-->  Gamma(C*)
     delta(s_0, s_oo) = incl(s_0) - Phi_n(s_oo)
 
-is a finite integer matrix over the normal-form monomial bases of the
-three section spaces; H^0 is its kernel and H^1 its cokernel.
+has H^0 = ker delta and H^1 = coker delta.  The zero-chart sections are the
+overlap monomials with ground power >= 0, so delta = [I | -G], H^0 = ker G_-
+and H^1 = coker G_-, where the principal part G_- keeps the negative-power
+terms of the gluing Phi_n (Hartshorne, Algebraic Geometry III.5).
 Global h-weight of a section over the infinity chart is minus its intrinsic
 one (the gluing negates mu), so the C^0 block at global mu draws on the
 intrinsic bidegree (N, -mu) over there.
@@ -71,47 +73,44 @@ def mu_window(n: int, weight_max: int, factor: int = 1) -> range:
 
 
 def _delta_matrix(n: int, weight: int, mu: int):
-    """The three monomial bases at one bidegree and delta as the sparse
-    integer images of the (zero ++ infinity) basis, each over the overlap
-    basis index: a zero-chart monomial includes as itself, an infinity-chart
-    one maps to minus its image under the integer gluing core.  Building them
-    raises KeyError when an image leaves the overlap basis.
+    """The infinity-chart and overlap monomial bases at one bidegree, the
+    count dim0 of overlap monomials with ground power >= 0, and G_- as the
+    sparse integer glued images of the infinity basis over the overlap
+    index, without their terms of index < dim0.  Each glued key is looked
+    up first, so an image that leaves the overlap basis raises KeyError.
 
-    The overlap basis comes sorted by descending ground power, and the index
-    numbers it in that order, so that ``rank``, which pivots on the lowest
+    The index numbers the overlap basis by descending ground power, so the
+    zero-chart monomials come first and ``rank``, which pivots on the lowest
     column, eliminates the highest ground power first.  Over the blocks of
-    ``cech_dims(0, 9)`` this keeps 121734 nonzero entries in the echelon rows
-    where the order of ``sections_bidegree`` keeps 157511.  The overlap index
-    numbers only the rows of ``cech_kernel``'s elimination, so its kernel
-    vectors do not depend on it."""
-    basis0 = sections_bidegree(Chart.ZERO, n, weight, mu)
+    ``cech_dims(0, 9)`` this keeps 106320 nonzero entries in the echelon rows
+    where the order of ``sections_bidegree`` keeps 142097.  The kernel
+    vectors of ``cech_kernel`` do not depend on it."""
     basisinf = sections_bidegree(Chart.INFTY, n, weight, -mu)
     basisov = sorted(sections_bidegree(Chart.OVERLAP, n, weight, mu), key=lambda m: -m.power)
     index = {m: i for i, m in enumerate(basisov)}
-    images = [{index[m]: 1} for m in basis0] + [
-        {index[k]: -c for k, c in _glue_mono(m, n)} for m in basisinf
-    ]
-    return basis0, basisinf, basisov, images
+    dim0 = sum(m.power >= 0 for m in basisov)
+    glued = ([(index[k], c) for k, c in _glue_mono(m, n)] for m in basisinf)
+    return basisinf, basisov, dim0, [{i: c for i, c in pairs if i >= dim0} for pairs in glued]
 
 
 def cech_block(n: int, weight: int, mu: int) -> dict:
     """Exact dimensions at one bidegree (a pure function of its arguments)."""
-    basis0, basisinf, basisov, images = _delta_matrix(n, weight, mu)
-    r = rank(images)
+    basisinf, basisov, dim0, principal = _delta_matrix(n, weight, mu)
+    r = rank(principal)
     return {
-        "dim_c0": len(basis0),
+        "dim_c0": dim0,
         "dim_cinf": len(basisinf),
         "dim_overlap": len(basisov),
-        "dim_h0": len(basis0) + len(basisinf) - r,
-        "dim_h1": len(basisov) - r,
+        "dim_h0": len(basisinf) - r,
+        "dim_h1": len(basisov) - dim0 - r,
     }
 
 
 def cech_kernel(n: int, weight: int, mu: int):
-    """H^0 representatives at one bidegree: (zero-chart basis, infinity-chart
-    basis, kernel coefficient vectors over their concatenation)."""
-    basis0, basisinf, _, images = _delta_matrix(n, weight, mu)
-    return basis0, basisinf, kernel_basis(images)
+    """H^0 at one bidegree: (infinity-chart basis, kernel vectors of G_- over
+    it); the zero half of a cocycle is the glue of its infinity half."""
+    basisinf, _, _, principal = _delta_matrix(n, weight, mu)
+    return basisinf, kernel_basis(principal)
 
 
 def cech_dims(n: int, weight_max: int) -> BigradedReport:
@@ -192,25 +191,26 @@ def scan_h0_sl2(n: int, weight_max: int):
     pair of every kernel vector under e, h and f at the modes -2..2 is again
     a cocycle, img0 - glue(imginf) = 0.
 
-    Each block's kernel is scaled to integers by one common denominator;
-    that scales the condition map as a whole, so its reduced kernel basis,
-    and with it every representative, stays the same.  Each image is
-    computed once, on the integer core."""
+    Each block's kernel is scaled to integers by one common denominator,
+    which scales the condition map as a whole and leaves its reduced kernel
+    basis as it is.  Each image is computed once, on the integer core."""
     rho0, rhoinf = _sl2_currents(Chart.ZERO), _sl2_currents(Chart.INFTY)
     found = []
     rep = CheckReport("cech-sl2-stability", details={"n": n, "weight_max": weight_max})
     for N in range(weight_max + 1):
         for mu in mu_window(n, weight_max):
-            basis0, basisinf, kernel = cech_kernel(n, N, mu)
+            basisinf, kernel = cech_kernel(n, N, mu)
             if not kernel:
                 continue
-            k = len(basis0)
             den = math.lcm(*(c.denominator for vec in kernel for c in vec))
-            conditions = []
+            halves, conditions = [], []
             for vec in kernel:
-                ints = [c.numerator * (den // c.denominator) for c in vec]
-                s0 = [(mono, c) for mono, c in zip(basis0, ints[:k]) if c]
-                sinf = [(mono, c) for mono, c in zip(basisinf, ints[k:]) if c]
+                sinf = [(mono, c.numerator * (den // c.denominator)) for mono, c in zip(basisinf, vec) if c]
+                glued = {}
+                for mono, c in sinf:
+                    _merge(glued, _glue_mono(mono, n), c)
+                s0 = [(mono, c) for mono, c in glued.items() if c]
+                halves.append(s0)
                 condition = {}
                 for gen in "ehf":
                     for m in range(-2, 3):
@@ -227,6 +227,6 @@ def scan_h0_sl2(n: int, weight_max: int):
                         )
                 conditions.append(condition)
             for coeffs in kernel_basis(conditions):
-                terms = (zip(basis0, vec[:k]) for vec in kernel)
-                found.append((N, mu, linear_combination(zip(coeffs, terms), Chart.ZERO.ring, n)))
+                rep0 = linear_combination(zip((c / den for c in coeffs), halves), Chart.ZERO.ring, n)
+                found.append((N, mu, rep0))
     return found, rep

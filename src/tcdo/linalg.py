@@ -248,8 +248,8 @@ def kernel_basis(images):
     not depend on the order of the rows, so neither does the basis.
 
     The rows go in shortest first, which cuts the fill: over the blocks of
-    ``cech_kernel`` at n = 0, weight <= 6, the echelon rows keep 9117 nonzero
-    entries where the order the row keys first appear in keeps 18722."""
+    ``cech_kernel`` at n = 0, weight <= 6, the echelon rows keep 4149 nonzero
+    entries where the order the row keys first appear in keeps 13583."""
     rows: dict = {}
     for j, image in enumerate(images):
         for key, c in image.items():

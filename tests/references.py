@@ -7,8 +7,8 @@ definition; the package itself has no use for them.
 from functools import lru_cache
 
 from tcdo.affine import _act_terms, _negative_words, _sugawara_span, word_h_shift
-from tcdo.cech import BigradedReport, cech_kernel, mu_window
-from tcdo.linalg import kernel_basis
+from tcdo.cech import BigradedReport, mu_window
+from tcdo.linalg import kernel_basis, rank
 from tcdo.modespace import (
     GEN_A,
     LAURENT,
@@ -25,7 +25,15 @@ from tcdo.modespace import (
     vacuum,
     zero,
 )
-from tcdo.p1tcdo import _SYMBOLIC_IMAGES, Chart, glue, include_overlap, sl2_embedding
+from tcdo.p1tcdo import (
+    _SYMBOLIC_IMAGES,
+    Chart,
+    _glue_mono,
+    glue,
+    include_overlap,
+    sections_bidegree,
+    sl2_embedding,
+)
 from tcdo.qseries import QSeries, _check_orders
 from tcdo.reports import CheckReport
 from tcdo.zhu import DiffOp, GradingError, diffop, diffop_zero, zhu_star
@@ -132,6 +140,46 @@ def rank_nullity_consistent(report: BigradedReport) -> bool:
     return True
 
 
+# the Cech differential as it was before cech._delta_matrix kept only its
+# principal part: the zero-chart identity block included
+
+
+def ref_delta_matrix(n: int, weight: int, mu: int):
+    """The three monomial bases at one bidegree and the full delta as the
+    sparse integer images of the (zero ++ infinity) basis, each over the
+    overlap basis index (by descending ground power): a zero-chart monomial
+    includes as itself, an infinity-chart one maps to minus its image under
+    the integer gluing core."""
+    basis0 = sections_bidegree(Chart.ZERO, n, weight, mu)
+    basisinf = sections_bidegree(Chart.INFTY, n, weight, -mu)
+    basisov = sorted(sections_bidegree(Chart.OVERLAP, n, weight, mu), key=lambda m: -m.power)
+    index = {m: i for i, m in enumerate(basisov)}
+    images = [{index[m]: 1} for m in basis0] + [
+        {index[k]: -c for k, c in _glue_mono(m, n)} for m in basisinf
+    ]
+    return basis0, basisinf, basisov, images
+
+
+def ref_cech_dims(n: int, weight: int, mu: int) -> dict:
+    """``cech_block``'s dimensions by the rank of the full delta."""
+    basis0, basisinf, basisov, images = ref_delta_matrix(n, weight, mu)
+    r = rank(images)
+    return {
+        "dim_c0": len(basis0),
+        "dim_cinf": len(basisinf),
+        "dim_overlap": len(basisov),
+        "dim_h0": len(basis0) + len(basisinf) - r,
+        "dim_h1": len(basisov) - r,
+    }
+
+
+def ref_cech_kernel(n: int, weight: int, mu: int):
+    """H^0 at one bidegree by the full delta: (zero-chart basis,
+    infinity-chart basis, kernel vectors over their concatenation)."""
+    basis0, basisinf, _, images = ref_delta_matrix(n, weight, mu)
+    return basis0, basisinf, kernel_basis(images)
+
+
 # the two H^0 scans as they were before cech.scan_h0_sl2 merged them: each
 # takes every kernel apart into chart states and acts through apply_mode
 
@@ -161,7 +209,7 @@ def ref_singular_vectors_h0(n: int, weight_max: int):
     found = []
     for N in range(weight_max + 1):
         for mu in mu_window(n, weight_max):
-            basis0, basisinf, kernel = cech_kernel(n, N, mu)
+            basis0, basisinf, kernel = ref_cech_kernel(n, N, mu)
             if not kernel:
                 continue
             raising = [("e", 0)] + [
@@ -195,7 +243,7 @@ def ref_check_sl2_stability(n: int, weight_max: int, modes=(-2, -1, 0, 1, 2)) ->
     rep = CheckReport("cech-sl2-stability", details={"n": n, "weight_max": weight_max})
     for N in range(weight_max + 1):
         for mu in mu_window(n, weight_max):
-            basis0, basisinf, kernel = cech_kernel(n, N, mu)
+            basis0, basisinf, kernel = ref_cech_kernel(n, N, mu)
             for vec in kernel:
                 pair = _chart_pair(vec, basis0, basisinf, n)
                 for gen in "ehf":

@@ -23,7 +23,13 @@ from tcdo.modespace import FreeState, vacuum
 from tcdo.p1tcdo import Chart, glue, include_overlap, sections_bidegree
 from tcdo.qseries import QSeries, eta_inverse_squared
 
-from references import rank_nullity_consistent, ref_check_sl2_stability, ref_singular_vectors_h0
+from references import (
+    rank_nullity_consistent,
+    ref_cech_dims,
+    ref_cech_kernel,
+    ref_check_sl2_stability,
+    ref_singular_vectors_h0,
+)
 
 WM = 3
 
@@ -84,38 +90,40 @@ def test_h0_entries_cross_check_affine(reports):
 
 def test_delta_matrix_matches_the_state_path():
     # every block of `tcdo cech --n -4..4 --weight-max 4` (doubled window):
-    # the integer images of the gluing core against incl(s) and -glue(s) of
-    # the one-term section states, as coordinate rows over the overlap basis
+    # G_- is the negative-power part of glue(s) of the one-term infinity
+    # section states, as coordinate rows over the overlap basis, and dim0
+    # counts the overlap monomials with ground power >= 0
     blocks = 0
     for n in range(-4, 5):
         for N in range(5):
             for mu in mu_window(n, 4, 2):
-                basis0, basisinf, basisov, images = _delta_matrix(n, N, mu)
+                basisinf, basisov, dim0, principal = _delta_matrix(n, N, mu)
+                assert basisinf == sections_bidegree(Chart.INFTY, n, N, -mu)
                 index = {m: i for i, m in enumerate(basisov)}
-                states0 = [FreeState({m: 1}, Chart.ZERO.ring, n) for m in basis0]
-                statesinf = [FreeState({m: 1}, Chart.INFTY.ring, n) for m in basisinf]
-                states = [include_overlap(s) for s in states0] + [-1 * glue(s) for s in statesinf]
-                want = [{index[m]: c for m, c in s.terms.items()} for s in states]
-                assert images == want, (n, N, mu)
+                assert dim0 == sum(m.power >= 0 for m in basisov)
+                glued = [glue(FreeState({m: 1}, Chart.INFTY.ring, n)) for m in basisinf]
+                want = [{index[m]: c for m, c in s.terms.items() if m.power < 0} for s in glued]
+                assert principal == want, (n, N, mu)
                 blocks += 1
     assert blocks == 2245
 
 
 def test_overlap_order_keeps_every_rank():
     # every block of `tcdo cech --n -4..4 --weight-max 4` (doubled window):
-    # delta over the overlap basis sorted by descending ground power, as
-    # _delta_matrix numbers it, has the rank it has over the basis in the
-    # order of sections_bidegree
+    # G_- over the overlap basis sorted by descending ground power, as
+    # _delta_matrix numbers it, puts the zero-chart monomials first and has
+    # the rank it has over the basis in the order of sections_bidegree
     blocks = 0
     for n in range(-4, 5):
         for N in range(5):
             for mu in mu_window(n, 4, 2):
-                basis0, basisinf, basisov, images = _delta_matrix(n, N, mu)
+                basisinf, basisov, dim0, principal = _delta_matrix(n, N, mu)
                 plain = {m: i for i, m in enumerate(sections_bidegree(Chart.OVERLAP, n, N, mu))}
                 assert sorted(plain) == sorted(basisov)
                 assert [m.power for m in basisov] == sorted((m.power for m in basisov), reverse=True)
-                renumbered = [{plain[basisov[k]]: c for k, c in image.items()} for image in images]
-                assert rank(renumbered) == rank(images), (n, N, mu)
+                assert all(m.power >= 0 for m in basisov[:dim0]) and all(m.power < 0 for m in basisov[dim0:])
+                renumbered = [{plain[basisov[k]]: c for k, c in image.items()} for image in principal]
+                assert rank(renumbered) == rank(principal), (n, N, mu)
                 blocks += 1
     assert blocks == 2245
 
@@ -124,7 +132,7 @@ def test_kernel_basis_feeds_the_shortest_rows_first(monkeypatch):
     # the kernel echelon of every base-window block of n = 0, weight <= 5,
     # as kernel_basis builds it, keeps strictly fewer nonzero entries than
     # the same rows fed in the order their keys first appear in the images
-    # (3055 against 5525 when this was written)
+    # (1334 against 3745 when this was written)
     cores = []
 
     class Recording(_Echelon):
@@ -169,10 +177,59 @@ def test_delta_matrix_rejects_a_glued_key_outside_the_overlap_basis(monkeypatch,
 
 
 def test_kernel_vectors_are_cocycles():
-    basis0, basisinf, kernel = cech_kernel(1, 1, 1)
-    assert len(kernel) == cech_block(1, 1, 1)["dim_h0"]
-    for vec in kernel:
-        assert len(vec) == len(basis0) + len(basisinf)
+    # every kernel vector of G_- over the infinity basis, on the blocks of
+    # n = -2..2, weight <= 3, glues by the state path to the inclusion of a
+    # valid polynomial zero-chart state: the pair is a cocycle of delta
+    checked = 0
+    for n in range(-2, 3):
+        for N in range(4):
+            for mu in mu_window(n, 3):
+                basisinf, kernel = cech_kernel(n, N, mu)
+                assert len(kernel) == cech_block(n, N, mu)["dim_h0"]
+                basis0 = sections_bidegree(Chart.ZERO, n, N, mu)
+                for vec in kernel:
+                    assert len(vec) == len(basisinf)
+                    glued = glue(FreeState(dict(zip(basisinf, vec)), Chart.INFTY.ring, n))
+                    s0 = FreeState({m: glued.terms.get(m, 0) for m in basis0}, Chart.ZERO.ring, n)
+                    assert include_overlap(s0) == glued, (n, N, mu)
+                    checked += 1
+    assert checked == 141
+
+
+def test_principal_part_matches_the_full_delta():
+    # the certificate of the principal part: on every block of n = -6..6,
+    # weight <= 5, over the doubled window, cech_block gives the dims of
+    # the full delta [I | -G] and counts the zero-chart basis in dim_c0
+    blocks = 0
+    for n in range(-6, 7):
+        for N in range(6):
+            for mu in mu_window(n, 5, 2):
+                got = cech_block(n, N, mu)
+                assert got == ref_cech_dims(n, N, mu), (n, N, mu)
+                assert got["dim_c0"] == len(sections_bidegree(Chart.ZERO, n, N, mu))
+                blocks += 1
+    assert blocks == 4830
+
+
+def test_kernel_vectors_match_the_full_delta():
+    # on every base-window block of n = -6..6, weight <= 5, each kernel
+    # vector of the full delta is (its zero half, read off the gluing, ++
+    # the matching kernel vector of G_-), in the same order
+    vectors = 0
+    for n in range(-6, 7):
+        for N in range(6):
+            for mu in mu_window(n, 5):
+                basis0, basisinf, want = ref_cech_kernel(n, N, mu)
+                got_basisinf, kernel = cech_kernel(n, N, mu)
+                assert got_basisinf == basisinf
+                got = []
+                for vec in kernel:
+                    glued = glue(FreeState(dict(zip(basisinf, vec)), Chart.INFTY.ring, n))
+                    assert set(glued.terms) <= set(basis0), (n, N, mu)
+                    got.append([glued.terms.get(m, 0) for m in basis0] + vec)
+                assert got == want, (n, N, mu)
+                vectors += len(got)
+    assert vectors == 2374
 
 
 def test_singular_vector_unique_at_ground(reports):
@@ -209,24 +266,28 @@ def test_scan_stability_matches_the_state_path_at_negative_n():
 
 
 def test_scan_fails_on_a_corrupted_gluing(monkeypatch):
-    # the kernels come from the true delta; only the cocycle test of the
-    # images sees the one corrupted coefficient
+    # the kernels come from the true delta, and so do the zero halves the
+    # first kernel vector's glue calls build; the call after them glues the
+    # first image for the cocycle subtraction, and only that image's cocycle
+    # test sees its one corrupted coefficient
     kernels = {(N, mu): cech_kernel(0, N, mu) for N in range(3) for mu in mu_window(0, 2)}
     monkeypatch.setattr(tcdo.cech, "cech_kernel", lambda n, N, mu: kernels[N, mu])
+    first = next(vecs[0] for _, vecs in kernels.values() if vecs)
+    target = sum(1 for c in first if c) + 1
     real = tcdo.cech._glue_mono
     calls = []
 
     def corrupted(mono, ls):
         out = real(mono, ls)
         calls.append(mono)
-        if len(calls) > 1:
+        if len(calls) != target:
             return out
         (key, c), *rest = out
         return ((key, c + 1), *rest)
 
     monkeypatch.setattr(tcdo.cech, "_glue_mono", corrupted)
     _, rep = scan_h0_sl2(0, 2)
-    assert calls and not rep.passed
+    assert len(calls) > target and not rep.passed
     assert len(rep.failures) == 1
 
 

@@ -105,6 +105,21 @@ def test_delta_matrix_builds_no_states():
     assert sorted(called & DELTA_FORBIDDEN) == []
 
 
+# the zero-chart sections are the overlap monomials with ground power >= 0,
+# so delta is read off its principal part G_-: no function of the Cech module
+# (_delta_matrix and cech_block among them) enumerates the zero-chart basis
+def test_cech_module_enumerates_no_zero_chart_basis():
+    found = []
+    for node in ast.walk(ast.parse((SRC / "cech.py").read_text(), filename="cech.py")):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sections_bidegree":
+            args = node.args + [kw.value for kw in node.keywords]
+            if any(isinstance(arg, ast.Attribute) and arg.attr == "ZERO" for arg in args):
+                found.append(f"cech.py:{node.lineno}")
+    assert "sections_bidegree" in _calls("cech.py", "_delta_matrix")
+    assert "_delta_matrix" in _calls("cech.py", "cech_block")
+    assert found == []
+
+
 # the H^0 scan acts and glues on the integer core too; a state is built only
 # for each representative it returns, by linear_combination
 SCAN_FORBIDDEN = {"FreeState", "apply_mode", "glue", "include_overlap"}
