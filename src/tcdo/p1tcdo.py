@@ -16,7 +16,9 @@ on a specialized state produce precisely that collapse.
 
 Module sections of the degree-n sheaf glue with the extra line-bundle factor
 x^n, so the sector of a state fixes its gluing: ``glue`` sends the ground y^j
-of a residue-n state to x^(n-j), and of a symbolic state to x^(-j).
+of a residue-n state to x^(n-j), and of a symbolic state to x^(-j).  Glued
+coefficients of a shape with d A-modes have degree <= d in (j, n): a shape is
+glued in d + 1 integer sectors and interpolated in n for all the others.
 
 Section bases of one bidegree are read off the walk ``modespace.normal_forms``;
 only the ground power that lands on the h-weight depends on the chart.
@@ -27,6 +29,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+import math
 from operator import mul
 import random
 
@@ -39,6 +42,7 @@ from .modespace import (
     FreeState,
     Monomial,
     _act,
+    _exact_div,
     _head,
     apply_mode,
     binom,
@@ -86,26 +90,33 @@ _SYMBOLIC_IMAGES = {
 }
 
 
+def _differences(ys: list) -> tuple:
+    """The forward differences of values at t = 0, 1, ...: their coefficients on C(t, 0), C(t, 1), ..."""
+    out = []
+    while ys:
+        out.append(ys[0])
+        ys = [y1 - y0 for y0, y1 in zip(ys, ys[1:])]
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def _glue_shape(amodes: tuple, bmodes: tuple, lmodes: tuple, ls) -> tuple:
     """The glued image of the INFTY mode shape (amodes, bmodes, lmodes) of
     sector ls as a polynomial in its ground power k: ((key, diffs), ...),
     where the term keyed (amodes', bmodes', lmodes', q) is the monomial
-    (amodes', bmodes', lmodes', q - k) with coefficient
-    sum_i diffs[i] * C(k, i).
+    (amodes', bmodes', lmodes', q - k) with coefficient sum_i diffs[i] * C(k, i).
 
-    The shape is glued by the head/tail recursion (the head generator's
-    symbolic image acts on the glued tail) at the sample powers
-    k = 0..len(amodes), and ``diffs`` are the integer Newton forward
-    differences of each coefficient over the samples.  That many samples
-    determine the polynomial.  h-weight is preserved, so each output power
-    is (ls or 0) - k plus a shift fixed by its modes.  k enters a
-    coefficient only where the A_(0) of an image contracts with the ground
-    of the glued tail (in ``_contractions``): the factor is the ground
-    power, linear in k.  Each symbolic image carries at most one A-mode, so
-    a term picks up at most one such factor per A-mode of the shape, and
-    its degree in k is at most len(amodes).  The identity holds for every
-    integer k, negative ones included."""
+    The head/tail recursion (the head generator's symbolic image acts on
+    the glued tail) glues the shape at k = 0..len(amodes), and ``diffs``
+    are the integer Newton forward differences over these samples.  They
+    determine the polynomial for every integer k: h-weight is preserved,
+    so each output power is (ls or 0) - k plus a shift fixed by its modes,
+    and k enters a coefficient only where the A_(0) of an image contracts
+    with the ground power of the glued tail (in ``_contractions``).  Each
+    symbolic image carries at most one A-mode, so the degree in k is at
+    most len(amodes).  An integer sector n enters only by that ground power
+    n - k and the scalar n of LSTAR_(0): the total degree in (k, n) is at
+    most len(amodes) too, so diffs[i] has degree <= len(amodes) - i in n."""
     samples = len(amodes) + 1
     values: dict[tuple, list] = {}
     for k in range(samples):
@@ -117,14 +128,27 @@ def _glue_shape(amodes: tuple, bmodes: tuple, lmodes: tuple, ls) -> tuple:
             out = _act(_SYMBOLIC_IMAGES[gen], m, _glue_mono(tail, ls), ls)
         for (a, b, lm, power), c in out.items():
             values.setdefault((a, b, lm, power + k), [0] * samples)[k] = c
-    table = []
-    for key, ys in values.items():
-        diffs = []
-        while ys:
-            diffs.append(ys[0])
-            ys = [y1 - y0 for y0, y1 in zip(ys, ys[1:])]
-        table.append((key, tuple(diffs)))
-    return tuple(table)
+    return tuple((key, _differences(ys)) for key, ys in values.items())
+
+
+def _shared_table(shape: tuple, sectors: list) -> tuple:
+    """A shape's table for all integer sectors n, interpolated from its per-n
+    tables at the len(amodes) + 1 ``sectors`` in any order, with no new
+    gluing: ((a', b', lm', q - n), e), e[i][j] the coefficient of C(k, i) C(n, j).
+    den, the Vandermonde product of the nodes, clears the Lagrange denominators;
+    a sum it does not divide (a degree past the bound) raises InexactDivisionError."""
+    den = math.prod(y - x for s, x in enumerate(sectors) for y in sectors[s + 1:])
+
+    def lagrange(x):  # den times the Lagrange basis polynomial of node x, at n = 0, 1, ...
+        others = [o for o in sectors if o != x]
+        return [den // math.prod(x - o for o in others) * math.prod(t - o for o in others) for t in range(len(sectors))]
+    rows = tuple(zip(*(_differences(lagrange(x)) for x in sectors)))  # e[i][j] = rows[j] . diffs[i] / den
+    columns: dict[tuple, list] = {}
+    for s, n in enumerate(sectors):
+        for (a, b, lm, q), diffs in _glue_shape(*shape, n):
+            columns.setdefault((a, b, lm, q - n), [(0,) * len(sectors)] * len(sectors))[s] = diffs
+    return tuple((key, tuple(tuple(_exact_div(sum(map(mul, r, ys)), den) for r in rows) for ys in zip(*per_n)))
+                 for key, per_n in columns.items())
 
 
 # one shared 4-tuple per distinct glued monomial: after cech_dims(0, 9) the
@@ -132,18 +156,39 @@ def _glue_shape(amodes: tuple, bmodes: tuple, lmodes: tuple, ls) -> tuple:
 # sharing them took the peak RSS of `cech --n 0 --weight-max 10` from 672 to
 # 411 MB
 _GLUED_KEYS: dict[tuple, tuple] = {}
+# the integer sectors with a per-n table of each shape, and the shared tables
+_SECTORS: dict[tuple, list] = {}
+_SHARED: dict[tuple, tuple] = {}
+
+
+@lru_cache(maxsize=None)
+def _sector_table(shape: tuple, ls: int) -> tuple:
+    """The ``_glue_shape`` table of a switched shape in a sector ls it was
+    not glued in, read off its ``_shared_table``."""
+    nweights = [binom(ls, j) for j in range(len(shape[0]) + 1)]
+    return tuple(
+        ((a, b, lm, q + ls), tuple(sum(map(mul, row, nweights)) for row in e)) for (a, b, lm, q), e in _SHARED[shape]
+    )
 
 
 @lru_cache(maxsize=None)
 def _glue_mono(mono: tuple, ls) -> tuple:
     """The glued image of one INFTY monomial 4-tuple of sector ls:
-    ((4-tuple, int coeff), ...), its shape's ``_glue_shape`` table
-    evaluated at the ground power.  Each output key is the one shared copy
-    in ``_GLUED_KEYS``."""
-    amodes, bmodes, lmodes, k = mono
-    weights = [binom(k, i) for i in range(len(amodes) + 1)]
+    ((4-tuple, int coeff), ...), each key the shared copy in ``_GLUED_KEYS``.
+    The symbolic sector and a shape's first len(amodes) + 1 integer sectors
+    evaluate its ``_glue_shape`` table at the ground power; a further new
+    sector switches the shape to its ``_shared_table``, which each later
+    sector reads through ``_sector_table``."""
+    shape, k = mono[:3], mono[3]
+    if ls is not None and ls not in _SECTORS.setdefault(shape, []) and shape not in _SHARED:
+        if len(_SECTORS[shape]) > len(shape[0]):
+            _SHARED[shape] = _shared_table(shape, _SECTORS[shape])
+        else:
+            _SECTORS[shape].append(ls)
+    interpolated = ls is not None and ls not in _SECTORS[shape]
+    weights = [binom(k, i) for i in range(len(shape[0]) + 1)]
     out = []
-    for (a, b, lm, q), diffs in _glue_shape(amodes, bmodes, lmodes, ls):
+    for (a, b, lm, q), diffs in _sector_table(shape, ls) if interpolated else _glue_shape(*shape, ls):
         c = sum(map(mul, diffs, weights))
         if c:
             key = (a, b, lm, q - k)

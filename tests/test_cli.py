@@ -11,9 +11,11 @@ import io
 import json
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import tcdo
 import tcdo.affine
 import tcdo.cech
 import tcdo.cli
@@ -338,17 +340,37 @@ GOLDEN = {
     "verify-engine --samples 20 --seed 3 --format json": "b286c7aa2130a10770c181a044a965d4e02afba7e2e7235d462c83e7d31b9f1a",
     "affine singular --n 2 --weight-max 3 --depth 3 --format json": "d361624dcabcc23983114d598a99e3cdd1484de6b9da0e7a31992f9e7ad0ea4b",
     "affine verma-vs-sections --n -1..1 --depth 3 --format json": "863df19057b62bdb309cd7ddb80086218ef9850efa385daa589667698c424aef",
+    # scans over enough sectors that shapes switch to their shared glue tables
+    "cech --format json": "33977eaa8323e27039952414c16b2b978ad1e8cd71525d2ef9700548176b1e53",
+    "affine singular --n 0..3 --weight-max 3 --depth 3 --format json": "901014d797bfe37fad32a81f24a4d3c3d0bea25ed12934a2cb19bc3f9e5fff71",
 }
 
 
+def _payload_hash(command: str) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(command.split()) == 0, command
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
 def test_golden_payloads_are_byte_identical():
-    got = {}
-    for command in GOLDEN:
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            assert main(command.split()) == 0, command
-        got[command] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
-    assert got == GOLDEN
+    assert {command: _payload_hash(command) for command in GOLDEN} == GOLDEN
+
+
+def test_cech_payloads_do_not_depend_on_the_sector_order():
+    # which sectors a shape is glued in, and which read its shared table,
+    # follows the order of the requests; from cold caches, the nine
+    # cech-scan invocations in the perfbench seed-7 order and in reverse
+    # must print the same bytes, and the pinned ones their pinned payloads
+    reference = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text())
+    commands = [f"cech --n {n} --weight-max 4 --format json" for n in (-3, 2, 3, 0, -4, 4, -1, -2, 1)]
+    runs = []
+    for order in (commands, commands[::-1]):
+        tcdo.clear_caches()
+        runs.append({command: _payload_hash(command) for command in order})
+    assert runs[0] == runs[1]
+    pinned = {command: reference[command] for command in commands if command in reference}
+    assert pinned and {command: runs[0][command] for command in pinned} == pinned
 
 
 def test_the_parser_is_built_once_and_survives_usage_errors(capsys):

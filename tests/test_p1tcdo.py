@@ -5,16 +5,22 @@ Sugawara image is required exactly, not up to scalars.
 """
 
 import random
+import sys
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 import pytest
 
+import tcdo.p1tcdo
+from tcdo import clear_caches
 from tcdo.modespace import (
     LAURENT,
     POLY,
     FreeState,
     Monomial,
     apply_mode,
+    binom,
     gen_a,
     ground,
     normal_forms,
@@ -24,6 +30,7 @@ from tcdo.modespace import (
 from tcdo.p1tcdo import (
     Chart,
     _glue_mono,
+    _glue_shape,
     _sl2_currents,
     check_gluing_morphism,
     check_involution,
@@ -112,6 +119,70 @@ def test_glue_shape_table_matches_the_per_power_recursion(ls):
             for k in powers:
                 mono = (amodes, bmodes, lmodes, k)
                 assert dict(_glue_mono(mono, ls)) == ref_glue_mono(mono, ls, memo), mono
+
+
+# the integer sectors a shape is glued in before it switches to its shared
+# table, in three arrival orders: ascending from -6, descending from 6, and
+# the order of `cech-scan` seed 7 in perfbench
+SECTOR_ORDERS = {
+    "ascending": list(range(-6, 7)),
+    "descending": list(range(6, -7, -1)),
+    "seed-7": [-3, 2, 3, 0, -4, 4, -1, -2, 1],
+}
+
+
+@lru_cache(maxsize=None)
+def _per_n_table(shape: tuple, n: int) -> tuple:
+    """The per-n _glue_shape table, kept across the orders below (a table
+    built while tails read shared tables is right when those are, and the
+    tails are shapes of the same test)."""
+    return _glue_shape(*shape, n)
+
+
+@pytest.mark.parametrize("order", SECTOR_ORDERS)
+def test_shared_glue_table_matches_the_per_n_tables(order):
+    # every normal-form shape of weight <= 5 is glued at the first
+    # len(amodes) + 1 sectors of the order, and the next one switches it to
+    # the table interpolated in n from those; read through _glue_mono at
+    # n = -6..6 and at each ground power of the doubled Cech window and the
+    # negative overlap powers, it must equal the per-n _glue_shape table
+    clear_caches()
+    shapes = [(a, b, lm) for weight in range(6) for a, b, lm, _ in normal_forms(weight)]
+    for shape in shapes:
+        for n in SECTOR_ORDERS[order][: len(shape[0]) + 2]:
+            _glue_mono(shape + (0,), n)
+    assert set(shapes) <= set(tcdo.p1tcdo._SHARED)
+    assert all(tcdo.p1tcdo._SECTORS[shape] == SECTOR_ORDERS[order][: len(shape[0]) + 1] for shape in shapes)
+    _glue_mono.cache_clear()  # so the primed powers are read off the shared table too
+    for n in range(-6, 7):
+        powers = sorted(set(mu_window(n, 5, 2)) | set(range(-25, 0)))
+        for shape in shapes:
+            table = _per_n_table(shape, n)
+            for k in powers:
+                weights = [binom(k, i) for i in range(len(shape[0]) + 1)]
+                want = {}
+                for (a, b, lm, q), diffs in table:
+                    c = sum(map(mul, weights, diffs))
+                    if c:
+                        want[(a, b, lm, q - k)] = c
+                assert dict(_glue_mono(shape + (k,), n)) == want, (shape, n, k)
+
+
+def test_clear_caches_empties_every_cache_and_the_sector_state():
+    # a shape switched to its shared table and read in a new sector, then
+    # one clear_caches leaves every cache of every loaded module empty
+    for n in range(-2, 3):
+        glue(FreeState({Monomial(amodes=(-1,), bmodes=(-2,), power=2): 1}, POLY, n))
+    assert tcdo.p1tcdo._SHARED and tcdo.p1tcdo._SECTORS and tcdo.p1tcdo._GLUED_KEYS
+    assert tcdo.p1tcdo._sector_table.cache_info().currsize
+    clear_caches()
+    assert (tcdo.p1tcdo._SHARED, tcdo.p1tcdo._SECTORS, tcdo.p1tcdo._GLUED_KEYS) == ({}, {}, {})
+    cached = [
+        (name, value)
+        for name, module in sys.modules.items() if name.startswith("tcdo.")
+        for value in vars(module).values() if hasattr(value, "cache_info")
+    ]
+    assert cached and [(name, v.__name__) for name, v in cached if v.cache_info().currsize] == []
 
 
 def test_glue_is_weight_preserving_and_h_negating():

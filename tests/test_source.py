@@ -134,11 +134,15 @@ def test_h0_scan_runs_on_the_integer_core():
 def test_every_public_function_has_a_package_caller():
     # a public top-level function that nothing in the package reaches is
     # either an unrun check or dead code; a test-only reference lives in
-    # tests/references.py instead
+    # tests/references.py instead.  A function of the package namespace
+    # itself (__init__.py, called as tcdo.name) is library API with no
+    # caller inside the package, so there a test must call it instead
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
     assert trees, f"no sources under {SRC}"
+    tests = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(Path(__file__).parent.glob("test_*.py"))]
     found = []
     for module, tree in trees.items():
+        callers = tests if module == "__init__" else trees.values()
         for fn in tree.body:
             if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
                 continue
@@ -146,7 +150,7 @@ def test_every_public_function_has_a_package_caller():
             referenced = any(
                 id(node) not in own
                 and (getattr(node, "id", None) == fn.name or getattr(node, "attr", None) == fn.name)
-                for other in trees.values()
+                for other in callers
                 for node in ast.walk(other)
                 if isinstance(node, (ast.Name, ast.Attribute))
             )
@@ -217,7 +221,7 @@ def test_zhu_classes_are_read_off_without_the_engine():
 UNBOUNDED_CACHES = {
     "affine.py": ["_straighten", "_act_word", "_negative_words", "_central_image"],
     "modespace.py": ["_apply_mono"],
-    "p1tcdo.py": ["_glue_shape", "_glue_mono"],
+    "p1tcdo.py": ["_glue_shape", "_sector_table", "_glue_mono"],
 }
 
 
@@ -231,6 +235,37 @@ def _unbounded(decorator) -> bool:
         return False
     sizes = decorator.args[:1] + [kw.value for kw in decorator.keywords if kw.arg == "maxsize"]
     return any(isinstance(size, ast.Constant) and size.value is None for size in sizes)
+
+
+# every module-level dict, list or set bound empty: mutable state that grows
+# with the requests, like a cache; a new one fails here until it is listed,
+# and tcdo.clear_caches must empty each listed one
+MODULE_CACHES = {
+    "p1tcdo.py": ["_GLUED_KEYS", "_SECTORS", "_SHARED"],
+}
+
+
+def _empty_container(value) -> bool:
+    """Whether an expression builds an empty dict, list or set."""
+    if isinstance(value, (ast.Dict, ast.List, ast.Set)):
+        return not (getattr(value, "keys", None) or getattr(value, "elts", None))
+    return isinstance(value, ast.Call) and getattr(value.func, "id", None) in ("dict", "list", "set") and not (
+        value.args or value.keywords
+    )
+
+
+def test_module_level_caches_are_the_listed_ones_and_clear_caches_empties_them():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None and _empty_container(node.value):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found.setdefault(path.name, []).extend(t.id for t in targets)
+    assert found == MODULE_CACHES
+    tree = ast.parse((SRC / "__init__.py").read_text(), filename="__init__.py")
+    (clear,) = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "clear_caches"]
+    cleared = {node.attr for node in ast.walk(clear) if isinstance(node, ast.Attribute)}
+    assert sorted(name for names in MODULE_CACHES.values() for name in names if name not in cleared) == []
 
 
 def test_unbounded_caches_are_the_listed_ones():
