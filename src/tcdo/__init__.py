@@ -4,19 +4,56 @@ differential operators on the projective line."""
 __version__ = "0.1.0"
 
 
-def clear_caches() -> None:
-    """Empty every cache of the package together: the lru_caches of its
-    loaded modules and the gluing state of ``p1tcdo`` (the shared glued
-    keys, the sectors each shape was glued in and the shared tables), so
-    the next request starts cold and no shape is left half switched."""
+def _lru_caches() -> dict:
+    """Every lru_cache of the loaded modules, by "module.name", each listed
+    once under the module that defines it."""
     import sys
 
-    from . import p1tcdo
+    return {
+        f"{name[len(__name__) + 1:]}.{attr}": value
+        for name, module in list(sys.modules.items()) if name.startswith(__name__ + ".")
+        for attr, value in vars(module).items()
+        if hasattr(value, "cache_info") and value.__module__ == name
+    }
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith(__name__ + "."):
-            for value in vars(module).values():
-                if hasattr(value, "cache_clear"):
-                    value.cache_clear()
-    for state in (p1tcdo._GLUED_KEYS, p1tcdo._SECTORS, p1tcdo._SHARED):
+
+def _containers() -> dict:
+    """Every module-level cache container, by "module.name": the gluing
+    state of ``p1tcdo`` (the shared glued keys, the sectors each shape was
+    glued in and the shared tables) and the intern table of ``modespace``
+    with its id-keyed memos."""
+    from . import modespace, p1tcdo
+
+    return {
+        "p1tcdo._GLUED_KEYS": p1tcdo._GLUED_KEYS,
+        "p1tcdo._SECTORS": p1tcdo._SECTORS,
+        "p1tcdo._SHARED": p1tcdo._SHARED,
+        "modespace._MONOS": modespace._MONOS,
+        "modespace._IDS": modespace._IDS,
+        "modespace._WEIGHTS": modespace._WEIGHTS,
+        "modespace._HEADS": modespace._HEADS,
+        "modespace._CREATED": modespace._CREATED,
+        "modespace._CONTRACTED": modespace._CONTRACTED,
+    }
+
+
+def clear_caches() -> None:
+    """Empty every cache of the package together: the lru_caches of its
+    loaded modules and every module-level cache container, so the next
+    request starts cold, no shape is left half switched and no memo keeps
+    an id of a cleared intern table."""
+    for cache in _lru_caches().values():
+        cache.cache_clear()
+    for state in _containers().values():
         state.clear()
+
+
+def cache_stats() -> dict:
+    """A read-only snapshot of every cache: {"lru": {"module.name":
+    cache_info()}} for each lru_cache of the loaded modules, and
+    {"containers": {"module.name": size}} for each module-level cache
+    container (the intern table of ``modespace`` among them)."""
+    return {
+        "lru": {name: cache.cache_info() for name, cache in _lru_caches().items()},
+        "containers": {name: len(state) for name, state in _containers().items()},
+    }

@@ -35,25 +35,34 @@ modes of the normally ordered ``x(z)^k`` have integer coefficients, so the one
 division of the recursion (``_ground_apply``) is exact, and ``_exact_div``
 certifies that it is, raising instead of rounding.
 
-The core (``_apply_mono`` and the helpers it calls, and the gluing's
-``_glue_shape`` and ``_glue_mono``) represents a monomial as a plain 4-tuple
-``(amodes, bmodes, lmodes, power)`` and never validates one.  Its recursion
-pays only for modes that can act: a creation mode is a key rewrite of each
-term (``_gen_mode_terms``), and of the annihilation modes it runs only those
-that contract with the target (``_contractions``).  The gluing runs the core
-once per mode shape, at a few sample ground powers, and reads every other
-power off the interpolating polynomial: a ground power enters a structure
-constant only through the A_(0) contraction with the ground in
-``_contractions``, which is linear in it.  ``Monomial`` is the validated form
-of that tuple: a ``tuple`` subclass that equals and hashes as its fields, so
-the core's caches serve plain tuples and monomials alike.  Validation and
-``Fraction`` enter only at the public boundary: ``_state`` turns every output
-key of ``apply_mode``, ``linear_combination``, ``borcherds_sides`` and
-``glue`` into a ``Monomial``, and a ``FreeState`` rejects any other key.  The
-identity checks run on the integer core too: ``borcherds_sides`` scales its
-three states to integers once and sums each side of the Borcherds identity
-as one integer dict over a common denominator, so each side becomes a state
-once, not once per composed action.
+The core (``_apply_mono`` and the helpers it calls) names a monomial by a
+small int id: one intern table maps each plain 4-tuple ``(amodes, bmodes,
+lmodes, power)`` to its id and back (hash-consing; Filliâtre and Conchon,
+"Type-safe modular hash-consing", 2006), so its memo probes and merged dicts
+hash ints instead of four nested tuples.  The weight and the head/tail split
+of an id are read off the table, a creation-mode rewrite of an id and the
+contractions of an id are memoized, and no id ever decides an order: terms
+keep their insertion order.  Its recursion pays only for modes that can act:
+a creation mode is a key rewrite of each term (``_gen_mode_terms``), and of
+the annihilation modes it runs only those that contract with the target
+(``_contractions``).  Ids never leave this module.  ``_act``, which the
+gluing (``_glue_shape``), the H^0 scan and the word replay call, takes and
+returns (4-tuple, int) pairs, its output keyed by the table's shared tuples;
+``apply_mode`` and ``borcherds_sides`` intern their integer rows once and
+run every nested action on ids.  The gluing runs ``_act`` once per mode
+shape, at a few sample ground powers, and reads every other power off the
+interpolating polynomial: a ground power enters a structure constant only
+through the A_(0) contraction with the ground in ``_contractions``, which is
+linear in it.  ``Monomial`` is the validated form of the 4-tuple: a
+``tuple`` subclass that equals and hashes as its fields, so the table finds
+plain tuples and monomials alike.  Validation and ``Fraction`` enter only at
+the public boundary: ``_state`` turns every output key of ``apply_mode``,
+``linear_combination``, ``borcherds_sides`` and ``glue`` into a
+``Monomial``, and a ``FreeState`` rejects any other key.  The identity
+checks run on the integer core too: ``borcherds_sides`` scales its three
+states to integers once and sums each side of the Borcherds identity as one
+integer dict over a common denominator, so each side becomes a state once,
+not once per composed action.
 """
 
 from __future__ import annotations
@@ -291,6 +300,40 @@ def gen_lstar(ring: str = POLY) -> FreeState:
     return FreeState({Monomial(lmodes=(-1,)): 1}, ring, None)
 
 
+# -- the intern table ---------------------------------------------------------
+#
+# The id of a monomial is its index in ``_MONOS``.  An id means nothing once
+# the table is cleared, so ``tcdo.clear_caches`` empties the table, every
+# id-keyed memo below and ``_apply_mono``'s cache together.
+
+_MONOS: list[tuple] = []  # id -> monomial 4-tuple
+_IDS: dict[tuple, int] = {}  # monomial 4-tuple -> id
+_WEIGHTS: list[int] = []  # id -> conformal weight
+_HEADS: dict[int, tuple | None] = {}  # id -> (generator, mode, tail id), or None
+_CREATED: dict[tuple, dict] = {}  # (generator, mode) -> {id: id of the created monomial}
+_CONTRACTED: dict[tuple, tuple] = {}  # (generator, id) -> its _contractions
+
+
+def _intern(mono) -> int:
+    """The id of a monomial 4-tuple (or ``Monomial``); a new one enters the
+    table as its plain tuple."""
+    i = _IDS.get(mono)
+    if i is None:
+        mono = tuple(mono)
+        i = _IDS[mono] = len(_MONOS)
+        _MONOS.append(mono)
+        _WEIGHTS.append(_weight(mono))
+    return i
+
+
+def _head_id(w: int):
+    """``_head`` of the monomial with id w, its tail as an id."""
+    if w not in _HEADS:
+        head = _head(_MONOS[w])
+        _HEADS[w] = head and (head[0], head[1], _intern(head[2]))
+    return _HEADS[w]
+
+
 # -- single generator modes ------------------------------------------------
 
 
@@ -305,43 +348,55 @@ def _remove_one(tup: tuple[int, ...], m: int) -> tuple[int, ...]:
     return tuple(lst)
 
 
-def _gen_mode_terms(gen: str, m: int, terms, ls) -> dict[tuple, int]:
-    """One creation mode g_(m), m <= -1, on (monomial 4-tuple, coefficient)
-    pairs.  All creation modes commute, so each key is rewritten by a
-    normal-form insert with coefficient 1; distinct keys stay distinct, so no
-    two terms merge.  In a specialized sector (``ls`` an integer) every
-    LSTAR creation mode acts as 0, its character value."""
-    if gen == GEN_A:
-        return {(_insort(a, m), b, lm, p): c for (a, b, lm, p), c in terms}
-    if gen == GEN_B:
-        if m == -1:
-            return {(a, b, lm, p + 1): c for (a, b, lm, p), c in terms}
-        return {(a, _insort(b, m), lm, p): c for (a, b, lm, p), c in terms}
-    if ls is not None:
+def _gen_mode_terms(gen: str, m: int, terms, ls) -> dict[int, int]:
+    """One creation mode g_(m), m <= -1, on (id, coefficient) pairs.  All
+    creation modes commute, so each monomial is rewritten by a normal-form
+    insert with coefficient 1, memoized per (g, m, id); distinct monomials
+    stay distinct, so no two terms merge.  In a specialized sector (``ls``
+    an integer) every LSTAR creation mode acts as 0, its character value."""
+    if gen == GEN_LSTAR and ls is not None:
         return {}
-    return {(a, b, _insort(lm, m), p): c for (a, b, lm, p), c in terms}
+    created = _CREATED.setdefault((gen, m), {})
+    out = {}
+    for u, c in terms:
+        v = created.get(u)
+        if v is None:
+            a, b, lm, p = _MONOS[u]
+            if gen == GEN_A:
+                v = _intern((_insort(a, m), b, lm, p))
+            elif gen == GEN_LSTAR:
+                v = _intern((a, b, _insort(lm, m), p))
+            else:
+                v = _intern((a, b, lm, p + 1) if m == -1 else (a, _insort(b, m), lm, p))
+            created[u] = v
+        out[v] = c
+    return out
 
 
-def _contractions(gen: str, u: tuple, ls) -> list[tuple[int, tuple, int]]:
-    """(j, monomial 4-tuple, int coeff) for each annihilation mode g_(j),
-    j >= 0, that does not kill the monomial u, in ascending j; every other
-    g_(j) acts on u as 0.  An annihilation mode commutes through to the
-    ground, picking up contractions: A_(0) with the ground x^power, A_(j)
-    with each B-mode -1-j, B_(j) with each A-mode -1-j, and in a specialized
-    sector LSTAR_(0) is the scalar ``ls``.  Symbolic LSTAR is central with
-    zero pairing, so its annihilation modes all act as 0."""
-    amodes, bmodes, lmodes, power = u
-    if gen == GEN_A:
-        out = [(0, (amodes, bmodes, lmodes, power - 1), power)] if power else []
-        for t in sorted(set(bmodes), reverse=True):
-            out.append((-1 - t, (amodes, _remove_one(bmodes, t), lmodes, power), bmodes.count(t)))
-        return out
-    if gen == GEN_B:
-        return [
-            (-1 - r, (_remove_one(amodes, r), bmodes, lmodes, power), -amodes.count(r))
-            for r in sorted(set(amodes), reverse=True)
-        ]
-    return [(0, u, ls)] if ls else []
+def _contractions(gen: str, u: int, ls) -> tuple:
+    """(j, id, int coeff) for each annihilation mode g_(j), j >= 0, that does
+    not kill the monomial with id u, in ascending j; every other g_(j) acts
+    on u as 0.  An annihilation mode commutes through to the ground, picking
+    up contractions: A_(0) with the ground x^power, A_(j) with each B-mode
+    -1-j, B_(j) with each A-mode -1-j, and in a specialized sector LSTAR_(0)
+    is the scalar ``ls``.  Symbolic LSTAR is central with zero pairing, so
+    its annihilation modes all act as 0.  The A and B lists are memoized."""
+    if gen == GEN_LSTAR:
+        return ((0, u, ls),) if ls else ()
+    out = _CONTRACTED.get((gen, u))
+    if out is None:
+        amodes, bmodes, lmodes, power = _MONOS[u]
+        if gen == GEN_A:
+            out = [(0, _intern((amodes, bmodes, lmodes, power - 1)), power)] if power else []
+            for t in sorted(set(bmodes), reverse=True):
+                out.append((-1 - t, _intern((amodes, _remove_one(bmodes, t), lmodes, power)), bmodes.count(t)))
+        else:
+            out = [
+                (-1 - r, _intern((_remove_one(amodes, r), bmodes, lmodes, power)), -amodes.count(r))
+                for r in sorted(set(amodes), reverse=True)
+            ]
+        out = _CONTRACTED[(gen, u)] = tuple(out)
+    return out
 
 
 # -- the structural recursion ----------------------------------------------
@@ -370,12 +425,12 @@ def _exact_div(num: int, den: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _apply_mono(w: tuple, m: int, u: tuple, ls) -> tuple:
-    """w_(m) u for normal-form monomial 4-tuples; returns ((4-tuple, int
-    coeff), ...)."""
-    head = _head(w)
+def _apply_mono(w: int, m: int, u: int, ls) -> tuple:
+    """w_(m) u for the monomials with ids w and u; returns ((id, int coeff),
+    ...)."""
+    head = _head_id(w)
     if head is None:
-        out = _ground_apply(w[3], m, u, ls)
+        out = _ground_apply(_MONOS[w][3], m, u, ls)
     else:
         gen, mode, tail = head
         s = -mode  # w = g_(-s) tail with s >= 1
@@ -385,7 +440,7 @@ def _apply_mono(w: tuple, m: int, u: tuple, ls) -> tuple:
         #                            - (-1)^s tail_(-s+m-j) (g_(j) u) ]
         # g_(-s-j) is a creation mode; g_(j) u is nonzero only for the j of
         # _contractions, which come in ascending order as the sum runs
-        for j in range(_weight(tail) + _weight(u) - m):
+        for j in range(_WEIGHTS[tail] + _WEIGHTS[u] - m):
             inner = _apply_mono(tail, m + j, u, ls)
             if inner:
                 _merge(out, _gen_mode_terms(gen, mode - j, inner, ls).items(), (-1) ** j * binom(mode, j))
@@ -396,20 +451,21 @@ def _apply_mono(w: tuple, m: int, u: tuple, ls) -> tuple:
     return tuple(out.items())
 
 
-def _ground_apply(k: int, m: int, u: tuple, ls) -> dict[tuple, int]:
-    """(x^k)_(m) u, including the vacuum case k = 0."""
+def _ground_apply(k: int, m: int, u: int, ls) -> dict[int, int]:
+    """(x^k)_(m) u for the monomial with id u, including the vacuum case
+    k = 0."""
     if k == 0:
         return {u: 1} if m == -1 else {}
-    amodes, bmodes, lmodes, power = u
+    amodes, bmodes, lmodes, power = _MONOS[u]
     if amodes:
         # commute past the head A-mode: [x^k_(m), A_(r)] = -(d/dx x^k)_(m+r)
-        _, r, tail = _head(u)
+        _, r, tail = _head_id(u)
         out = _gen_mode_terms(GEN_A, r, _ground_apply(k, m, tail, ls).items(), ls)
         _merge(out, _ground_apply(k - 1, m + r, tail, ls).items(), -k)
         return out
     if bmodes or lmodes:
         # B and LSTAR modes commute with ground multiplication
-        out = _ground_apply(k, m, ((), (), (), power), ls)
+        out = _ground_apply(k, m, _intern(((), (), (), power)), ls)
         for mode in lmodes:
             out = _gen_mode_terms(GEN_LSTAR, mode, out.items(), ls)
         for mode in bmodes:
@@ -419,27 +475,45 @@ def _ground_apply(k: int, m: int, u: tuple, ls) -> dict[tuple, int]:
     if m >= 0:
         return {}
     if m == -1:
-        return {((), (), (), k + power): 1}
+        return {_intern(((), (), (), k + power)): 1}
     # x^k_(m) = (1/(-m-1)) (d(x^k))_(m+1)   with   d(x^k) = k B_(-2) x^(k-1)
-    inner = _apply_mono(((), (-2,), (), k - 1), m + 1, u, ls)
-    return {mono: _exact_div(k * c, -m - 1) for mono, c in inner}
+    inner = _apply_mono(_intern(((), (-2,), (), k - 1)), m + 1, u, ls)
+    return {v: _exact_div(k * c, -m - 1) for v, c in inner}
 
 
-def _act(wterms, m: int, uterms, ls) -> dict[tuple, int]:
-    """w_(m) u on integer (monomial 4-tuple, coefficient) pairs."""
-    out: dict[tuple, int] = {}
+def _interned(terms) -> list[tuple[int, int]]:
+    """(monomial 4-tuple, coefficient) pairs as (id, coefficient) pairs."""
+    return [(_intern(mono), c) for mono, c in terms]
+
+
+def _pairs(out: dict[int, int]):
+    """The (monomial 4-tuple, coefficient) pairs of an id-keyed dict, each
+    key the table's shared tuple, in the dict's order."""
+    monos = _MONOS
+    return ((monos[i], c) for i, c in out.items())
+
+
+def _act_ids(wterms, m: int, uterms, ls) -> dict[int, int]:
+    """w_(m) u on integer (id, coefficient) pairs."""
+    out: dict[int, int] = {}
     for mw, cw in wterms:
         for mu, cu in uterms:
             _merge(out, _apply_mono(mw, m, mu, ls), cw * cu)
     return out
 
 
-def _state(out: dict, den: int, ring: str, lstar) -> FreeState:
-    """The state with coefficients out[mono] / den.  This is the engine's
-    public boundary: each nonzero key, a 4-tuple from the core, is validated
-    into a ``Monomial`` here."""
+def _act(wterms, m: int, uterms, ls) -> dict[tuple, int]:
+    """w_(m) u on integer (monomial 4-tuple, coefficient) pairs: the boundary
+    of the id core, keyed by the table's shared tuples."""
+    return dict(_pairs(_act_ids(_interned(wterms), m, _interned(uterms), ls)))
+
+
+def _state(pairs, den: int, ring: str, lstar) -> FreeState:
+    """The state with coefficients c / den over (monomial 4-tuple, c) pairs.
+    This is the engine's public boundary: each nonzero key, a 4-tuple from
+    the core, is validated into a ``Monomial`` here."""
     return FreeState(
-        {Monomial(*mono): Fraction(c, den) for mono, c in out.items() if c}, ring, lstar
+        {Monomial(*mono): Fraction(c, den) for mono, c in pairs if c}, ring, lstar
     )
 
 
@@ -467,7 +541,8 @@ def apply_mode(w: FreeState, m: int, u: FreeState) -> FreeState:
     ring, ls = _action_sector(w.ring, w.lstar, u.ring, u.lstar)
     wterms, dw = _integer_row(w.terms)
     uterms, du = _integer_row(u.terms)
-    return _state(_act(wterms.items(), m, uterms.items(), ls), dw * du, ring, ls)
+    out = _act_ids(_interned(wterms.items()), m, _interned(uterms.items()), ls)
+    return _state(_pairs(out), dw * du, ring, ls)
 
 
 def linear_combination(parts, ring: str = POLY, lstar: int | None = None) -> FreeState:
@@ -480,7 +555,7 @@ def linear_combination(parts, ring: str = POLY, lstar: int | None = None) -> Fre
     out: dict = {}
     for s, terms in parts:
         _merge(out, terms, s.numerator * (den // s.denominator))
-    return _state(out, den, ring, lstar)
+    return _state(out.items(), den, ring, lstar)
 
 
 # -- derived operations ------------------------------------------------------
@@ -522,7 +597,7 @@ def borcherds_sides(a: FreeState, b: FreeState, c: FreeState, m: int, n: int, k:
     with the j-sums bounded by exact weight bookkeeping.  Both sides run on
     the integer core: a, b and c are scaled to integers once, by their least
     common denominators da, db and dc, and each side is summed in one
-    {4-tuple: int} dict from nested ``_act`` calls.  Every term of either
+    {id: int} dict from nested ``_act_ids`` calls.  Every term of either
     side then has the common denominator da*db*dc, so the sides agree
     exactly when their integer numerators do; each becomes a state once.
     The sector of every action the identity takes is checked once, in the
@@ -536,25 +611,25 @@ def borcherds_sides(a: FreeState, b: FreeState, c: FreeState, m: int, n: int, k:
     wb = max(b.weights(), default=0)
     wc = max(c.weights(), default=0)
     (arow, da), (brow, db), (crow, dc) = (_integer_row(s.terms) for s in (a, b, c))
-    aterms, bterms, cterms = arow.items(), brow.items(), crow.items()
-    lhs: dict[tuple, int] = {}
+    aterms, bterms, cterms = (_interned(row.items()) for row in (arow, brow, crow))
+    lhs: dict[int, int] = {}
     for j in range(max(wa + wb - n, 0) + 1):
         coef = binom(m, j)
         if coef:
-            inner = _nonzero(_act(aterms, n + j, bterms, b.lstar))
-            _merge(lhs, _act(inner.items(), m + k - j, cterms, ls).items(), coef)
-    rhs: dict[tuple, int] = {}
+            inner = _nonzero(_act_ids(aterms, n + j, bterms, b.lstar))
+            _merge(lhs, _act_ids(inner.items(), m + k - j, cterms, ls).items(), coef)
+    rhs: dict[int, int] = {}
     for j in range(max(wb + wc - k, wa + wc - m, 0) + 1):
         coef = binom(n, j)
         if not coef:
             continue
-        inner = _nonzero(_act(bterms, k + j, cterms, ls))
-        _merge(rhs, _act(aterms, m + n - j, inner.items(), ls).items(), (-1) ** j * coef)
-        inner = _nonzero(_act(aterms, m + j, cterms, ls))
+        inner = _nonzero(_act_ids(bterms, k + j, cterms, ls))
+        _merge(rhs, _act_ids(aterms, m + n - j, inner.items(), ls).items(), (-1) ** j * coef)
+        inner = _nonzero(_act_ids(aterms, m + j, cterms, ls))
         sign = -1 if (j + n) % 2 == 0 else 1
-        _merge(rhs, _act(bterms, n + k - j, inner.items(), ls).items(), sign * coef)
+        _merge(rhs, _act_ids(bterms, n + k - j, inner.items(), ls).items(), sign * coef)
     den = da * db * dc
-    return _state(lhs, den, ring, ls), _state(rhs, den, ring, ls)
+    return _state(_pairs(lhs), den, ring, ls), _state(_pairs(rhs), den, ring, ls)
 
 
 def check_borcherds(a, b, c, m: int, n: int, k: int) -> bool:

@@ -373,6 +373,28 @@ def test_cech_payloads_do_not_depend_on_the_sector_order():
     assert pinned and {command: runs[0][command] for command in pinned} == pinned
 
 
+def test_cache_stats_counts_a_cech_request_and_reads_zero_after_clear_caches():
+    # one small cech request fills the engine, gluing and section caches and
+    # the intern table; cache_stats only reads them, so the payload is the
+    # same bytes with or without a snapshot, and after clear_caches every
+    # count it reports is zero
+    command = "cech --n 0 --weight-max 2 --format json"
+    tcdo.clear_caches()
+    digest = _payload_hash(command)
+    stats = tcdo.cache_stats()
+    assert {"modespace._apply_mono", "modespace.normal_forms", "p1tcdo._glue_mono"} <= set(stats["lru"])
+    assert "affine.verma_basis" in stats["lru"]
+    for name in ("modespace._apply_mono", "modespace.normal_forms", "p1tcdo._glue_shape", "p1tcdo._glue_mono"):
+        assert stats["lru"][name].currsize and stats["lru"][name].misses, name
+    for name in ("modespace._MONOS", "modespace._IDS", "modespace._WEIGHTS", "p1tcdo._GLUED_KEYS"):
+        assert stats["containers"][name], name
+    assert _payload_hash(command) == digest
+    tcdo.clear_caches()
+    stats = tcdo.cache_stats()
+    assert [name for name, info in stats["lru"].items() if info.hits or info.misses or info.currsize] == []
+    assert stats["containers"] and [name for name, size in stats["containers"].items() if size] == []
+
+
 def test_the_parser_is_built_once_and_survives_usage_errors(capsys):
     # the tree never changes, so every call shares it; a refused request of
     # each kind leaves it fit for the next command in the same process

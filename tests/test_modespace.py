@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tcdo import modespace
+from tcdo import clear_caches, modespace
 from tcdo.modespace import (
     GEN_A,
     GEN_B,
@@ -173,7 +173,7 @@ def test_check_borcherds_catches_one_wrong_structure_constant(monkeypatch):
     a, x = gen_a(), gen_b()
     assert check_borcherds(a, x, x, 0, 0, -1)
     core = modespace._apply_mono.__wrapped__
-    target = (Monomial(amodes=(-1,)), 0, Monomial(power=2), None)
+    target = (modespace._intern(Monomial(amodes=(-1,))), 0, modespace._intern(Monomial(power=2)), None)
 
     @lru_cache(maxsize=None)
     def faulty(w, m, u, ls):
@@ -559,6 +559,12 @@ def engine_cases(draw, weight_max):
     return w, draw(st.integers(-3, 3)), u, ls
 
 
+def _core(w, m, u, ls):
+    """``_apply_mono`` on two monomials through the intern table: its
+    (monomial 4-tuple, int) terms, in order."""
+    return [(modespace._MONOS[i], c) for i, c in _apply_mono(modespace._intern(w), m, modespace._intern(u), ls)]
+
+
 @given(engine_cases(4))
 @example((Monomial(amodes=(-1,), power=1), 1, Monomial(bmodes=(-3, -2)), None))
 @settings(max_examples=300, deadline=None)
@@ -566,9 +572,9 @@ def test_apply_mono_matches_fraction_reference(case):
     # the same terms in the same order, zero sums included; the example
     # contracts A_(j) with two distinct B-modes, where the j order shows
     w, m, u, ls = case
-    got = _apply_mono(w, m, u, ls)
+    got = _core(w, m, u, ls)
     assert all(type(c) is int for _, c in got)
-    assert list(got) == list(_ref_apply_mono(w, m, u, ls))
+    assert got == list(_ref_apply_mono(w, m, u, ls))
 
 
 @pytest.mark.parametrize("ring, ls", SECTORS)
@@ -586,7 +592,7 @@ def test_apply_mono_matches_fraction_reference_on_every_small_pair(ring, ls):
             for w in monomials_of(ww, True):
                 for u in monomials_of(uw, ls is None):
                     for m in range(-3, 4):
-                        assert list(_apply_mono(w, m, u, ls)) == list(_ref_apply_mono(w, m, u, ls)), (w, m, u)
+                        assert _core(w, m, u, ls) == list(_ref_apply_mono(w, m, u, ls)), (w, m, u)
 
 
 _COEFFS = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)])
@@ -618,7 +624,7 @@ def test_public_outputs_are_keyed_by_monomials(data):
     uterms = data.draw(st.dictionaries(monomials(3, ring, symbolic=ls is None), _COEFFS, min_size=1, max_size=3))
     m = data.draw(st.integers(-3, 3))
     w, u = FreeState(wterms, ring), FreeState(uterms, ring, ls)
-    core = _apply_mono(next(iter(wterms)), m, next(iter(uterms)), ls)
+    core = _core(next(iter(wterms)), m, next(iter(uterms)), ls)
     outputs = [
         apply_mode(w, m, u),
         glue(u),
@@ -648,6 +654,20 @@ def test_exact_division_certificate():
 
 def test_ground_apply_raises_on_inexact_division(monkeypatch):
     # (x^1)_(-3) x^0 divides k * c by 2; a fake inner coefficient of 1 is odd
-    monkeypatch.setattr(modespace, "_apply_mono", lambda w, m, u, ls: ((Monomial(power=1), 1),))
+    odd = ((modespace._intern(Monomial(power=1)), 1),)
+    monkeypatch.setattr(modespace, "_apply_mono", lambda w, m, u, ls: odd)
     with pytest.raises(InexactDivisionError):
-        modespace._ground_apply(1, -3, Monomial(), None)
+        modespace._ground_apply(1, -3, modespace._intern(Monomial()), None)
+
+
+def test_states_are_the_same_after_clear_caches():
+    # an id means nothing once the intern table is cleared, so clear_caches
+    # empties the table and every memo of ids together; the same requests,
+    # made in another order after the clear so the ids are handed out anew,
+    # give the same states
+    rng = random.Random(SEED + 13)
+    cases = [(random_state(rng, 3), rng.randint(-2, 2), random_state(rng, 3)) for _ in range(20)]
+    before = [apply_mode(w, m, u) for w, m, u in cases]
+    clear_caches()
+    after = [apply_mode(w, m, u) for w, m, u in reversed(cases)]
+    assert after[::-1] == before

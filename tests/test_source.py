@@ -55,12 +55,13 @@ def test_every_imported_name_is_used():
     assert found == []
 
 
-# the mode engine's integer core runs on plain 4-tuples; Monomial validation
-# belongs to the public boundary (modespace._state), not to every step
+# the mode engine's integer core runs on interned ids and plain 4-tuples;
+# Monomial validation belongs to the public boundary (modespace._state), not
+# to every step
 ENGINE_CORE = {
     "modespace.py": (
         "_gen_mode_terms", "_contractions", "_head", "_apply_mono", "_ground_apply", "_act",
-        "_nonzero",
+        "_nonzero", "_intern", "_head_id", "_interned", "_pairs", "_act_ids",
     ),
     "p1tcdo.py": ("_glue_shape", "_glue_mono"),
 }
@@ -80,6 +81,41 @@ def test_engine_core_never_builds_a_monomial():
                     if called == "Monomial":
                         found.append(f"{filename}:{node.lineno} in {name}")
     assert found == []
+
+
+# the intern table and the functions on its ids stay inside modespace: no
+# other module imports or reads one (tcdo._containers, behind the package's
+# cache hooks, only names the table to empty and size it), and _act, the
+# boundary the gluing, the H^0 scan and the word replay call, returns plain
+# 4-tuple keys
+ID_LEVEL = {
+    "_MONOS", "_IDS", "_WEIGHTS", "_HEADS", "_CREATED", "_CONTRACTED",
+    "_intern", "_head_id", "_interned", "_pairs", "_act_ids",
+    "_apply_mono", "_ground_apply", "_gen_mode_terms", "_contractions",
+}
+
+
+def test_ids_never_leave_the_mode_engine():
+    from tcdo.modespace import Monomial, _act
+
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "modespace.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        hooks = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "_containers"]
+        allowed = {id(node) for fn in hooks for node in ast.walk(fn)} if path.name == "__init__.py" else set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute) and id(node) not in allowed:
+                names = {node.attr}
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in sorted(names & ID_LEVEL)]
+    assert found == []
+    out = _act([(Monomial(amodes=(-1,)), 1)], 0, [(Monomial(bmodes=(-2,), power=2), 1)], None)
+    assert out and all(type(key) is tuple and len(key) == 4 for key in out)
 
 
 def _calls(filename: str, function: str) -> set:
@@ -239,8 +275,10 @@ def _unbounded(decorator) -> bool:
 
 # every module-level dict, list or set bound empty: mutable state that grows
 # with the requests, like a cache; a new one fails here until it is listed,
-# and tcdo.clear_caches must empty each listed one
+# and tcdo.clear_caches must empty each listed one (it empties what
+# tcdo._containers names, which tcdo.cache_stats sizes too)
 MODULE_CACHES = {
+    "modespace.py": ["_MONOS", "_IDS", "_WEIGHTS", "_HEADS", "_CREATED", "_CONTRACTED"],
     "p1tcdo.py": ["_GLUED_KEYS", "_SECTORS", "_SHARED"],
 }
 
@@ -263,9 +301,10 @@ def test_module_level_caches_are_the_listed_ones_and_clear_caches_empties_them()
                 found.setdefault(path.name, []).extend(t.id for t in targets)
     assert found == MODULE_CACHES
     tree = ast.parse((SRC / "__init__.py").read_text(), filename="__init__.py")
-    (clear,) = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "clear_caches"]
-    cleared = {node.attr for node in ast.walk(clear) if isinstance(node, ast.Attribute)}
+    (containers,) = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "_containers"]
+    cleared = {node.attr for node in ast.walk(containers) if isinstance(node, ast.Attribute)}
     assert sorted(name for names in MODULE_CACHES.values() for name in names if name not in cleared) == []
+    assert "_containers" in _calls("__init__.py", "clear_caches")
 
 
 def test_unbounded_caches_are_the_listed_ones():
