@@ -19,15 +19,14 @@ def _lru_caches() -> dict:
 
 def _containers() -> dict:
     """Every module-level cache container, by "module.name": the gluing
-    state of ``p1tcdo`` (the shared glued keys, the sectors each shape was
-    glued in and the shared tables) and the intern table of ``modespace``
+    state of ``p1tcdo`` (the shared glued keys and the node sectors each
+    shape was glued in) and the intern table of ``modespace``
     with its id-keyed memos."""
     from . import modespace, p1tcdo
 
     return {
         "p1tcdo._GLUED_KEYS": p1tcdo._GLUED_KEYS,
         "p1tcdo._SECTORS": p1tcdo._SECTORS,
-        "p1tcdo._SHARED": p1tcdo._SHARED,
         "modespace._MONOS": modespace._MONOS,
         "modespace._IDS": modespace._IDS,
         "modespace._WEIGHTS": modespace._WEIGHTS,
@@ -40,8 +39,8 @@ def _containers() -> dict:
 def clear_caches() -> None:
     """Empty every cache of the package together: the lru_caches of its
     loaded modules and every module-level cache container, so the next
-    request starts cold, no shape is left half switched and no memo keeps
-    an id of a cleared intern table."""
+    request starts cold and no memo keeps an id of a cleared intern
+    table."""
     for cache in _lru_caches().values():
         cache.cache_clear()
     for state in _containers().values():

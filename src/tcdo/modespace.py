@@ -46,7 +46,7 @@ keep their insertion order.  Its recursion pays only for modes that can act:
 a creation mode is a key rewrite of each term (``_gen_mode_terms``), and of
 the annihilation modes it runs only those that contract with the target
 (``_contractions``).  Ids never leave this module.  ``_act``, which the
-gluing (``_glue_shape``), the H^0 scan and the word replay call, takes and
+gluing (``_glue_table``), the H^0 scan and the word replay call, takes and
 returns (4-tuple, int) pairs, its output keyed by the table's shared tuples;
 ``apply_mode`` and ``borcherds_sides`` intern their integer rows once and
 run every nested action on ids.  The gluing runs ``_act`` once per mode
@@ -142,6 +142,8 @@ class Monomial(tuple):
                 f"mode tuples must be sorted ascending with A/LSTAR modes <= -1 "
                 f"and B modes <= -2, got {amodes}, {bmodes}, {lmodes}"
             )
+        if not isinstance(power, int):
+            raise TypeError(f"the ground power must be an int, got {type(power).__name__} {power!r}")
         return tuple.__new__(cls, (amodes, bmodes, lmodes, power))
 
     def __getnewargs__(self) -> tuple:
@@ -228,6 +230,8 @@ class FreeState(LinearCombination):
     def __init__(self, terms=None, ring: str = POLY, lstar: int | None = None):
         if ring not in (POLY, LAURENT):
             raise ValueError(f"unknown ground ring {ring!r}")
+        if lstar is not None and not isinstance(lstar, int):
+            raise TypeError(f"the twist sector must be None or an int, got {type(lstar).__name__} {lstar!r}")
         self.ring = ring
         self.lstar = lstar
         super().__init__(terms)

@@ -99,28 +99,59 @@ def _differences(ys: list) -> tuple:
     return tuple(out)
 
 
+# one shared 4-tuple per distinct glued monomial: after cech_dims(0, 9) the
+# memoized images of _glue_mono hold 977k terms over 19708 distinct keys, and
+# sharing them took the peak RSS of `cech --n 0 --weight-max 10` from 672 to
+# 411 MB
+_GLUED_KEYS: dict[tuple, tuple] = {}
+# the integer sectors each shape was glued in directly: its interpolation nodes
+_SECTORS: dict[tuple, list] = {}
+
+
 @lru_cache(maxsize=None)
-def _glue_shape(amodes: tuple, bmodes: tuple, lmodes: tuple, ls) -> tuple:
+def _glue_table(shape: tuple, ls) -> tuple:
     """The glued image of the INFTY mode shape (amodes, bmodes, lmodes) of
     sector ls as a polynomial in its ground power k: ((key, diffs), ...),
     where the term keyed (amodes', bmodes', lmodes', q) is the monomial
     (amodes', bmodes', lmodes', q - k) with coefficient sum_i diffs[i] * C(k, i).
 
-    The head/tail recursion (the head generator's symbolic image acts on
-    the glued tail) glues the shape at k = 0..len(amodes), and ``diffs``
-    are the integer Newton forward differences over these samples.  They
-    determine the polynomial for every integer k: h-weight is preserved,
-    so each output power is (ls or 0) - k plus a shift fixed by its modes,
-    and k enters a coefficient only where the A_(0) of an image contracts
-    with the ground power of the glued tail (in ``_contractions``).  Each
-    symbolic image carries at most one A-mode, so the degree in k is at
-    most len(amodes).  An integer sector n enters only by that ground power
-    n - k and the scalar n of LSTAR_(0): the total degree in (k, n) is at
-    most len(amodes) too, so diffs[i] has degree <= len(amodes) - i in n."""
-    samples = len(amodes) + 1
+    The symbolic sector and a shape's nodes, the first len(amodes) + 1
+    integer sectors that ask for it (kept in ``_SECTORS``), are glued
+    directly: the head/tail recursion (the head generator's symbolic image
+    acts on the glued tail) glues the shape at k = 0..len(amodes), and
+    ``diffs`` are the integer Newton forward differences over these samples.
+    They determine the polynomial for every integer k: h-weight is
+    preserved, so each output power is (ls or 0) - k plus a shift fixed by
+    its modes, and k enters a coefficient only where the A_(0) of an image
+    contracts with the ground power of the glued tail (in
+    ``_contractions``).  Each symbolic image carries at most one A-mode, so
+    the degree in k is at most len(amodes).
+
+    An integer sector n enters only by that ground power n - k and the
+    scalar n of LSTAR_(0), so with keys normalized to q - n, diffs[i] has
+    degree <= len(amodes) - i in n.  Every other integer sector takes the
+    Lagrange value at n of the node tables, with no new gluing: den, the
+    Vandermonde product of the nodes, clears the Lagrange denominators, and
+    an entry it does not divide (a degree past the bound) raises
+    InexactDivisionError."""
+    nodes = [ls] if ls is None else _SECTORS.setdefault(shape, [])
+    samples = len(shape[0]) + 1
+    if ls not in nodes and len(nodes) == samples:
+        den = math.prod(y - x for s, x in enumerate(nodes) for y in nodes[s + 1:])
+        sums: dict[tuple, list] = {}
+        for s, n in enumerate(nodes):
+            others = nodes[:s] + nodes[s + 1:]
+            w = den // math.prod(n - o for o in others) * math.prod(ls - o for o in others)
+            for (a, b, lm, q), diffs in _glue_table(shape, n):
+                row = sums.setdefault((a, b, lm, q - n + ls), [0] * samples)
+                for i, d in enumerate(diffs):
+                    row[i] += w * d
+        return tuple((key, tuple(_exact_div(c, den) for c in row)) for key, row in sums.items())
+    if ls not in nodes:
+        nodes.append(ls)
     values: dict[tuple, list] = {}
     for k in range(samples):
-        head = _head((amodes, bmodes, lmodes, k))
+        head = _head(shape + (k,))
         if head is None:
             out = {((), (), (), (ls or 0) - k): 1}
         else:
@@ -131,64 +162,15 @@ def _glue_shape(amodes: tuple, bmodes: tuple, lmodes: tuple, ls) -> tuple:
     return tuple((key, _differences(ys)) for key, ys in values.items())
 
 
-def _shared_table(shape: tuple, sectors: list) -> tuple:
-    """A shape's table for all integer sectors n, interpolated from its per-n
-    tables at the len(amodes) + 1 ``sectors`` in any order, with no new
-    gluing: ((a', b', lm', q - n), e), e[i][j] the coefficient of C(k, i) C(n, j).
-    den, the Vandermonde product of the nodes, clears the Lagrange denominators;
-    a sum it does not divide (a degree past the bound) raises InexactDivisionError."""
-    den = math.prod(y - x for s, x in enumerate(sectors) for y in sectors[s + 1:])
-
-    def lagrange(x):  # den times the Lagrange basis polynomial of node x, at n = 0, 1, ...
-        others = [o for o in sectors if o != x]
-        return [den // math.prod(x - o for o in others) * math.prod(t - o for o in others) for t in range(len(sectors))]
-    rows = tuple(zip(*(_differences(lagrange(x)) for x in sectors)))  # e[i][j] = rows[j] . diffs[i] / den
-    columns: dict[tuple, list] = {}
-    for s, n in enumerate(sectors):
-        for (a, b, lm, q), diffs in _glue_shape(*shape, n):
-            columns.setdefault((a, b, lm, q - n), [(0,) * len(sectors)] * len(sectors))[s] = diffs
-    return tuple((key, tuple(tuple(_exact_div(sum(map(mul, r, ys)), den) for r in rows) for ys in zip(*per_n)))
-                 for key, per_n in columns.items())
-
-
-# one shared 4-tuple per distinct glued monomial: after cech_dims(0, 9) the
-# memoized images of _glue_mono hold 977k terms over 19708 distinct keys, and
-# sharing them took the peak RSS of `cech --n 0 --weight-max 10` from 672 to
-# 411 MB
-_GLUED_KEYS: dict[tuple, tuple] = {}
-# the integer sectors with a per-n table of each shape, and the shared tables
-_SECTORS: dict[tuple, list] = {}
-_SHARED: dict[tuple, tuple] = {}
-
-
-@lru_cache(maxsize=None)
-def _sector_table(shape: tuple, ls: int) -> tuple:
-    """The ``_glue_shape`` table of a switched shape in a sector ls it was
-    not glued in, read off its ``_shared_table``."""
-    nweights = [binom(ls, j) for j in range(len(shape[0]) + 1)]
-    return tuple(
-        ((a, b, lm, q + ls), tuple(sum(map(mul, row, nweights)) for row in e)) for (a, b, lm, q), e in _SHARED[shape]
-    )
-
-
 @lru_cache(maxsize=None)
 def _glue_mono(mono: tuple, ls) -> tuple:
     """The glued image of one INFTY monomial 4-tuple of sector ls:
-    ((4-tuple, int coeff), ...), each key the shared copy in ``_GLUED_KEYS``.
-    The symbolic sector and a shape's first len(amodes) + 1 integer sectors
-    evaluate its ``_glue_shape`` table at the ground power; a further new
-    sector switches the shape to its ``_shared_table``, which each later
-    sector reads through ``_sector_table``."""
+    ((4-tuple, int coeff), ...), its shape's ``_glue_table`` evaluated at the
+    ground power, each key the shared copy in ``_GLUED_KEYS``."""
     shape, k = mono[:3], mono[3]
-    if ls is not None and ls not in _SECTORS.setdefault(shape, []) and shape not in _SHARED:
-        if len(_SECTORS[shape]) > len(shape[0]):
-            _SHARED[shape] = _shared_table(shape, _SECTORS[shape])
-        else:
-            _SECTORS[shape].append(ls)
-    interpolated = ls is not None and ls not in _SECTORS[shape]
     weights = [binom(k, i) for i in range(len(shape[0]) + 1)]
     out = []
-    for (a, b, lm, q), diffs in _sector_table(shape, ls) if interpolated else _glue_shape(*shape, ls):
+    for (a, b, lm, q), diffs in _glue_table(shape, ls):
         c = sum(map(mul, diffs, weights))
         if c:
             key = (a, b, lm, q - k)
@@ -199,10 +181,10 @@ def _glue_mono(mono: tuple, ls) -> tuple:
 def glue(u: FreeState) -> FreeState:
     """Push a state through the INFTY -> OVERLAP chart change, monomial by
     monomial: peel the head mode, map its generator through the symbolic
-    images, and act on the glued tail (once per mode shape, see
-    ``_glue_shape``).  The sector fixes the line-bundle
-    transition: the ground y^k of a residue-n state lands on x^(n - k), and
-    of a symbolic state on x^(-k)."""
+    images, and act on the glued tail (once per mode shape and sector, see
+    ``_glue_table``).  The sector fixes the line-bundle transition: the
+    ground y^k of a residue-n state lands on x^(n - k), and of a symbolic
+    state on x^(-k)."""
     return linear_combination(
         ((c, _glue_mono(mono, u.lstar)) for mono, c in u.terms.items()),
         LAURENT,

@@ -379,6 +379,20 @@ def test_state_keys_must_be_monomials():
             FreeState({((), (), (), 0): 1}, ring, 2)
 
 
+def test_ground_powers_and_twist_sectors_must_be_ints():
+    # a half-integral or float power or sector is no monomial and no residue
+    # n: both are refused where they enter, not deep inside the engine
+    for power in (Fraction(1, 2), 0.5, 2.0):
+        with pytest.raises(TypeError):
+            Monomial(power=power)
+    for lstar in (Fraction(1, 2), Fraction(2), 2.0, "2"):
+        with pytest.raises(TypeError):
+            FreeState({Monomial(): 1}, LAURENT, lstar)
+        with pytest.raises(TypeError):
+            ground(1, lstar=lstar)
+    assert FreeState({Monomial(): 1}, POLY, -3).lstar == -3
+
+
 def test_invariants_raise_under_optimize_flag():
     # python -O strips assert statements; the invariants must survive it
     script = """

@@ -30,7 +30,7 @@ from tcdo.modespace import (
 from tcdo.p1tcdo import (
     Chart,
     _glue_mono,
-    _glue_shape,
+    _glue_table,
     _sl2_currents,
     check_gluing_morphism,
     check_involution,
@@ -121,62 +121,104 @@ def test_glue_shape_table_matches_the_per_power_recursion(ls):
                 assert dict(_glue_mono(mono, ls)) == ref_glue_mono(mono, ls, memo), mono
 
 
-# the integer sectors a shape is glued in before it switches to its shared
-# table, in three arrival orders: ascending from -6, descending from 6, and
-# the order of `cech-scan` seed 7 in perfbench
+# the integer sectors a shape is glued in before it switches to
+# interpolation, in three arrival orders: ascending from -6, descending from
+# 6, and the order of `cech-scan` seed 7 in perfbench
 SECTOR_ORDERS = {
     "ascending": list(range(-6, 7)),
     "descending": list(range(6, -7, -1)),
     "seed-7": [-3, 2, 3, 0, -4, 4, -1, -2, 1],
 }
+SHAPES = [(a, b, lm) for weight in range(6) for a, b, lm, _ in normal_forms(weight)]
 
 
 @lru_cache(maxsize=None)
-def _per_n_table(shape: tuple, n: int) -> tuple:
-    """The per-n _glue_shape table, kept across the orders below (a table
-    built while tails read shared tables is right when those are, and the
-    tails are shapes of the same test)."""
-    return _glue_shape(*shape, n)
+def _cold_tables() -> dict:
+    """{n: {shape: table}} for n = -6..6 and every shape of SHAPES, each
+    sector glued from cold caches, so that it is every shape's first and
+    every table in it is glued directly."""
+    tables = {}
+    for n in range(-6, 7):
+        clear_caches()
+        tables[n] = {shape: _glue_table(shape, n) for shape in SHAPES}
+        assert all(tcdo.p1tcdo._SECTORS[shape] == [n] for shape in SHAPES)
+    return tables
+
+
+def _nonzero_rows(table: tuple) -> dict:
+    """A glue table as a dict, without its all-zero rows (zero sums of a
+    direct gluing stay in its table)."""
+    return {key: diffs for key, diffs in table if any(diffs)}
 
 
 @pytest.mark.parametrize("order", SECTOR_ORDERS)
 def test_shared_glue_table_matches_the_per_n_tables(order):
     # every normal-form shape of weight <= 5 is glued at the first
-    # len(amodes) + 1 sectors of the order, and the next one switches it to
-    # the table interpolated in n from those; read through _glue_mono at
-    # n = -6..6 and at each ground power of the doubled Cech window and the
-    # negative overlap powers, it must equal the per-n _glue_shape table
+    # len(amodes) + 1 sectors of the order, and every other sector is
+    # interpolated in n from those; read through _glue_mono at n = -6..6 and
+    # at each ground power of the doubled Cech window and the negative
+    # overlap powers, it must equal that sector's table glued from cold
+    cold = _cold_tables()
     clear_caches()
-    shapes = [(a, b, lm) for weight in range(6) for a, b, lm, _ in normal_forms(weight)]
-    for shape in shapes:
+    for shape in SHAPES:
         for n in SECTOR_ORDERS[order][: len(shape[0]) + 2]:
             _glue_mono(shape + (0,), n)
-    assert set(shapes) <= set(tcdo.p1tcdo._SHARED)
-    assert all(tcdo.p1tcdo._SECTORS[shape] == SECTOR_ORDERS[order][: len(shape[0]) + 1] for shape in shapes)
-    _glue_mono.cache_clear()  # so the primed powers are read off the shared table too
     for n in range(-6, 7):
         powers = sorted(set(mu_window(n, 5, 2)) | set(range(-25, 0)))
-        for shape in shapes:
-            table = _per_n_table(shape, n)
+        for shape in SHAPES:
             for k in powers:
                 weights = [binom(k, i) for i in range(len(shape[0]) + 1)]
                 want = {}
-                for (a, b, lm, q), diffs in table:
+                for (a, b, lm, q), diffs in cold[n][shape]:
                     c = sum(map(mul, weights, diffs))
                     if c:
                         want[(a, b, lm, q - k)] = c
                 assert dict(_glue_mono(shape + (k,), n)) == want, (shape, n, k)
+    # no sector past the nodes was glued directly
+    assert all(tcdo.p1tcdo._SECTORS[shape] == SECTOR_ORDERS[order][: len(shape[0]) + 1] for shape in SHAPES)
+
+
+def test_losing_the_glue_tables_keeps_every_sector():
+    # every shape of weight <= 4 switched to interpolation, then its tables
+    # dropped but its node sectors kept, as a bounded cache would: each
+    # node is glued again directly, never interpolated from itself, and
+    # every sector -6..6 still equals its table glued from cold
+    cold = _cold_tables()
+    clear_caches()
+    shapes = [(a, b, lm) for weight in range(5) for a, b, lm, _ in normal_forms(weight)]
+    for shape in shapes:
+        for n in SECTOR_ORDERS["seed-7"][: len(shape[0]) + 2]:
+            _glue_table(shape, n)
+    nodes = {shape: list(tcdo.p1tcdo._SECTORS[shape]) for shape in shapes}
+    _glue_table.cache_clear()
+    _glue_mono.cache_clear()
+    for n in range(-6, 7):
+        for shape in shapes:
+            assert _nonzero_rows(_glue_table(shape, n)) == _nonzero_rows(cold[n][shape]), (shape, n)
+    assert {shape: tcdo.p1tcdo._SECTORS[shape] for shape in shapes} == nodes
+
+
+def test_non_integer_sectors_never_reach_the_gluing():
+    # a half-integral sector is refused where the state is made, before or
+    # after another sector of its shape has been glued
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            glue(ground(1, lstar=Fraction(1, 2)))
+        with pytest.raises(TypeError):
+            glue(ground(1, lstar=2.0))
+        assert glue(ground(1, lstar=2)) == ground(1, LAURENT, 2)
 
 
 def test_clear_caches_empties_every_cache_and_the_sector_state():
-    # a shape switched to its shared table and read in a new sector, then
-    # one clear_caches leaves every cache of every loaded module empty
+    # a shape switched to interpolation and read in a new sector, then one
+    # clear_caches leaves every cache of every loaded module empty
+    clear_caches()
     for n in range(-2, 3):
         glue(FreeState({Monomial(amodes=(-1,), bmodes=(-2,), power=2): 1}, POLY, n))
-    assert tcdo.p1tcdo._SHARED and tcdo.p1tcdo._SECTORS and tcdo.p1tcdo._GLUED_KEYS
-    assert tcdo.p1tcdo._sector_table.cache_info().currsize
+    assert tcdo.p1tcdo._SECTORS and tcdo.p1tcdo._GLUED_KEYS
+    assert tcdo.p1tcdo._SECTORS[((-1,), (-2,), ())] == [-2, -1] and _glue_table.cache_info().currsize
     clear_caches()
-    assert (tcdo.p1tcdo._SHARED, tcdo.p1tcdo._SECTORS, tcdo.p1tcdo._GLUED_KEYS) == ({}, {}, {})
+    assert (tcdo.p1tcdo._SECTORS, tcdo.p1tcdo._GLUED_KEYS) == ({}, {})
     cached = [
         (name, value)
         for name, module in sys.modules.items() if name.startswith("tcdo.")

@@ -63,7 +63,7 @@ ENGINE_CORE = {
         "_gen_mode_terms", "_contractions", "_head", "_apply_mono", "_ground_apply", "_act",
         "_nonzero", "_intern", "_head_id", "_interned", "_pairs", "_act_ids",
     ),
-    "p1tcdo.py": ("_glue_shape", "_glue_mono"),
+    "p1tcdo.py": ("_glue_table", "_glue_mono"),
 }
 
 
@@ -252,12 +252,29 @@ def test_zhu_classes_are_read_off_without_the_engine():
     assert "lru_cache" not in names
 
 
+# the node sectors of each shape have one owner: the cached glue table decides
+# there whether a sector is glued or interpolated, and the per-monomial cache
+# above it keeps no sector state (tcdo._containers only names the dict, so
+# clear_caches can empty it)
+def test_the_glue_table_alone_owns_the_sector_state():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(fn, ast.FunctionDef) and any(
+                getattr(node, "id", None) == "_SECTORS" or getattr(node, "attr", None) == "_SECTORS"
+                for node in ast.walk(fn)
+            ):
+                found.add((path.name, fn.name))
+    assert ("p1tcdo.py", "_glue_mono") not in found
+    assert found == {("p1tcdo.py", "_glue_table"), ("__init__.py", "_containers")}
+
+
 # every module-level function cached without a bound; a new one fails here
 # until it is bounded or listed, and bounding one takes it off the list
 UNBOUNDED_CACHES = {
     "affine.py": ["_straighten", "_act_word", "_negative_words", "_central_image"],
     "modespace.py": ["_apply_mono"],
-    "p1tcdo.py": ["_glue_shape", "_sector_table", "_glue_mono"],
+    "p1tcdo.py": ["_glue_table", "_glue_mono"],
 }
 
 
@@ -279,7 +296,7 @@ def _unbounded(decorator) -> bool:
 # tcdo._containers names, which tcdo.cache_stats sizes too)
 MODULE_CACHES = {
     "modespace.py": ["_MONOS", "_IDS", "_WEIGHTS", "_HEADS", "_CREATED", "_CONTRACTED"],
-    "p1tcdo.py": ["_GLUED_KEYS", "_SECTORS", "_SHARED"],
+    "p1tcdo.py": ["_GLUED_KEYS", "_SECTORS"],
 }
 
 
