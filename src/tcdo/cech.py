@@ -14,6 +14,12 @@ Global h-weight of a section over the infinity chart is minus its intrinsic
 one (the gluing negates mu), so the C^0 block at global mu draws on the
 intrinsic bidegree (N, -mu) over there.
 
+The gluing preserves the h-weight, so in one block each mode shape of
+``normal_forms(N)`` fills exactly one overlap column, at the ground power its
+h-shift fixes, and the column order does not depend on n or mu.  G_- is read
+off each shape's cached glue table by column position (``_glue_columns``):
+no section monomial is built per block.
+
 Depth slices alone are infinite (the ground polynomials are unbounded), so
 every aggregate q-character is taken over an explicit mu window whose
 sufficiency is re-verified by scanning a doubled window — the ``stable``
@@ -30,11 +36,14 @@ checks that every sl2 image of the kernel is again a cocycle.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import mul
 
 from .linalg import _merge, kernel_basis, rank
-from .modespace import _act, linear_combination
-from .p1tcdo import RAISING, Chart, _glue_mono, _sl2_currents, sections_bidegree
+from .modespace import _act, _weight, linear_combination, normal_forms
+from .p1tcdo import RAISING, Chart, _glue_mono, _glue_table, _sl2_currents, sections_bidegree
 from .qseries import QSeries, char_H1, char_L, eta_inverse_squared
 from .reports import CheckReport
 
@@ -72,45 +81,92 @@ def mu_window(n: int, weight_max: int, factor: int = 1) -> range:
     return range(-bound, bound + 1)
 
 
-def _delta_matrix(n: int, weight: int, mu: int):
-    """The infinity-chart and overlap monomial bases at one bidegree, the
-    count dim0 of overlap monomials with ground power >= 0, and G_- as the
-    sparse integer glued images of the infinity basis over the overlap
-    index, without their terms of index < dim0.  Each glued key is looked
-    up first, so an image that leaves the overlap basis raises KeyError.
+@lru_cache(maxsize=64)
+def _overlap_columns(weight: int) -> tuple:
+    """The overlap columns of the blocks of one conformal weight:
+    ({shape: (column, h_shift)}, the negated h-shifts by column).  The
+    columns are the shapes of ``normal_forms(weight)`` by descending h-shift
+    (a stable sort), which is their order by descending ground power in every
+    block, whatever n and mu."""
+    forms = sorted(normal_forms(weight), key=lambda form: -form[3])
+    return {form[:3]: (i, form[3]) for i, form in enumerate(forms)}, [-form[3] for form in forms]
 
-    The index numbers the overlap basis by descending ground power, so the
-    zero-chart monomials come first and ``rank``, which pivots on the lowest
-    column, eliminates the highest ground power first.  Over the blocks of
-    ``cech_dims(0, 9)`` this keeps 106320 nonzero entries in the echelon rows
-    where the order of ``sections_bidegree`` keeps 142097.  The kernel
-    vectors of ``cech_kernel`` do not depend on it."""
-    basisinf = sections_bidegree(Chart.INFTY, n, weight, -mu)
-    basisov = sorted(sections_bidegree(Chart.OVERLAP, n, weight, mu), key=lambda m: -m.power)
-    index = {m: i for i, m in enumerate(basisov)}
-    dim0 = sum(m.power >= 0 for m in basisov)
-    glued = ([(index[k], c) for k, c in _glue_mono(m, n)] for m in basisinf)
-    return basisinf, basisov, dim0, [{i: c for i, c in pairs if i >= dim0} for pairs in glued]
+
+# one entry per (shape, n) a request reads: 342 on `cech-scan`, 1215 at the
+# `cech --weight-max` ceiling of one n, and the blocks of one weight read
+# len(normal_forms(N)) of them (481 at weight 10)
+@lru_cache(maxsize=2048)
+def _glue_columns(shape: tuple, n: int) -> tuple:
+    """``_glue_table(shape, n)`` over the overlap columns: ((column, diffs),
+    ...) in the table's order.  h-weight is preserved, so the term keyed
+    (amodes', bmodes', lmodes', q) lands in every block in the column of its
+    shape, and only if q = n + (shift + shift')/2 for the h-shifts of the two
+    shapes; a term of any other shape or power (an LSTAR mode, say) leaves the
+    overlap basis and raises KeyError."""
+    place, _ = _overlap_columns(_weight(shape + (0,)))
+    shift = place[shape][1]
+    out = []
+    for key, diffs in _glue_table(shape, n):
+        column, target = place.get(key[:3], (None, None))
+        if column is None or 2 * (key[3] - n) != shift + target:
+            raise KeyError(f"the glued key {key} of shape {shape} in sector {n} leaves the overlap basis")
+        out.append((column, diffs))
+    return tuple(out)
+
+
+def _delta_matrix(n: int, weight: int, mu: int):
+    """The overlap basis size, the count dim0 of its monomials with ground
+    power >= 0, and G_-: one sparse integer row per monomial of the infinity
+    basis ``sections_bidegree(Chart.INFTY, n, weight, -mu)``, in its order,
+    holding its glued image over the overlap columns without the columns
+    < dim0.
+
+    The gluing preserves the h-weight, and every h-shift is even.  So both
+    bases are empty when n - mu is odd.  Otherwise the overlap basis has one
+    monomial per shape of ``normal_forms(weight)``, of ground power
+    (n + shift - mu)/2, the infinity basis has one per shape with
+    k = (n + shift + mu)/2 >= 0, and the glued image of that one is its
+    shape's ``_glue_columns`` evaluated at k, so no monomial is built.  The
+    columns number the overlap basis by descending ground power, so the
+    zero-chart monomials (shift >= mu - n) come first and ``rank``, which
+    pivots on the lowest column, eliminates the highest ground power first.
+    Over the blocks of ``cech_dims(0, 9)`` this keeps 106320 nonzero entries
+    in the echelon rows where the order of ``sections_bidegree`` keeps
+    142097.  The kernel vectors of ``cech_kernel`` do not depend on it."""
+    if (n - mu) % 2:
+        return 0, 0, []
+    place, negated = _overlap_columns(weight)
+    dim0 = bisect_right(negated, n - mu)
+    principal = []
+    for amodes, bmodes, lmodes, shift in normal_forms(weight):
+        k = (n + shift + mu) // 2
+        if k >= 0:
+            weights = [math.comb(k, i) for i in range(len(amodes) + 1)]
+            principal.append({
+                column: c for column, diffs in _glue_columns((amodes, bmodes, lmodes), n)
+                if column >= dim0 and (c := sum(map(mul, diffs, weights)))
+            })
+    return len(place), dim0, principal
 
 
 def cech_block(n: int, weight: int, mu: int) -> dict:
     """Exact dimensions at one bidegree (a pure function of its arguments)."""
-    basisinf, basisov, dim0, principal = _delta_matrix(n, weight, mu)
+    dim_overlap, dim0, principal = _delta_matrix(n, weight, mu)
     r = rank(principal)
     return {
         "dim_c0": dim0,
-        "dim_cinf": len(basisinf),
-        "dim_overlap": len(basisov),
-        "dim_h0": len(basisinf) - r,
-        "dim_h1": len(basisov) - dim0 - r,
+        "dim_cinf": len(principal),
+        "dim_overlap": dim_overlap,
+        "dim_h0": len(principal) - r,
+        "dim_h1": dim_overlap - dim0 - r,
     }
 
 
 def cech_kernel(n: int, weight: int, mu: int):
     """H^0 at one bidegree: (infinity-chart basis, kernel vectors of G_- over
     it); the zero half of a cocycle is the glue of its infinity half."""
-    basisinf, _, _, principal = _delta_matrix(n, weight, mu)
-    return basisinf, kernel_basis(principal)
+    *_, principal = _delta_matrix(n, weight, mu)
+    return sections_bidegree(Chart.INFTY, n, weight, -mu), kernel_basis(principal)
 
 
 def cech_dims(n: int, weight_max: int) -> BigradedReport:

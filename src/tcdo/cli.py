@@ -246,8 +246,10 @@ def cmd_affine_singular(args: argparse.Namespace):
 # Xeon, and n = 6 costs 2-3x that.  A cech n costs about 3.5x more per unit of
 # weight (n = 0 took about 10 s at weight 8, 34 s at 9 and 107 s at 10 when
 # this was sized, n = 6 about 1.4x that; 38 s at weight 10 since the rank
-# pivots on the highest ground power first, and 27 s and 411 MB since each
-# mode shape is glued once), so weight 11 would pass 2 minutes per n.  Now,
+# pivots on the highest ground power first, 27 s and 411 MB since each mode
+# shape is glued once, and 14 s and 145 MB since G_- is read off the glue
+# tables by column), so weight 11 would pass 2 minutes per n when this was
+# sized; the limit has not been re-sized since.  Now,
 # one run each with the other flags at their defaults: affine singular 39 s at
 # weight 8, 4.3 s at depth 6 and 123 s at its sample ceiling; affine char
 # 2.5 s and verma-vs-sections 2.1 s at depth 7 (n = 0; 3.7 s at n = -3);

@@ -113,10 +113,12 @@ def _weight(mono) -> int:
 
 
 def _out_of_order(modes: tuple[int, ...], top: int) -> bool:
-    """True unless ``modes`` is sorted ascending with every entry <= top;
-    for a sorted tuple the last entry is the largest."""
-    if not modes:
-        return False
+    """True unless the nonempty ``modes`` is sorted ascending with every
+    entry <= top; for a sorted tuple the last entry is the largest.  An
+    entry that is not an int raises TypeError, checked by one cheap sum: a
+    float or Fraction entry makes it a float or a Fraction."""
+    if type(sum(modes)) is not int:
+        raise TypeError(f"mode entries must be ints, got {modes}")
     return modes[-1] > top or (len(modes) > 1 and list(modes) != sorted(modes))
 
 
@@ -134,9 +136,9 @@ class Monomial(tuple):
     def __new__(cls, amodes: tuple[int, ...] = (), bmodes: tuple[int, ...] = (),
                 lmodes: tuple[int, ...] = (), power: int = 0) -> "Monomial":
         if (
-            _out_of_order(amodes, -1)
-            or _out_of_order(bmodes, -2)
-            or _out_of_order(lmodes, -1)
+            (amodes and _out_of_order(amodes, -1))
+            or (bmodes and _out_of_order(bmodes, -2))
+            or (lmodes and _out_of_order(lmodes, -1))
         ):
             raise ValueError(
                 f"mode tuples must be sorted ascending with A/LSTAR modes <= -1 "

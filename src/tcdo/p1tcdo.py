@@ -99,10 +99,9 @@ def _differences(ys: list) -> tuple:
     return tuple(out)
 
 
-# one shared 4-tuple per distinct glued monomial: after cech_dims(0, 9) the
-# memoized images of _glue_mono hold 977k terms over 19708 distinct keys, and
-# sharing them took the peak RSS of `cech --n 0 --weight-max 10` from 672 to
-# 411 MB
+# one shared 4-tuple per distinct glued monomial in the memoized images of
+# _glue_mono: `affine singular --n 0 --weight-max 7 --depth 5` peaks at
+# 122 MB with it and 162 MB without (10,718 distinct keys)
 _GLUED_KEYS: dict[tuple, tuple] = {}
 # the integer sectors each shape was glued in directly: its interpolation nodes
 _SECTORS: dict[tuple, list] = {}
@@ -162,7 +161,10 @@ def _glue_table(shape: tuple, ls) -> tuple:
     return tuple((key, _differences(ys)) for key, ys in values.items())
 
 
-@lru_cache(maxsize=None)
+# entries after one request: 130 on `cech-scan` (cold and warm passes),
+# 1268 on `cech --n -4..4 --weight-max 7`, 6285 on `affine singular --n 0
+# --weight-max 7 --depth 5` and 11,483 at its weight ceiling (677k hits)
+@lru_cache(maxsize=16384)
 def _glue_mono(mono: tuple, ls) -> tuple:
     """The glued image of one INFTY monomial 4-tuple of sector ls:
     ((4-tuple, int coeff), ...), its shape's ``_glue_table`` evaluated at the

@@ -144,6 +144,19 @@ def rank_nullity_consistent(report: BigradedReport) -> bool:
 # principal part: the zero-chart identity block included
 
 
+def ref_principal_delta(n: int, weight: int, mu: int):
+    """``cech._delta_matrix`` on the monomial path, as it was before it read
+    G_- off the column positions of the glue tables: the infinity-chart and
+    overlap monomial bases, dim0 and G_-, each glued key looked up in an
+    index of the overlap basis sorted by descending ground power."""
+    basisinf = sections_bidegree(Chart.INFTY, n, weight, -mu)
+    basisov = sorted(sections_bidegree(Chart.OVERLAP, n, weight, mu), key=lambda m: -m.power)
+    index = {m: i for i, m in enumerate(basisov)}
+    dim0 = sum(m.power >= 0 for m in basisov)
+    glued = ([(index[k], c) for k, c in _glue_mono(m, n)] for m in basisinf)
+    return basisinf, basisov, dim0, [{i: c for i, c in pairs if i >= dim0} for pairs in glued]
+
+
 def ref_delta_matrix(n: int, weight: int, mu: int):
     """The three monomial bases at one bidegree and the full delta as the
     sparse integer images of the (zero ++ infinity) basis, each over the

@@ -7,6 +7,8 @@ from tcdo.cech import (
     BigradedReport,
     StabilityError,
     _delta_matrix,
+    _glue_columns,
+    _overlap_columns,
     cech_block,
     cech_dims,
     cech_kernel,
@@ -19,7 +21,7 @@ from tcdo.cech import (
 from tcdo.affine import restricted_verma_dim
 import tcdo.linalg
 from tcdo.linalg import _Echelon, _integer_row, kernel_basis, rank
-from tcdo.modespace import FreeState, vacuum
+from tcdo.modespace import FreeState, Monomial, vacuum
 from tcdo.p1tcdo import Chart, glue, include_overlap, sections_bidegree
 from tcdo.qseries import QSeries, eta_inverse_squared
 
@@ -28,6 +30,7 @@ from references import (
     ref_cech_dims,
     ref_cech_kernel,
     ref_check_sl2_stability,
+    ref_principal_delta,
     ref_singular_vectors_h0,
 )
 
@@ -91,14 +94,17 @@ def test_h0_entries_cross_check_affine(reports):
 def test_delta_matrix_matches_the_state_path():
     # every block of `tcdo cech --n -4..4 --weight-max 4` (doubled window):
     # G_- is the negative-power part of glue(s) of the one-term infinity
-    # section states, as coordinate rows over the overlap basis, and dim0
+    # section states, as coordinate rows over the overlap basis sorted by
+    # descending ground power, one row per infinity monomial, and dim0
     # counts the overlap monomials with ground power >= 0
     blocks = 0
     for n in range(-4, 5):
         for N in range(5):
             for mu in mu_window(n, 4, 2):
-                basisinf, basisov, dim0, principal = _delta_matrix(n, N, mu)
-                assert basisinf == sections_bidegree(Chart.INFTY, n, N, -mu)
+                dim_overlap, dim0, principal = _delta_matrix(n, N, mu)
+                basisinf = sections_bidegree(Chart.INFTY, n, N, -mu)
+                basisov = sorted(sections_bidegree(Chart.OVERLAP, n, N, mu), key=lambda m: -m.power)
+                assert (len(principal), dim_overlap) == (len(basisinf), len(basisov))
                 index = {m: i for i, m in enumerate(basisov)}
                 assert dim0 == sum(m.power >= 0 for m in basisov)
                 glued = [glue(FreeState({m: 1}, Chart.INFTY.ring, n)) for m in basisinf]
@@ -110,14 +116,20 @@ def test_delta_matrix_matches_the_state_path():
 
 def test_overlap_order_keeps_every_rank():
     # every block of `tcdo cech --n -4..4 --weight-max 4` (doubled window):
-    # G_- over the overlap basis sorted by descending ground power, as
-    # _delta_matrix numbers it, puts the zero-chart monomials first and has
-    # the rank it has over the basis in the order of sections_bidegree
+    # the overlap basis in the column order of _overlap_columns, as
+    # _delta_matrix numbers it, is sorted by descending ground power, puts the
+    # zero-chart monomials first, and G_- over it has the rank it has over
+    # the basis in the order of sections_bidegree
     blocks = 0
     for n in range(-4, 5):
         for N in range(5):
+            place, _ = _overlap_columns(N)
+            assert [column for column, _ in place.values()] == list(range(len(place)))
             for mu in mu_window(n, 4, 2):
-                basisinf, basisov, dim0, principal = _delta_matrix(n, N, mu)
+                dim_overlap, dim0, principal = _delta_matrix(n, N, mu)
+                basisov = [
+                    Monomial(*shape, (n + shift - mu) // 2) for shape, (_, shift) in place.items()
+                ][:dim_overlap]
                 plain = {m: i for i, m in enumerate(sections_bidegree(Chart.OVERLAP, n, N, mu))}
                 assert sorted(plain) == sorted(basisov)
                 assert [m.power for m in basisov] == sorted((m.power for m in basisov), reverse=True)
@@ -169,11 +181,32 @@ def test_kernel_basis_feeds_the_shortest_rows_first(monkeypatch):
     ],
 )
 def test_delta_matrix_rejects_a_glued_key_outside_the_overlap_basis(monkeypatch, stray):
-    monkeypatch.setattr(tcdo.cech, "_glue_mono", lambda mono, ls: ((stray, 1),))
-    with pytest.raises(KeyError):
-        _delta_matrix(0, 0, 0)
-    with pytest.raises(KeyError):
-        cech_block(0, 0, 0)
+    # the vacuum shape's table in sector 0 glues to the stray term alone; the
+    # column view, built from the patched table, refuses it
+    monkeypatch.setattr(tcdo.cech, "_glue_table", lambda shape, ls: ((stray, (1,)),))
+    _glue_columns.cache_clear()
+    try:
+        with pytest.raises(KeyError):
+            _delta_matrix(0, 0, 0)
+        with pytest.raises(KeyError):
+            cech_block(0, 0, 0)
+    finally:
+        _glue_columns.cache_clear()
+
+
+def test_delta_matrix_matches_the_monomial_path():
+    # the certificate of the column view: on every block of n = -6..6,
+    # weight <= 5, over the doubled window, _delta_matrix gives the G_- rows
+    # (same column numbers), dim0 and basis sizes of the monomial path that
+    # indexes the glued keys of _glue_mono over the sorted overlap basis
+    blocks = 0
+    for n in range(-6, 7):
+        for N in range(6):
+            for mu in mu_window(n, 5, 2):
+                _, basisov, dim0, principal = ref_principal_delta(n, N, mu)
+                assert _delta_matrix(n, N, mu) == (len(basisov), dim0, principal), (n, N, mu)
+                blocks += 1
+    assert blocks == 4830
 
 
 def test_kernel_vectors_are_cocycles():

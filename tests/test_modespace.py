@@ -393,6 +393,22 @@ def test_ground_powers_and_twist_sectors_must_be_ints():
     assert FreeState({Monomial(): 1}, POLY, -3).lstar == -3
 
 
+def test_mode_entries_must_be_ints():
+    # a float or Fraction mode in range and in order is still no mode: it is
+    # refused by the constructor, not deep inside the engine
+    for bad in (
+        dict(amodes=(-1.5,)),
+        dict(amodes=(-2, -1.0)),
+        dict(bmodes=(Fraction(-5, 2),)),
+        dict(bmodes=(-3, -2.0)),
+        dict(lmodes=(-1.5, 1.5)),
+        dict(amodes=(-1,), lmodes=(Fraction(-1),)),
+    ):
+        with pytest.raises(TypeError):
+            Monomial(**bad)
+    assert Monomial(amodes=(-2, -1), bmodes=(-2,), lmodes=(-1,), power=-3).amodes == (-2, -1)
+
+
 def test_invariants_raise_under_optimize_flag():
     # python -O strips assert statements; the invariants must survive it
     script = """

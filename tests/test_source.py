@@ -130,15 +130,20 @@ def _calls(filename: str, function: str) -> set:
     return called
 
 
-# the Cech differential is read straight off the integer gluing core over the
-# monomial section bases; no state is built or taken apart per block
-DELTA_FORBIDDEN = {"FreeState", "Fraction", "Monomial", "glue", "include_overlap", "coordinate_rows"}
+# the Cech differential is read straight off the glue tables over the
+# column positions of the normal-form shapes; no state, section basis or
+# glued monomial is built or taken apart per block
+DELTA_FORBIDDEN = {
+    "FreeState", "Fraction", "Monomial", "glue", "include_overlap", "coordinate_rows",
+    "sections_bidegree", "_glue_mono",
+}
 
 
 def test_delta_matrix_builds_no_states():
-    called = _calls("cech.py", "_delta_matrix")
-    assert {"sections_bidegree", "_glue_mono"} <= called
-    assert sorted(called & DELTA_FORBIDDEN) == []
+    assert {"_overlap_columns", "_glue_columns", "normal_forms"} <= _calls("cech.py", "_delta_matrix")
+    assert {"_overlap_columns", "_glue_table"} <= _calls("cech.py", "_glue_columns")
+    for name in ("cech_block", "_delta_matrix", "_glue_columns", "_overlap_columns"):
+        assert sorted(_calls("cech.py", name) & DELTA_FORBIDDEN) == [], name
 
 
 # the zero-chart sections are the overlap monomials with ground power >= 0,
@@ -151,7 +156,7 @@ def test_cech_module_enumerates_no_zero_chart_basis():
             args = node.args + [kw.value for kw in node.keywords]
             if any(isinstance(arg, ast.Attribute) and arg.attr == "ZERO" for arg in args):
                 found.append(f"cech.py:{node.lineno}")
-    assert "sections_bidegree" in _calls("cech.py", "_delta_matrix")
+    assert "sections_bidegree" in _calls("cech.py", "cech_kernel")
     assert "_delta_matrix" in _calls("cech.py", "cech_block")
     assert found == []
 
@@ -274,7 +279,7 @@ def test_the_glue_table_alone_owns_the_sector_state():
 UNBOUNDED_CACHES = {
     "affine.py": ["_straighten", "_act_word", "_negative_words", "_central_image"],
     "modespace.py": ["_apply_mono"],
-    "p1tcdo.py": ["_glue_table", "_glue_mono"],
+    "p1tcdo.py": ["_glue_table"],
 }
 
 
