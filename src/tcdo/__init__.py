@@ -29,7 +29,7 @@ def _containers() -> dict:
         "p1tcdo._SECTORS": p1tcdo._SECTORS,
         "modespace._MONOS": modespace._MONOS,
         "modespace._IDS": modespace._IDS,
-        "modespace._WEIGHTS": modespace._WEIGHTS,
+        "modespace._REACH": modespace._REACH,
         "modespace._HEADS": modespace._HEADS,
         "modespace._CREATED": modespace._CREATED,
         "modespace._CONTRACTED": modespace._CONTRACTED,

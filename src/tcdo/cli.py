@@ -254,10 +254,11 @@ def cmd_affine_singular(args: argparse.Namespace):
 # weight 8, 4.3 s at depth 6 and 123 s at its sample ceiling; affine char
 # 2.5 s and verma-vs-sections 2.1 s at depth 7 (n = 0; 3.7 s at n = -3);
 # gluing 105 s and 346 MB, and its involution check's overlap basis grows fast
-# past weight 4; zhu 38 s and 86 MB at cutoff 60; verify-engine 12 s, but its
-# caches grow by about 40 MB per 1000 samples (427 MB at the ceiling, 69 MB
-# at 1000, since the engine keys its memo by interned monomial ids), so
-# memory, not time, sets that one.
+# past weight 4; zhu 38 s and 86 MB at cutoff 60; verify-engine 12-14 s, but
+# its caches grow by about 36 MB per 1000 samples (392 MB at the ceiling,
+# 67 MB at 1000, since the engine keys its memo by interned monomial ids and
+# enters no action past the pole-order bound), so memory, not time, sets
+# that one.
 _COMMANDS = {
     ("verify-engine", None): (cmd_verify_engine, "mode-calculus property sweep, conformal weight <= 3",
                               {"samples": (10_000, "verify-engine draws"), "seed": None}),

@@ -45,7 +45,13 @@ contractions of an id are memoized, and no id ever decides an order: terms
 keep their insertion order.  Its recursion pays only for modes that can act:
 a creation mode is a key rewrite of each term (``_gen_mode_terms``), and of
 the annihilation modes it runs only those that contract with the target
-(``_contractions``).  Ids never leave this module.  ``_act``, which the
+(``_contractions``).  Nor does it enter an action that Wick's theorem proves
+zero: w_(m) u has no terms once m reaches the total pole order that
+contractions between w and u can produce (``_poles``, read off a per-id
+record of A, B and LSTAR weights), so the recursion skips every such
+action (Kac, *Vertex Algebras for Beginners*, 3.3).  The bound only proves
+zeros; every result is term for term the one of the recursion bounded by
+conformal weight alone.  Ids never leave this module.  ``_act``, which the
 gluing (``_glue_table``), the H^0 scan and the word replay call, takes and
 returns (4-tuple, int) pairs, its output keyed by the table's shared tuples;
 ``apply_mode`` and ``borcherds_sides`` intern their integer rows once and
@@ -144,7 +150,7 @@ class Monomial(tuple):
                 f"mode tuples must be sorted ascending with A/LSTAR modes <= -1 "
                 f"and B modes <= -2, got {amodes}, {bmodes}, {lmodes}"
             )
-        if not isinstance(power, int):
+        if type(power) is not int:
             raise TypeError(f"the ground power must be an int, got {type(power).__name__} {power!r}")
         return tuple.__new__(cls, (amodes, bmodes, lmodes, power))
 
@@ -232,7 +238,7 @@ class FreeState(LinearCombination):
     def __init__(self, terms=None, ring: str = POLY, lstar: int | None = None):
         if ring not in (POLY, LAURENT):
             raise ValueError(f"unknown ground ring {ring!r}")
-        if lstar is not None and not isinstance(lstar, int):
+        if lstar is not None and type(lstar) is not int:
             raise TypeError(f"the twist sector must be None or an int, got {type(lstar).__name__} {lstar!r}")
         self.ring = ring
         self.lstar = lstar
@@ -314,7 +320,7 @@ def gen_lstar(ring: str = POLY) -> FreeState:
 
 _MONOS: list[tuple] = []  # id -> monomial 4-tuple
 _IDS: dict[tuple, int] = {}  # monomial 4-tuple -> id
-_WEIGHTS: list[int] = []  # id -> conformal weight
+_REACH: list[tuple] = []  # id -> its _reach record
 _HEADS: dict[int, tuple | None] = {}  # id -> (generator, mode, tail id), or None
 _CREATED: dict[tuple, dict] = {}  # (generator, mode) -> {id: id of the created monomial}
 _CONTRACTED: dict[tuple, tuple] = {}  # (generator, id) -> its _contractions
@@ -328,8 +334,36 @@ def _intern(mono) -> int:
         mono = tuple(mono)
         i = _IDS[mono] = len(_MONOS)
         _MONOS.append(mono)
-        _WEIGHTS.append(_weight(mono))
+        _REACH.append(_reach(mono))
     return i
+
+
+def _reach(mono) -> tuple:
+    """(A weight, B weight, LSTAR weight, has A-modes, has B-modes or a
+    nonzero ground power) of a monomial 4-tuple: the weights are the parts of
+    its conformal weight carried by each mode family, and the flags say
+    which fields a contraction with it can use."""
+    amodes, bmodes, lmodes, power = mono
+    return -sum(amodes), -sum(bmodes) - len(bmodes), -sum(lmodes), bool(amodes), bool(bmodes) or power != 0
+
+
+def _poles(w: int, u: int, ls) -> int:
+    """A bound on the pole order of w(z) u for the monomials with ids w and
+    u: w_(m) u has no terms at all for m >= _poles(w, u, ls).  By Wick's
+    theorem the singular part of w(z) u is a sum over contractions of an
+    A field of one side with a B field (a B-mode or the ground x^k) of the
+    other, and contracting A_(-s) with a B field of weight t has a pole of
+    order s + t, so the pole orders of any set of contractions add up to at
+    most the A and B weights of the fields that have a partner.  In a sector
+    ls != 0 the LSTAR modes of w act through ls/z, a pole of order s for
+    each LSTAR_(-s); symbolic LSTAR and ls = 0 contribute nothing."""
+    wa, wb, wl, w_has_a, w_has_b = _REACH[w]
+    ua, ub, _, u_has_a, u_has_b = _REACH[u]
+    return (
+        (wa if u_has_b else 0) + (wb if u_has_a else 0)
+        + (ua if w_has_b else 0) + (ub if w_has_a else 0)
+        + (wl if ls else 0)
+    )
 
 
 def _head_id(w: int):
@@ -354,16 +388,16 @@ def _remove_one(tup: tuple[int, ...], m: int) -> tuple[int, ...]:
     return tuple(lst)
 
 
-def _gen_mode_terms(gen: str, m: int, terms, ls) -> dict[int, int]:
-    """One creation mode g_(m), m <= -1, on (id, coefficient) pairs.  All
-    creation modes commute, so each monomial is rewritten by a normal-form
-    insert with coefficient 1, memoized per (g, m, id); distinct monomials
-    stay distinct, so no two terms merge.  In a specialized sector (``ls``
-    an integer) every LSTAR creation mode acts as 0, its character value."""
+def _gen_mode_terms(out: dict, gen: str, m: int, terms, ls, scale: int = 1) -> dict:
+    """out += scale * g_(m) terms for one creation mode g_(m), m <= -1, on
+    (id, coefficient) pairs; returns ``out``.  All creation modes commute,
+    so each monomial is rewritten by a normal-form insert with coefficient
+    1, memoized per (g, m, id); distinct monomials stay distinct, so no two
+    terms merge.  In a specialized sector (``ls`` an integer) every LSTAR
+    creation mode acts as 0, its character value."""
     if gen == GEN_LSTAR and ls is not None:
-        return {}
+        return out
     created = _CREATED.setdefault((gen, m), {})
-    out = {}
     for u, c in terms:
         v = created.get(u)
         if v is None:
@@ -375,7 +409,7 @@ def _gen_mode_terms(gen: str, m: int, terms, ls) -> dict[int, int]:
             else:
                 v = _intern((a, b, lm, p + 1) if m == -1 else (a, _insort(b, m), lm, p))
             created[u] = v
-        out[v] = c
+        out[v] = out.get(v, 0) + scale * c
     return out
 
 
@@ -442,18 +476,20 @@ def _apply_mono(w: int, m: int, u: int, ls) -> tuple:
         s = -mode  # w = g_(-s) tail with s >= 1
         out = {}
         # (g_(-s) tail)_(m) u
-        #   = sum_j (-1)^j C(-s,j) [ g_(-s-j) (tail_(m+j) u)
-        #                            - (-1)^s tail_(-s+m-j) (g_(j) u) ]
-        # g_(-s-j) is a creation mode; g_(j) u is nonzero only for the j of
-        # _contractions, which come in ascending order as the sum runs
-        for j in range(_WEIGHTS[tail] + _WEIGHTS[u] - m):
+        #   = sum_j C(s+j-1,j) [ g_(-s-j) (tail_(m+j) u)
+        #                        - (-1)^s tail_(-s+m-j) (g_(j) u) ],
+        # (-1)^j C(-s,j) = C(s+j-1,j); g_(-s-j) is a creation mode, and
+        # tail_(m') v vanishes once m' reaches _poles(tail, v, ls); g_(j) u
+        # is nonzero only for the j of _contractions, in ascending order
+        for j in range(_poles(tail, u, ls) - m):
             inner = _apply_mono(tail, m + j, u, ls)
             if inner:
-                _merge(out, _gen_mode_terms(gen, mode - j, inner, ls).items(), (-1) ** j * binom(mode, j))
+                _gen_mode_terms(out, gen, mode - j, inner, ls, math.comb(s + j - 1, j))
         sign = -((-1) ** s)
         for j, mono, c in _contractions(gen, u, ls):
-            inner = _apply_mono(tail, mode + m - j, mono, ls)
-            _merge(out, inner, sign * (-1) ** j * binom(mode, j) * c)
+            if mode + m - j < _poles(tail, mono, ls):
+                inner = _apply_mono(tail, mode + m - j, mono, ls)
+                _merge(out, inner, sign * math.comb(s + j - 1, j) * c)
     return tuple(out.items())
 
 
@@ -464,18 +500,24 @@ def _ground_apply(k: int, m: int, u: int, ls) -> dict[int, int]:
         return {u: 1} if m == -1 else {}
     amodes, bmodes, lmodes, power = _MONOS[u]
     if amodes:
-        # commute past the head A-mode: [x^k_(m), A_(r)] = -(d/dx x^k)_(m+r)
+        # commute past the head A-mode: [x^k_(m), A_(r)] = -(d/dx x^k)_(m+r);
+        # a nonzero ground power acting on the tail has poles only up to the
+        # tail's A weight, and x^0 is the vacuum, nonzero at mode -1 alone
         _, r, tail = _head_id(u)
-        out = _gen_mode_terms(GEN_A, r, _ground_apply(k, m, tail, ls).items(), ls)
-        _merge(out, _ground_apply(k - 1, m + r, tail, ls).items(), -k)
+        reach = _REACH[tail][0]
+        out = {}
+        if m < reach:
+            _gen_mode_terms(out, GEN_A, r, _ground_apply(k, m, tail, ls).items(), ls)
+        if k == 1 or m + r < reach:
+            _merge(out, _ground_apply(k - 1, m + r, tail, ls).items(), -k)
         return out
     if bmodes or lmodes:
         # B and LSTAR modes commute with ground multiplication
         out = _ground_apply(k, m, _intern(((), (), (), power)), ls)
         for mode in lmodes:
-            out = _gen_mode_terms(GEN_LSTAR, mode, out.items(), ls)
+            out = _gen_mode_terms({}, GEN_LSTAR, mode, out.items(), ls)
         for mode in bmodes:
-            out = _gen_mode_terms(GEN_B, mode, out.items(), ls)
+            out = _gen_mode_terms({}, GEN_B, mode, out.items(), ls)
         return out
     # pure ground target x^j
     if m >= 0:

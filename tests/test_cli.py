@@ -386,7 +386,7 @@ def test_cache_stats_counts_a_cech_request_and_reads_zero_after_clear_caches():
     assert "affine.verma_basis" in stats["lru"]
     for name in ("modespace._apply_mono", "modespace.normal_forms", "p1tcdo._glue_table", "p1tcdo._glue_mono"):
         assert stats["lru"][name].currsize and stats["lru"][name].misses, name
-    for name in ("modespace._MONOS", "modespace._IDS", "modespace._WEIGHTS", "p1tcdo._GLUED_KEYS"):
+    for name in ("modespace._MONOS", "modespace._IDS", "modespace._REACH", "p1tcdo._GLUED_KEYS"):
         assert stats["containers"][name], name
     assert _payload_hash(command) == digest
     tcdo.clear_caches()

@@ -38,6 +38,7 @@ from tcdo.modespace import (
     binom,
     borcherds_sides,
     check_borcherds,
+    engine_property_suite,
     gen_a,
     gen_b,
     gen_lstar,
@@ -381,11 +382,13 @@ def test_state_keys_must_be_monomials():
 
 def test_ground_powers_and_twist_sectors_must_be_ints():
     # a half-integral or float power or sector is no monomial and no residue
-    # n: both are refused where they enter, not deep inside the engine
-    for power in (Fraction(1, 2), 0.5, 2.0):
+    # n: both are refused where they enter, not deep inside the engine.  A
+    # bool is an int that equals and hashes as 0 or 1: accepted, True would
+    # render as n=True and, once interned, be the key of every later x^1
+    for power in (Fraction(1, 2), 0.5, 2.0, True, False):
         with pytest.raises(TypeError):
             Monomial(power=power)
-    for lstar in (Fraction(1, 2), Fraction(2), 2.0, "2"):
+    for lstar in (Fraction(1, 2), Fraction(2), 2.0, "2", True, False):
         with pytest.raises(TypeError):
             FreeState({Monomial(): 1}, LAURENT, lstar)
         with pytest.raises(TypeError):
@@ -623,6 +626,96 @@ def test_apply_mono_matches_fraction_reference_on_every_small_pair(ring, ls):
                 for u in monomials_of(uw, ls is None):
                     for m in range(-3, 4):
                         assert _core(w, m, u, ls) == list(_ref_apply_mono(w, m, u, ls)), (w, m, u)
+
+
+# -- Wick's pole-order bound, certified against the unpruned reference --
+#
+# The engine skips every action w_(m) u with m >= _poles(w, u, ls).  That is
+# sound only if such an action has no terms at all, not even zero sums, which
+# the reference above (bounded by conformal weight alone) must confirm.
+
+
+def _past_the_poles(w, u, ls):
+    """m from _poles(w, u, ls) to two past it, with the reference at each."""
+    poles = modespace._poles(modespace._intern(w), modespace._intern(u), ls)
+    return [(m, _ref_apply_mono(w, m, u, ls)) for m in range(poles, poles + 3)]
+
+
+@pytest.mark.parametrize("ring, ls", SECTORS)
+def test_no_action_at_or_past_the_poles_on_every_small_pair(ring, ls):
+    """Every pair of normal-form monomials w, u of combined weight <= 3, at
+    ground powers 0..2 (-2..2 over LAURENT), with u in sector ls: the
+    reference w_(m) u is () for m from _poles to _poles + 2."""
+    powers = range(-2, 3) if ring == LAURENT else range(3)
+
+    def monomials_of(weight, tower):
+        return [Monomial(a, b, lm, p) for a, b, lm, _ in normal_forms(weight, tower) for p in powers]
+
+    for ww in range(4):
+        for uw in range(4 - ww):
+            for w in monomials_of(ww, True):
+                for u in monomials_of(uw, ls is None):
+                    for m, out in _past_the_poles(w, u, ls):
+                        assert out == (), (w, m, u)
+
+
+@given(engine_cases(6))
+@settings(max_examples=200, deadline=None)
+def test_no_action_at_or_past_the_poles_up_to_weight_6(case):
+    w, _, u, ls = case
+    for m, out in _past_the_poles(w, u, ls):
+        assert out == (), (w, m, u)
+
+
+def test_the_recursion_never_enters_an_action_past_its_poles(monkeypatch):
+    """The pruning stays: with cold caches, during a property sweep, no call
+    that ``_apply_mono`` or ``_ground_apply`` makes from a call within the
+    bound lies past it.  For ``_apply_mono`` the bound is _poles(w, u, ls);
+    for ``_ground_apply`` it is the A weight of u, which is _poles(x^k, u,
+    ls) for k != 0 (the vacuum, k = 0, is a cheap exit).  The top-level
+    calls, one per pair of terms an action is asked for, are not checked."""
+    frames = []  # for each open call, whether it lies within the bound
+    calls, past = [], []
+
+    def recorder(core, within):
+        def call(*args):
+            ok = within(*args)
+            if frames and frames[-1]:
+                calls.append(args)
+                if not ok:
+                    past.append(args)
+            frames.append(ok)
+            try:
+                return core(*args)
+            finally:
+                frames.pop()
+        return call
+
+    clear_caches()
+    monkeypatch.setattr(modespace, "_apply_mono", recorder(
+        modespace._apply_mono, lambda w, m, u, ls: m < modespace._poles(w, u, ls)))
+    monkeypatch.setattr(modespace, "_ground_apply", recorder(
+        modespace._ground_apply, lambda k, m, u, ls: not k or m < modespace._REACH[u][0]))
+    assert all(rep.passed for rep in engine_property_suite(20, 1))
+    assert len(calls) > 1000
+    assert past == []
+
+
+def test_the_ground_action_checks_both_branches_against_the_tail(monkeypatch):
+    # (x^2)_(2) A_(-1) t = A_(-1) (x^2)_(2) t - 2 (x^1)_(1) t for t = A_(-1),
+    # and both terms lie at or past t's A weight 1, so neither is entered,
+    # though the action itself, as a top-level call may, lies past its bound
+    core = modespace._ground_apply
+    seen = []
+
+    def spy(k, m, u, ls):
+        seen.append((k, m, u))
+        return core(k, m, u, ls)
+
+    u = modespace._intern(Monomial(amodes=(-1, -1)))
+    monkeypatch.setattr(modespace, "_ground_apply", spy)
+    assert spy(2, 2, u, None) == {}
+    assert seen == [(2, 2, u)]
 
 
 _COEFFS = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)])

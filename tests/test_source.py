@@ -61,7 +61,7 @@ def test_every_imported_name_is_used():
 ENGINE_CORE = {
     "modespace.py": (
         "_gen_mode_terms", "_contractions", "_head", "_apply_mono", "_ground_apply", "_act",
-        "_nonzero", "_intern", "_head_id", "_interned", "_pairs", "_act_ids",
+        "_nonzero", "_intern", "_head_id", "_interned", "_pairs", "_act_ids", "_poles",
     ),
     "p1tcdo.py": ("_glue_table", "_glue_mono"),
 }
@@ -89,9 +89,9 @@ def test_engine_core_never_builds_a_monomial():
 # boundary the gluing, the H^0 scan and the word replay call, returns plain
 # 4-tuple keys
 ID_LEVEL = {
-    "_MONOS", "_IDS", "_WEIGHTS", "_HEADS", "_CREATED", "_CONTRACTED",
+    "_MONOS", "_IDS", "_REACH", "_HEADS", "_CREATED", "_CONTRACTED",
     "_intern", "_head_id", "_interned", "_pairs", "_act_ids",
-    "_apply_mono", "_ground_apply", "_gen_mode_terms", "_contractions",
+    "_apply_mono", "_ground_apply", "_gen_mode_terms", "_contractions", "_poles",
 }
 
 
@@ -300,7 +300,7 @@ def _unbounded(decorator) -> bool:
 # and tcdo.clear_caches must empty each listed one (it empties what
 # tcdo._containers names, which tcdo.cache_stats sizes too)
 MODULE_CACHES = {
-    "modespace.py": ["_MONOS", "_IDS", "_WEIGHTS", "_HEADS", "_CREATED", "_CONTRACTED"],
+    "modespace.py": ["_MONOS", "_IDS", "_REACH", "_HEADS", "_CREATED", "_CONTRACTED"],
     "p1tcdo.py": ["_GLUED_KEYS", "_SECTORS"],
 }
 
