@@ -18,14 +18,13 @@ def _lru_caches() -> dict:
 
 
 def _containers() -> dict:
-    """Every module-level cache container, by "module.name": the gluing
-    state of ``p1tcdo`` (the shared glued keys and the node sectors each
-    shape was glued in) and the intern table of ``modespace``
-    with its id-keyed memos."""
+    """Every module-level cache container, by "module.name": the node
+    sectors each shape was glued in (``p1tcdo``) and the intern table of
+    ``modespace`` with its id-keyed memos; the table also holds the keys of
+    the gluing's memoized images."""
     from . import modespace, p1tcdo
 
     return {
-        "p1tcdo._GLUED_KEYS": p1tcdo._GLUED_KEYS,
         "p1tcdo._SECTORS": p1tcdo._SECTORS,
         "modespace._MONOS": modespace._MONOS,
         "modespace._IDS": modespace._IDS,

@@ -91,9 +91,6 @@ class PBWVector(LinearCombination):
             raise ValueError(f"cannot add PBW vectors with nu={self.nu} and nu={other.nu}")
         return (self.nu,)
 
-    def depth_max(self) -> int:
-        return max((word_depth(w) for w in self.terms), default=0)
-
     def render(self) -> str:
         if not self.terms:
             return "0"
@@ -376,17 +373,18 @@ def singular_bidegrees(nu, d_max: int, mu_values) -> list:
     return found
 
 
-def irreducible_dims(n: int, d_max: int, mu_values) -> dict:
-    """Per-bidegree dimensions of the irreducible quotient L_n: inside each
-    bidegree of M_n, span out both the Sugawara images and the lowering-word
-    images of the singular vector f_0^(n+1) v, then count what is left."""
+def irreducible_dims(n: int, d_max: int) -> dict:
+    """Per-bidegree dimensions of the irreducible quotient L_n over the
+    window ``_default_mu_window(n, d_max)``: inside each bidegree of M_n,
+    span out both the Sugawara images and the lowering-word images of the
+    singular vector f_0^(n+1) v, then count what is left."""
     if n < 0:
         raise ValueError("the oracle covers nonnegative integral weight only")
     act_one = partial(_act_terms, nu=n)
     memo = {(): (((("f", 0),) * (n + 1), 1),)}
     out = {}
     for d in range(d_max + 1):
-        for mu in mu_values:
+        for mu in _default_mu_window(n, d_max):
             basis_words, tracker, index = _sugawara_span(n, d, mu)
             # lowering words sending the singular vector (h-weight -n-2) into
             # (d, mu); U(g^)w = U(lowering)w because w is singular (verified
@@ -400,9 +398,8 @@ def irreducible_dims(n: int, d_max: int, mu_values) -> dict:
 def irreducible_char_oracle(n: int, d_max: int) -> QSeries:
     """Brute-force depth character of the irreducible quotient L_n,
     aggregated over the mu window [n - 2(d_max+n+2), n + 2 d_max]."""
-    mus = _default_mu_window(n, d_max)
-    dims = irreducible_dims(n, d_max, mus)
-    coeffs = tuple(sum(dims[(d, mu)] for mu in mus) for d in range(d_max + 1))
+    dims = irreducible_dims(n, d_max)
+    coeffs = tuple(sum(dim for (d, _), dim in dims.items() if d == j) for j in range(d_max + 1))
     return QSeries(coeffs, d_max)
 
 
@@ -438,7 +435,7 @@ def verma_to_sections(n: int, d_max: int) -> dict:
 
     memo = {(): ((VACUUM_MONO, 1),)}
     mus = _default_mu_window(n, d_max)
-    irreducible = irreducible_dims(n, d_max, mus) if n >= 0 else {}
+    irreducible = irreducible_dims(n, d_max) if n >= 0 else {}
     table = {}
     for d in range(d_max + 1):
         for mu in mus:

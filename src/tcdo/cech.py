@@ -245,7 +245,10 @@ def scan_h0_sl2(n: int, weight_max: int):
     those four generate every raising mode, their images are its only rows.
     ``report`` checks that delta intertwines the chart actions: the image
     pair of every kernel vector under e, h and f at the modes -2..2 is again
-    a cocycle, img0 - glue(imginf) = 0.
+    a cocycle, img0 - glue(imginf) = 0.  The conditions are the zero-chart
+    images alone, keyed (gen, m, monomial): the gluing is an involution, so
+    once every image pair passes that check, a combination of kernel vectors
+    kills img0 exactly when it kills imginf, which thus adds no condition.
 
     Each block's kernel is scaled to integers by one common denominator,
     which scales the condition map as a whole and leaves its reduced kernel
@@ -271,11 +274,9 @@ def scan_h0_sl2(n: int, weight_max: int):
                 for gen in "ehf":
                     for m in range(-2, 3):
                         img0 = _act(rho0[gen], m, s0, n)
-                        imginf = _act(rhoinf[gen], m, sinf, n)
                         if (gen, m) in RAISING:
-                            condition.update(((gen, m, Chart.ZERO, mo), c) for mo, c in img0.items())
-                            condition.update(((gen, m, Chart.INFTY, mo), c) for mo, c in imginf.items())
-                        for mono, c in imginf.items():
+                            condition.update(((gen, m, mo), c) for mo, c in img0.items())
+                        for mono, c in _act(rhoinf[gen], m, sinf, n).items():
                             _merge(img0, _glue_mono(mono, n), -c)
                         rep.record(
                             not any(img0.values()),

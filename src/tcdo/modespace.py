@@ -53,7 +53,8 @@ action (Kac, *Vertex Algebras for Beginners*, 3.3).  The bound only proves
 zeros; every result is term for term the one of the recursion bounded by
 conformal weight alone.  Ids never leave this module.  ``_act``, which the
 gluing (``_glue_table``), the H^0 scan and the word replay call, takes and
-returns (4-tuple, int) pairs, its output keyed by the table's shared tuples;
+returns (4-tuple, int) pairs, its output keyed by the table's shared tuples,
+which key the gluing's memoized images (``_glue_mono``) too (``_shared``);
 ``apply_mode`` and ``borcherds_sides`` intern their integer rows once and
 run every nested action on ids.  The gluing runs ``_act`` once per mode
 shape, at a few sample ground powers, and reads every other power off the
@@ -336,6 +337,11 @@ def _intern(mono) -> int:
         _MONOS.append(mono)
         _REACH.append(_reach(mono))
     return i
+
+
+def _shared(mono) -> tuple:
+    """The table's own tuple for a monomial 4-tuple (never its id)."""
+    return _MONOS[_intern(mono)]
 
 
 def _reach(mono) -> tuple:

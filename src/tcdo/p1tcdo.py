@@ -44,6 +44,7 @@ from .modespace import (
     _act,
     _exact_div,
     _head,
+    _shared,
     apply_mode,
     binom,
     gen_a,
@@ -99,10 +100,6 @@ def _differences(ys: list) -> tuple:
     return tuple(out)
 
 
-# one shared 4-tuple per distinct glued monomial in the memoized images of
-# _glue_mono: `affine singular --n 0 --weight-max 7 --depth 5` peaks at
-# 122 MB with it and 162 MB without (10,718 distinct keys)
-_GLUED_KEYS: dict[tuple, tuple] = {}
 # the integer sectors each shape was glued in directly: its interpolation nodes
 _SECTORS: dict[tuple, list] = {}
 
@@ -163,20 +160,21 @@ def _glue_table(shape: tuple, ls) -> tuple:
 
 # entries after one request: 130 on `cech-scan` (cold and warm passes),
 # 1268 on `cech --n -4..4 --weight-max 7`, 6285 on `affine singular --n 0
-# --weight-max 7 --depth 5` and 11,483 at its weight ceiling (677k hits)
+# --weight-max 7 --depth 5` (122 MB peak; 162 MB with a fresh tuple per
+# key) and 11,483 at its weight ceiling (677k hits)
 @lru_cache(maxsize=16384)
 def _glue_mono(mono: tuple, ls) -> tuple:
     """The glued image of one INFTY monomial 4-tuple of sector ls:
     ((4-tuple, int coeff), ...), its shape's ``_glue_table`` evaluated at the
-    ground power, each key the shared copy in ``_GLUED_KEYS``."""
+    ground power, each key the intern table's own tuple (``_shared``), which
+    the engine's output keys and every other cached image share."""
     shape, k = mono[:3], mono[3]
     weights = [binom(k, i) for i in range(len(shape[0]) + 1)]
     out = []
     for (a, b, lm, q), diffs in _glue_table(shape, ls):
         c = sum(map(mul, diffs, weights))
         if c:
-            key = (a, b, lm, q - k)
-            out.append((_GLUED_KEYS.setdefault(key, key), c))
+            out.append((_shared((a, b, lm, q - k)), c))
     return tuple(out)
 
 

@@ -33,11 +33,6 @@ class QSeries:
         if not all(isinstance(c, int) for c in self.coeffs):
             raise TypeError("QSeries coefficients must be ints")
 
-    def coeff(self, j: int) -> int:
-        if not 0 <= j <= self.order:
-            raise IndexError(f"coefficient index {j} outside 0..{self.order}")
-        return self.coeffs[j]
-
     def __add__(self, other: "QSeries") -> "QSeries":
         _check_orders(self, other)
         return QSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), self.order)

@@ -6,7 +6,7 @@ definition; the package itself has no use for them.
 
 from functools import lru_cache
 
-from tcdo.affine import _act_terms, _negative_words, _sugawara_span, word_h_shift
+from tcdo.affine import _act_terms, _negative_words, _sugawara_span, word_depth, word_h_shift
 from tcdo.cech import BigradedReport, mu_window
 from tcdo.linalg import kernel_basis, rank
 from tcdo.modespace import (
@@ -308,6 +308,11 @@ def ref_irreducible_dims(n: int, d_max: int, mu_values) -> dict:
                     tracker.add({index[w]: c for w, c in terms})
             out[(d, mu)] = len(basis_words) - tracker.dim
     return out
+
+
+def pbw_depth_max(v) -> int:
+    """The largest depth of a word of the PBW vector v, 0 when v is zero."""
+    return max((word_depth(w) for w in v.terms), default=0)
 
 
 # the Zhu class map as it was before zhu_reduce took the closed form: the

@@ -88,7 +88,7 @@ def test_criterion_2_euler_identity(cech_reports):
     for n, rep in reports.items():
         euler = rep.h0_character - rep.h1_character
         for j in range(WEIGHT_MAX + 1):
-            ok = ok and euler.coeff(j) == (n + 1) * eta_inverse_squared(j).coeff(j)
+            ok = ok and euler.coeffs[j] == (n + 1) * eta_inverse_squared(j).coeffs[j]
     verdict(2, ok, "sum_mu (h0 - h1) at weight j = (n+1) * p2(j) for j <= 4, exact")
 
 

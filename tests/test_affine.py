@@ -48,7 +48,7 @@ from tcdo.modespace import VACUUM_MONO, _act
 from tcdo.p1tcdo import Chart, _sl2_currents, sections_bidegree, unclamped_sections_dim
 from tcdo.qseries import char_L
 
-from references import ref_irreducible_dims, ref_verma_images
+from references import pbw_depth_max, ref_irreducible_dims, ref_verma_images
 
 SEED = 42
 
@@ -165,7 +165,7 @@ def _sugawara_by_vector_sums(k, v):
     # the slow path: one PBWVector per partial sum
     m = k + 1
     out = PBWVector({}, v.nu)
-    dmax = v.depth_max()
+    dmax = pbw_depth_max(v)
     for coef, xg, yg in ((Fraction(1), "e", "f"), (Fraction(1), "f", "e"), (Fraction(1, 2), "h", "h")):
         for j in range(dmax - m + 1):
             out = out + coef * act(xg, -1 - j, act(yg, m + j, v))
@@ -320,7 +320,7 @@ def _act_validated(gen, m, v):
 def _sugawara_validated(k, v):
     m = k + 1
     out = {}
-    dmax = v.depth_max()
+    dmax = pbw_depth_max(v)
     for coef, xg, yg in ((Fraction(1), "e", "f"), (Fraction(1), "f", "e"), (Fraction(1, 2), "h", "h")):
         images = [_act_validated(xg, -1 - j, _act_validated(yg, m + j, v)) for j in range(dmax - m + 1)]
         images += [_act_validated(yg, m - 1 - j, _act_validated(xg, j, v)) for j in range(dmax + 1)]
@@ -486,7 +486,7 @@ def _oracle_under(monkeypatch, columns):
 
     monkeypatch.setattr(tcdo.affine, "SpanTracker", Recording)
     monkeypatch.setattr(tcdo.affine, "_span_columns", columns)
-    dims = {n: irreducible_dims(n, 4, tcdo.affine._default_mu_window(n, 4)) for n in range(4)}
+    dims = {n: irreducible_dims(n, 4) for n in range(4)}
     fill = sum(len(row) for t in trackers for row in t._core.rows.values())
     singular = {n: singular_bidegrees(n, 3, tcdo.affine._default_mu_window(n, 3)) for n in range(3)}
     return dims, singular, fill
@@ -519,12 +519,12 @@ def test_irreducible_oracle_matches_closed_form():
 
 def test_irreducible_oracle_top_coefficient():
     for n in (0, 2, 5):
-        assert irreducible_char_oracle(n, 0).coeff(0) == n + 1
+        assert irreducible_char_oracle(n, 0).coeffs[0] == n + 1
 
 
 def test_irreducible_oracle_rejects_negative():
     with pytest.raises(ValueError):
-        irreducible_dims(-2, 1, [0])
+        irreducible_dims(-2, 1)
 
 
 def test_restricted_dims_match_sections():
@@ -561,8 +561,7 @@ def test_replay_is_iso_for_very_negative_twist():
 def test_replay_rank_equals_irreducible_dims_for_dominant_twist():
     n, d_max = 1, 3
     table = verma_to_sections(n, d_max)
-    mus = sorted({mu for _, mu in table})
-    ldims = irreducible_dims(n, d_max, mus)
+    ldims = irreducible_dims(n, d_max)
     for key, (_, _, _, rk) in table.items():
         assert rk == ldims[key]
     # the quotient column is the dimension the command checks the rank
@@ -571,7 +570,7 @@ def test_replay_rank_equals_irreducible_dims_for_dominant_twist():
         table = verma_to_sections(n, d_max)
         assert table
         if n >= 0:
-            ldims = irreducible_dims(n, d_max, _default_mu_window(n, d_max))
+            ldims = irreducible_dims(n, d_max)
         for (d, mu), (_, quotient, _, _) in table.items():
             assert quotient == (ldims[(d, mu)] if n >= 0 else restricted_verma_dim(n, d, mu))
 
@@ -677,8 +676,7 @@ def test_corrupted_lowering_current_fails_verma_vs_sections(monkeypatch, capsys)
 
 def test_irreducible_dims_match_the_from_scratch_replay():
     for n in range(4):
-        window = _default_mu_window(n, 4)
-        assert irreducible_dims(n, 4, window) == ref_irreducible_dims(n, 4, window)
+        assert irreducible_dims(n, 4) == ref_irreducible_dims(n, 4, _default_mu_window(n, 4))
 
 
 def test_act_word_composition():

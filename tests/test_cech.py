@@ -2,7 +2,9 @@
 
 import pytest
 
+import tcdo
 import tcdo.cech
+import tcdo.p1tcdo
 from tcdo.cech import (
     BigradedReport,
     StabilityError,
@@ -21,7 +23,7 @@ from tcdo.cech import (
 from tcdo.affine import restricted_verma_dim
 import tcdo.linalg
 from tcdo.linalg import _Echelon, _integer_row, kernel_basis, rank
-from tcdo.modespace import FreeState, Monomial, vacuum
+from tcdo.modespace import FreeState, Monomial, _shared, vacuum
 from tcdo.p1tcdo import Chart, glue, include_overlap, sections_bidegree
 from tcdo.qseries import QSeries, eta_inverse_squared
 
@@ -63,7 +65,7 @@ def test_euler_identity(reports):
         assert euler_check(rpt), n
         diff = rpt.h0_character - rpt.h1_character
         for j in range(WM + 1):
-            assert diff.coeff(j) == (n + 1) * eta_inverse_squared(j).coeff(j)
+            assert diff.coeffs[j] == (n + 1) * eta_inverse_squared(j).coeffs[j]
 
 
 def test_twist_minus_one_vanishes(reports):
@@ -322,6 +324,49 @@ def test_scan_fails_on_a_corrupted_gluing(monkeypatch):
     _, rep = scan_h0_sl2(0, 2)
     assert len(calls) > target and not rep.passed
     assert len(rep.failures) == 1
+
+
+def test_scan_fails_on_a_corrupted_infinity_current(monkeypatch):
+    # the infinity images reach the scan only through the cocycle
+    # subtraction img0 - glue(imginf): with the one coefficient of the INFTY
+    # f current off by one, the f images fail their cocycle test and every
+    # e and h image still passes
+    real = tcdo.cech._sl2_currents
+
+    def corrupted(chart):
+        currents = real(chart)
+        if chart is Chart.INFTY:
+            ((mono, c),) = currents["f"]
+            currents = {**currents, "f": ((mono, c + 1),)}
+        return currents
+
+    monkeypatch.setattr(tcdo.cech, "_sl2_currents", corrupted)
+    _, rep = scan_h0_sl2(0, 2)
+    assert not rep.passed
+    assert [failure for failure in rep.failures if " f_(" not in failure] == []
+
+
+def test_glued_keys_are_the_intern_tables_own_tuples(monkeypatch):
+    # every key of every image _glue_mono caches during a scan, from the
+    # scan itself and from the tails of the glue tables, is the intern
+    # table's plain tuple, so one copy of each glued monomial serves the
+    # engine and every image that holds it
+    tcdo.clear_caches()
+    real = tcdo.p1tcdo._glue_mono
+    calls = set()
+
+    def recording(mono, ls):
+        calls.add((mono, ls))
+        return real(mono, ls)
+
+    monkeypatch.setattr(tcdo.cech, "_glue_mono", recording)
+    monkeypatch.setattr(tcdo.p1tcdo, "_glue_mono", recording)
+    scan_h0_sl2(0, 4)
+    info = real.cache_info()
+    assert info.currsize == len(calls)
+    keys = [key for mono, ls in calls for key, _ in real(mono, ls)]
+    assert real.cache_info().misses == info.misses
+    assert keys and [key for key in keys if type(key) is not tuple or _shared(key) is not key] == []
 
 
 def test_unstable_report_refuses_aggregates():

@@ -232,8 +232,8 @@ def test_affine_verma_vs_sections_raw_count_mismatch_exits_1(monkeypatch, capsys
 QUOTIENT_FAULTS = {
     "irreducible_dims": (
         "0..1",
-        lambda real: lambda n, d_max, mus: {
-            key: dim + (key == (0, n)) for key, dim in real(n, d_max, mus).items()
+        lambda real: lambda n, d_max: {
+            key: dim + (key == (0, n)) for key, dim in real(n, d_max).items()
         },
         "(d=0, mu=0): rank 1 != irreducible dim 2",
     ),
@@ -374,8 +374,9 @@ def test_cech_payloads_do_not_depend_on_the_sector_order():
 
 
 def test_cache_stats_counts_a_cech_request_and_reads_zero_after_clear_caches():
-    # one small cech request fills the engine, gluing and section caches and
-    # the intern table; cache_stats only reads them, so the payload is the
+    # one small cech request fills the engine, gluing and section caches, the
+    # gluing's sector state and the intern table (which also holds the keys
+    # of the glued images); cache_stats only reads them, so the payload is the
     # same bytes with or without a snapshot, and after clear_caches every
     # count it reports is zero
     command = "cech --n 0 --weight-max 2 --format json"
@@ -386,7 +387,7 @@ def test_cache_stats_counts_a_cech_request_and_reads_zero_after_clear_caches():
     assert "affine.verma_basis" in stats["lru"]
     for name in ("modespace._apply_mono", "modespace.normal_forms", "p1tcdo._glue_table", "p1tcdo._glue_mono"):
         assert stats["lru"][name].currsize and stats["lru"][name].misses, name
-    for name in ("modespace._MONOS", "modespace._IDS", "modespace._REACH", "p1tcdo._GLUED_KEYS"):
+    for name in ("modespace._MONOS", "modespace._IDS", "modespace._REACH", "p1tcdo._SECTORS"):
         assert stats["containers"][name], name
     assert _payload_hash(command) == digest
     tcdo.clear_caches()

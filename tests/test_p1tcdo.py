@@ -12,6 +12,7 @@ from operator import mul
 
 import pytest
 
+import tcdo.modespace
 import tcdo.p1tcdo
 from tcdo import clear_caches
 from tcdo.modespace import (
@@ -211,14 +212,15 @@ def test_non_integer_sectors_never_reach_the_gluing():
 
 def test_clear_caches_empties_every_cache_and_the_sector_state():
     # a shape switched to interpolation and read in a new sector, then one
-    # clear_caches leaves every cache of every loaded module empty
+    # clear_caches leaves every cache of every loaded module empty, the
+    # intern table that holds the glued keys among them
     clear_caches()
     for n in range(-2, 3):
         glue(FreeState({Monomial(amodes=(-1,), bmodes=(-2,), power=2): 1}, POLY, n))
-    assert tcdo.p1tcdo._SECTORS and tcdo.p1tcdo._GLUED_KEYS
+    assert tcdo.p1tcdo._SECTORS and tcdo.modespace._MONOS
     assert tcdo.p1tcdo._SECTORS[((-1,), (-2,), ())] == [-2, -1] and _glue_table.cache_info().currsize
     clear_caches()
-    assert (tcdo.p1tcdo._SECTORS, tcdo.p1tcdo._GLUED_KEYS) == ({}, {})
+    assert (tcdo.p1tcdo._SECTORS, tcdo.modespace._MONOS) == ({}, [])
     cached = [
         (name, value)
         for name, module in sys.modules.items() if name.startswith("tcdo.")

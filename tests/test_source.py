@@ -61,7 +61,7 @@ def test_every_imported_name_is_used():
 ENGINE_CORE = {
     "modespace.py": (
         "_gen_mode_terms", "_contractions", "_head", "_apply_mono", "_ground_apply", "_act",
-        "_nonzero", "_intern", "_head_id", "_interned", "_pairs", "_act_ids", "_poles",
+        "_nonzero", "_intern", "_shared", "_head_id", "_interned", "_pairs", "_act_ids", "_poles",
     ),
     "p1tcdo.py": ("_glue_table", "_glue_mono"),
 }
@@ -173,30 +173,38 @@ def test_h0_scan_runs_on_the_integer_core():
 
 
 def test_every_public_function_has_a_package_caller():
-    # a public top-level function that nothing in the package reaches is
-    # either an unrun check or dead code; a test-only reference lives in
-    # tests/references.py instead.  A function of the package namespace
-    # itself (__init__.py, called as tcdo.name) is library API with no
-    # caller inside the package, so there a test must call it instead
+    # a public top-level function or public method of a class that nothing
+    # in the package reaches is either an unrun check or dead code; a
+    # test-only reference lives in tests/references.py instead.  A method is
+    # matched by attribute name (x.name) alone, whatever x is.  A function of
+    # the package namespace itself (__init__.py, called as tcdo.name) is
+    # library API with no caller inside the package, so there a test must
+    # call it instead
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
     assert trees, f"no sources under {SRC}"
     tests = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(Path(__file__).parent.glob("test_*.py"))]
     found = []
     for module, tree in trees.items():
         callers = tests if module == "__init__" else trees.values()
-        for fn in tree.body:
-            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+        # (definition, its name as reported, whether a bare name reaches it)
+        public = [(fn, fn.name, True) for fn in tree.body if isinstance(fn, ast.FunctionDef)] + [
+            (fn, f"{cls.name}.{fn.name}", False)
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, ast.FunctionDef)
+        ]
+        for fn, label, by_name in public:
+            if fn.name.startswith("_"):
                 continue
             own = {id(node) for node in ast.walk(fn)}
             referenced = any(
                 id(node) not in own
-                and (getattr(node, "id", None) == fn.name or getattr(node, "attr", None) == fn.name)
+                and (getattr(node, "attr", None) == fn.name or by_name and getattr(node, "id", None) == fn.name)
                 for other in callers
                 for node in ast.walk(other)
                 if isinstance(node, (ast.Name, ast.Attribute))
             )
             if not referenced:
-                found.append(f"{module}.{fn.name}")
+                found.append(f"{module}.{label}")
     assert found == []
 
 
@@ -301,7 +309,7 @@ def _unbounded(decorator) -> bool:
 # tcdo._containers names, which tcdo.cache_stats sizes too)
 MODULE_CACHES = {
     "modespace.py": ["_MONOS", "_IDS", "_REACH", "_HEADS", "_CREATED", "_CONTRACTED"],
-    "p1tcdo.py": ["_GLUED_KEYS", "_SECTORS"],
+    "p1tcdo.py": ["_SECTORS"],
 }
 
 
