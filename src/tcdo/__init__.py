@@ -4,17 +4,18 @@ differential operators on the projective line."""
 __version__ = "0.1.0"
 
 
-def _lru_caches() -> dict:
-    """Every lru_cache of the loaded modules, by "module.name", each listed
-    once under the module that defines it."""
-    import sys
+# every lru_cache of the package by "module.name", entered where it is
+# defined, so the cache hooks reach a cache whatever its module attribute is
+# later bound to (a test's recorder, say); filled as the modules load, never
+# by a request
+_REGISTERED: dict = {}
 
-    return {
-        f"{name[len(__name__) + 1:]}.{attr}": value
-        for name, module in list(sys.modules.items()) if name.startswith(__name__ + ".")
-        for attr, value in vars(module).items()
-        if hasattr(value, "cache_info") and value.__module__ == name
-    }
+
+def _registered(cache):
+    """Enter the lru_cache ``cache`` in ``_REGISTERED`` and return it: the
+    decorator above each ``@lru_cache`` of the package."""
+    _REGISTERED[f"{cache.__module__[len(__name__) + 1:]}.{cache.__name__}"] = cache
+    return cache
 
 
 def _containers() -> dict:
@@ -40,7 +41,7 @@ def clear_caches() -> None:
     loaded modules and every module-level cache container, so the next
     request starts cold and no memo keeps an id of a cleared intern
     table."""
-    for cache in _lru_caches().values():
+    for cache in _REGISTERED.values():
         cache.cache_clear()
     for state in _containers().values():
         state.clear()
@@ -52,6 +53,6 @@ def cache_stats() -> dict:
     {"containers": {"module.name": size}} for each module-level cache
     container (the intern table of ``modespace`` among them)."""
     return {
-        "lru": {name: cache.cache_info() for name, cache in _lru_caches().items()},
+        "lru": {name: cache.cache_info() for name, cache in _REGISTERED.items()},
         "containers": {name: len(state) for name, state in _containers().items()},
     }

@@ -40,6 +40,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache, partial
 
+from . import _registered
 from .linalg import LinearCombination, SpanTracker, _coefficient, _merge, rank
 from .modespace import VACUUM_MONO, _act
 from .p1tcdo import RAISING, SL2_BRACKETS, SL2_FORM, Chart, _sl2_currents, sections_bidegree
@@ -108,6 +109,7 @@ def highest_weight_vector(nu) -> PBWVector:
     return PBWVector({(): 1}, nu)
 
 
+@_registered
 @lru_cache(maxsize=None)
 def _straighten(word: tuple) -> tuple:
     """Sort a product of lowering operators into PBW order, inserting bracket
@@ -137,6 +139,7 @@ def _core_nu(nu):
     return nu.numerator if nu.denominator == 1 else nu
 
 
+@_registered
 @lru_cache(maxsize=None)
 def _act_word(gen: str, m: int, word: tuple, nu) -> tuple:
     """x_m applied to (word * hw), for nu as ``_core_nu`` gives it; returns
@@ -182,6 +185,7 @@ def act(gen: str, m: int, v: PBWVector) -> PBWVector:
 # -- PBW enumeration -----------------------------------------------------------
 
 
+@_registered
 @lru_cache(maxsize=None)
 def _negative_words(d: int) -> tuple:
     """All PBW words in strictly-negative modes of total depth exactly d."""
@@ -202,6 +206,7 @@ def _negative_words(d: int) -> tuple:
     return tuple(out)
 
 
+@_registered
 @lru_cache(maxsize=4096)
 def verma_basis(nu, d: int, mu) -> tuple:
     """PBW words spanning the (depth d, h-weight mu) bidegree of the Verma
@@ -256,6 +261,7 @@ def _t_image(k: int, word: tuple, nu) -> tuple:
     return tuple((w, c) for w, c in out.items() if c)
 
 
+@_registered
 @lru_cache(maxsize=None)
 def _central_image(k: int, word: tuple, nu) -> tuple:
     """The nonzero PBW term items of word * (2 T_k hw): the head mode of the

@@ -41,8 +41,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 
+from . import _registered
 from .linalg import _merge, kernel_basis, rank
-from .modespace import _act, _weight, linear_combination, normal_forms
+from .modespace import _act, _terms, _weight, linear_combination, normal_forms
 from .p1tcdo import RAISING, Chart, _glue_mono, _glue_table, _sl2_currents, sections_bidegree
 from .qseries import QSeries, char_H1, char_L, eta_inverse_squared
 from .reports import CheckReport
@@ -81,6 +82,7 @@ def mu_window(n: int, weight_max: int, factor: int = 1) -> range:
     return range(-bound, bound + 1)
 
 
+@_registered
 @lru_cache(maxsize=64)
 def _overlap_columns(weight: int) -> tuple:
     """The overlap columns of the blocks of one conformal weight:
@@ -95,6 +97,7 @@ def _overlap_columns(weight: int) -> tuple:
 # one entry per (shape, n) a request reads: 342 on `cech-scan`, 1215 at the
 # `cech --weight-max` ceiling of one n, and the blocks of one weight read
 # len(normal_forms(N)) of them (481 at weight 10)
+@_registered
 @lru_cache(maxsize=2048)
 def _glue_columns(shape: tuple, n: int) -> tuple:
     """``_glue_table(shape, n)`` over the overlap columns: ((column, diffs),
@@ -267,7 +270,7 @@ def scan_h0_sl2(n: int, weight_max: int):
                 sinf = [(mono, c.numerator * (den // c.denominator)) for mono, c in zip(basisinf, vec) if c]
                 glued = {}
                 for mono, c in sinf:
-                    _merge(glued, _glue_mono(mono, n), c)
+                    _merge(glued, _terms(_glue_mono(mono, n)), c)
                 s0 = [(mono, c) for mono, c in glued.items() if c]
                 halves.append(s0)
                 condition = {}
@@ -277,7 +280,7 @@ def scan_h0_sl2(n: int, weight_max: int):
                         if (gen, m) in RAISING:
                             condition.update(((gen, m, mo), c) for mo, c in img0.items())
                         for mono, c in _act(rhoinf[gen], m, sinf, n).items():
-                            _merge(img0, _glue_mono(mono, n), -c)
+                            _merge(img0, _terms(_glue_mono(mono, n)), -c)
                         rep.record(
                             not any(img0.values()),
                             f"(N={N}, mu={mu}) {gen}_({m}) image leaves ker delta",

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from . import affine, cech, modespace, p1tcdo, zhu
+from . import _registered, affine, cech, modespace, p1tcdo, zhu
 from .p1tcdo import Chart
 from .qseries import char_L
 from .reports import CheckReport
@@ -247,18 +247,21 @@ def cmd_affine_singular(args: argparse.Namespace):
 # weight (n = 0 took about 10 s at weight 8, 34 s at 9 and 107 s at 10 when
 # this was sized, n = 6 about 1.4x that; 38 s at weight 10 since the rank
 # pivots on the highest ground power first, 27 s and 411 MB since each mode
-# shape is glued once, and 14 s and 145 MB since G_- is read off the glue
-# tables by column), so weight 11 would pass 2 minutes per n when this was
-# sized; the limit has not been re-sized since.  Now,
+# shape is glued once, 14 s and 145 MB since G_- is read off the glue tables
+# by column, and 9-11 s and 110 MB, from 132 MB, since the engine and glue
+# memos hold flat term tuples), so weight 11 would pass 2 minutes per n when
+# this was sized; the limit has not been re-sized since.  Now,
 # one run each with the other flags at their defaults: affine singular 39 s at
 # weight 8, 4.3 s at depth 6 and 123 s at its sample ceiling; affine char
 # 2.5 s and verma-vs-sections 2.1 s at depth 7 (n = 0; 3.7 s at n = -3);
-# gluing 105 s and 346 MB, and its involution check's overlap basis grows fast
-# past weight 4; zhu 38 s and 86 MB at cutoff 60; verify-engine 12-14 s, but
-# its caches grow by about 36 MB per 1000 samples (392 MB at the ceiling,
-# 67 MB at 1000, since the engine keys its memo by interned monomial ids and
-# enters no action past the pole-order bound), so memory, not time, sets
-# that one.
+# gluing 59-71 s and 113 MB (188 MB before the flat term tuples), and its
+# involution check's overlap basis grows fast past weight 4; zhu 38 s and
+# 86 MB at cutoff 60; verify-engine 12-16 s, but its caches grow by about
+# 19 MB per 1000 samples (218 MB at the ceiling, 50 MB at 1000, since the
+# engine keys its memo by interned monomial ids, enters no action past the
+# pole-order bound and keeps each memoized term list as one flat tuple;
+# 36 MB per 1000, 392 MB and 67 MB with tuples of (key, coeff) pairs), so
+# memory, not time, sets that one.
 _COMMANDS = {
     ("verify-engine", None): (cmd_verify_engine, "mode-calculus property sweep, conformal weight <= 3",
                               {"samples": (10_000, "verify-engine draws"), "seed": None}),
@@ -384,6 +387,7 @@ def emit(args: argparse.Namespace, results, passed: bool, csv_rows) -> None:
 # -- argument parsing -----------------------------------------------------------
 
 
+@_registered
 @lru_cache(maxsize=1)  # the tree never changes, so it is built once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(

@@ -56,11 +56,16 @@ gluing (``_glue_table``), the H^0 scan and the word replay call, takes and
 returns (4-tuple, int) pairs, its output keyed by the table's shared tuples,
 which key the gluing's memoized images (``_glue_mono``) too (``_shared``);
 ``apply_mode`` and ``borcherds_sides`` intern their integer rows once and
-run every nested action on ids.  The gluing runs ``_act`` once per mode
-shape, at a few sample ground powers, and reads every other power off the
-interpolating polynomial: a ground power enters a structure constant only
-through the A_(0) contraction with the ground in ``_contractions``, which is
-linear in it.  ``Monomial`` is the validated form of the 4-tuple: a
+run every nested action on ids.  Every memoized term list, of
+``_apply_mono`` and of ``_glue_mono``, is one flat tuple (k0, c0, k1, c1,
+...) of the terms in their order, zero sums included where the recursion
+keeps them: ``_flat`` builds it and ``_terms`` reads it back as pairs
+(``zip`` over one iterator), so a cached term costs two references and no
+pair object of its own.  The gluing runs ``_act`` once per mode shape, at a
+few sample ground powers, and reads every other power off the interpolating
+polynomial: a ground power enters a structure constant only through the
+A_(0) contraction with the ground in ``_contractions``, which is linear in
+it.  ``Monomial`` is the validated form of the 4-tuple: a
 ``tuple`` subclass that equals and hashes as its fields, so the table finds
 plain tuples and monomials alike.  Validation and ``Fraction`` enter only at
 the public boundary: ``_state`` turns every output key of ``apply_mode``,
@@ -81,6 +86,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
 
+from . import _registered
 from .linalg import LinearCombination, _integer_row, _merge
 
 POLY = "poly"
@@ -203,6 +209,7 @@ def _partitions(budget: int, exact: bool):
     return rec((), budget, budget)
 
 
+@_registered
 @lru_cache(maxsize=64)
 def normal_forms(weight: int, tower: bool = False) -> tuple:
     """Every normal-form mode shape of conformal weight exactly ``weight``:
@@ -461,6 +468,24 @@ def _head(w: tuple):
     return None
 
 
+def _flat(pairs) -> tuple:
+    """(key, coefficient) pairs as one flat tuple (k0, c0, k1, c1, ...), in
+    their order: the form of every memoized term list, which holds two
+    references per term and no pair object.  Extending a list pair by pair
+    measured faster than ``tuple(chain.from_iterable(pairs))`` on the short
+    lists the engine builds."""
+    flat = []
+    for pair in pairs:
+        flat += pair
+    return tuple(flat)
+
+
+def _terms(flat: tuple):
+    """The (key, coefficient) pairs of a flat term tuple, in order."""
+    it = iter(flat)
+    return zip(it, it)
+
+
 def _exact_div(num: int, den: int) -> int:
     """num / den for a division that must come out whole; the zero remainder
     is the certificate, and a nonzero one raises instead of rounding."""
@@ -470,10 +495,11 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
+@_registered
 @lru_cache(maxsize=None)
 def _apply_mono(w: int, m: int, u: int, ls) -> tuple:
-    """w_(m) u for the monomials with ids w and u; returns ((id, int coeff),
-    ...)."""
+    """w_(m) u for the monomials with ids w and u, as the flat term tuple
+    (id, int coeff, id, int coeff, ...) (``_flat``)."""
     head = _head_id(w)
     if head is None:
         out = _ground_apply(_MONOS[w][3], m, u, ls)
@@ -490,13 +516,13 @@ def _apply_mono(w: int, m: int, u: int, ls) -> tuple:
         for j in range(_poles(tail, u, ls) - m):
             inner = _apply_mono(tail, m + j, u, ls)
             if inner:
-                _gen_mode_terms(out, gen, mode - j, inner, ls, math.comb(s + j - 1, j))
+                _gen_mode_terms(out, gen, mode - j, _terms(inner), ls, math.comb(s + j - 1, j))
         sign = -((-1) ** s)
         for j, mono, c in _contractions(gen, u, ls):
             if mode + m - j < _poles(tail, mono, ls):
                 inner = _apply_mono(tail, mode + m - j, mono, ls)
-                _merge(out, inner, sign * math.comb(s + j - 1, j) * c)
-    return tuple(out.items())
+                _merge(out, _terms(inner), sign * math.comb(s + j - 1, j) * c)
+    return _flat(out.items())
 
 
 def _ground_apply(k: int, m: int, u: int, ls) -> dict[int, int]:
@@ -532,7 +558,7 @@ def _ground_apply(k: int, m: int, u: int, ls) -> dict[int, int]:
         return {_intern(((), (), (), k + power)): 1}
     # x^k_(m) = (1/(-m-1)) (d(x^k))_(m+1)   with   d(x^k) = k B_(-2) x^(k-1)
     inner = _apply_mono(_intern(((), (-2,), (), k - 1)), m + 1, u, ls)
-    return {v: _exact_div(k * c, -m - 1) for v, c in inner}
+    return {v: _exact_div(k * c, -m - 1) for v, c in _terms(inner)}
 
 
 def _interned(terms) -> list[tuple[int, int]]:
@@ -552,7 +578,7 @@ def _act_ids(wterms, m: int, uterms, ls) -> dict[int, int]:
     out: dict[int, int] = {}
     for mw, cw in wterms:
         for mu, cu in uterms:
-            _merge(out, _apply_mono(mw, m, mu, ls), cw * cu)
+            _merge(out, _terms(_apply_mono(mw, m, mu, ls)), cw * cu)
     return out
 
 
@@ -602,7 +628,8 @@ def apply_mode(w: FreeState, m: int, u: FreeState) -> FreeState:
 def linear_combination(parts, ring: str = POLY, lstar: int | None = None) -> FreeState:
     """sum_i s_i t_i as one state, for (s_i, t_i) pairs of an int or
     ``Fraction`` scale and an iterable of (monomial, coefficient) pairs (a
-    state's ``terms.items()``, or an engine tuple).  The sum runs in one dict
+    state's ``terms.items()``, or the ``_terms`` of a flat engine tuple).  The
+    sum runs in one dict
     over the common denominator of the scales."""
     parts = [(s, terms) for s, terms in parts if s]
     den = math.lcm(*(s.denominator for s, _ in parts))

@@ -33,6 +33,7 @@ import math
 from operator import mul
 import random
 
+from . import _registered
 from .modespace import (
     GEN_A,
     GEN_B,
@@ -43,8 +44,10 @@ from .modespace import (
     Monomial,
     _act,
     _exact_div,
+    _flat,
     _head,
     _shared,
+    _terms,
     apply_mode,
     binom,
     gen_a,
@@ -104,6 +107,7 @@ def _differences(ys: list) -> tuple:
 _SECTORS: dict[tuple, list] = {}
 
 
+@_registered
 @lru_cache(maxsize=None)
 def _glue_table(shape: tuple, ls) -> tuple:
     """The glued image of the INFTY mode shape (amodes, bmodes, lmodes) of
@@ -152,7 +156,7 @@ def _glue_table(shape: tuple, ls) -> tuple:
             out = {((), (), (), (ls or 0) - k): 1}
         else:
             gen, m, tail = head
-            out = _act(_SYMBOLIC_IMAGES[gen], m, _glue_mono(tail, ls), ls)
+            out = _act(_SYMBOLIC_IMAGES[gen], m, _terms(_glue_mono(tail, ls)), ls)
         for (a, b, lm, power), c in out.items():
             values.setdefault((a, b, lm, power + k), [0] * samples)[k] = c
     return tuple((key, _differences(ys)) for key, ys in values.items())
@@ -160,22 +164,25 @@ def _glue_table(shape: tuple, ls) -> tuple:
 
 # entries after one request: 130 on `cech-scan` (cold and warm passes),
 # 1268 on `cech --n -4..4 --weight-max 7`, 6285 on `affine singular --n 0
-# --weight-max 7 --depth 5` (122 MB peak; 162 MB with a fresh tuple per
-# key) and 11,483 at its weight ceiling (677k hits)
+# --weight-max 7 --depth 5` (87 MB peak, 16.6 MB of them these images as
+# flat term tuples; 122 MB and 38.3 MB as tuples of (key, coeff) pairs, and
+# 162 MB with a fresh tuple per key as well) and 11,483 at its weight
+# ceiling (677k hits)
+@_registered
 @lru_cache(maxsize=16384)
 def _glue_mono(mono: tuple, ls) -> tuple:
-    """The glued image of one INFTY monomial 4-tuple of sector ls:
-    ((4-tuple, int coeff), ...), its shape's ``_glue_table`` evaluated at the
-    ground power, each key the intern table's own tuple (``_shared``), which
-    the engine's output keys and every other cached image share."""
+    """The glued image of one INFTY monomial 4-tuple of sector ls as the
+    flat term tuple (4-tuple, int coeff, 4-tuple, int coeff, ...)
+    (``_flat``): its shape's ``_glue_table`` evaluated at the ground power,
+    each key the intern table's own tuple (``_shared``), which the engine's
+    output keys and every other cached image share."""
     shape, k = mono[:3], mono[3]
     weights = [binom(k, i) for i in range(len(shape[0]) + 1)]
-    out = []
-    for (a, b, lm, q), diffs in _glue_table(shape, ls):
-        c = sum(map(mul, diffs, weights))
-        if c:
-            out.append((_shared((a, b, lm, q - k)), c))
-    return tuple(out)
+    return _flat(
+        (_shared((a, b, lm, q - k)), c)
+        for (a, b, lm, q), diffs in _glue_table(shape, ls)
+        if (c := sum(map(mul, diffs, weights)))
+    )
 
 
 def glue(u: FreeState) -> FreeState:
@@ -186,7 +193,7 @@ def glue(u: FreeState) -> FreeState:
     ground y^k of a residue-n state lands on x^(n - k), and of a symbolic
     state on x^(-k)."""
     return linear_combination(
-        ((c, _glue_mono(mono, u.lstar)) for mono, c in u.terms.items()),
+        ((c, _terms(_glue_mono(mono, u.lstar))) for mono, c in u.terms.items()),
         LAURENT,
         u.lstar,
     )

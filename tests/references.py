@@ -17,6 +17,7 @@ from tcdo.modespace import (
     Monomial,
     _act,
     _head,
+    _terms,
     apply_mode,
     binom,
     gen_a,
@@ -153,7 +154,7 @@ def ref_principal_delta(n: int, weight: int, mu: int):
     basisov = sorted(sections_bidegree(Chart.OVERLAP, n, weight, mu), key=lambda m: -m.power)
     index = {m: i for i, m in enumerate(basisov)}
     dim0 = sum(m.power >= 0 for m in basisov)
-    glued = ([(index[k], c) for k, c in _glue_mono(m, n)] for m in basisinf)
+    glued = ([(index[k], c) for k, c in _terms(_glue_mono(m, n))] for m in basisinf)
     return basisinf, basisov, dim0, [{i: c for i, c in pairs if i >= dim0} for pairs in glued]
 
 
@@ -168,7 +169,7 @@ def ref_delta_matrix(n: int, weight: int, mu: int):
     basisov = sorted(sections_bidegree(Chart.OVERLAP, n, weight, mu), key=lambda m: -m.power)
     index = {m: i for i, m in enumerate(basisov)}
     images = [{index[m]: 1} for m in basis0] + [
-        {index[k]: -c for k, c in _glue_mono(m, n)} for m in basisinf
+        {index[k]: -c for k, c in _terms(_glue_mono(m, n))} for m in basisinf
     ]
     return basis0, basisinf, basisov, images
 

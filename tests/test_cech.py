@@ -22,8 +22,9 @@ from tcdo.cech import (
 )
 from tcdo.affine import restricted_verma_dim
 import tcdo.linalg
+import tcdo.modespace
 from tcdo.linalg import _Echelon, _integer_row, kernel_basis, rank
-from tcdo.modespace import FreeState, Monomial, _shared, vacuum
+from tcdo.modespace import FreeState, Monomial, _flat, _shared, _terms, engine_property_suite, vacuum
 from tcdo.p1tcdo import Chart, glue, include_overlap, sections_bidegree
 from tcdo.qseries import QSeries, eta_inverse_squared
 
@@ -317,8 +318,8 @@ def test_scan_fails_on_a_corrupted_gluing(monkeypatch):
         calls.append(mono)
         if len(calls) != target:
             return out
-        (key, c), *rest = out
-        return ((key, c + 1), *rest)
+        (key, c), *rest = _terms(out)
+        return _flat([(key, c + 1), *rest])
 
     monkeypatch.setattr(tcdo.cech, "_glue_mono", corrupted)
     _, rep = scan_h0_sl2(0, 2)
@@ -364,9 +365,51 @@ def test_glued_keys_are_the_intern_tables_own_tuples(monkeypatch):
     scan_h0_sl2(0, 4)
     info = real.cache_info()
     assert info.currsize == len(calls)
-    keys = [key for mono, ls in calls for key, _ in real(mono, ls)]
+    keys = [key for mono, ls in calls for key, _ in _terms(real(mono, ls))]
     assert real.cache_info().misses == info.misses
     assert keys and [key for key in keys if type(key) is not tuple or _shared(key) is not key] == []
+
+
+def test_engine_and_glue_memos_hold_flat_term_tuples(monkeypatch):
+    # every value _apply_mono and _glue_mono cache during a property sweep
+    # and a scan, from cold caches, is one flat tuple (k0, c0, k1, c1, ...):
+    # an id of the intern table (_apply_mono) or the table's own tuple
+    # (_glue_mono) at each even slot, an int coefficient at each odd one,
+    # and no (key, coeff) pair object
+    tcdo.clear_caches()
+    engine, gluing = tcdo.modespace._apply_mono, tcdo.p1tcdo._glue_mono
+    calls = {engine: set(), gluing: set()}
+
+    def recording(real):
+        def call(*args):
+            calls[real].add(args)
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(tcdo.modespace, "_apply_mono", recording(engine))
+    monkeypatch.setattr(tcdo.cech, "_glue_mono", recording(gluing))
+    monkeypatch.setattr(tcdo.p1tcdo, "_glue_mono", recording(gluing))
+    assert all(rep.passed for rep in engine_property_suite(20, 1))
+    scan_h0_sl2(0, 4)
+    monos = tcdo.modespace._MONOS
+    key_ok = {
+        engine: lambda key: type(key) is int and 0 <= key < len(monos),
+        gluing: lambda key: type(key) is tuple and _shared(key) is key,
+    }
+    for real, seen in calls.items():
+        info = real.cache_info()
+        assert seen and info.currsize == len(seen), real.__name__
+        bad = []
+        for args in seen:
+            out = real(*args)
+            if not (
+                type(out) is tuple and len(out) % 2 == 0
+                and all(map(key_ok[real], out[::2]))
+                and all(type(c) is int for c in out[1::2])
+            ):
+                bad.append((args, out))
+        assert real.cache_info().misses == info.misses
+        assert bad == [], real.__name__
 
 
 def test_unstable_report_refuses_aggregates():

@@ -180,8 +180,8 @@ def test_check_borcherds_catches_one_wrong_structure_constant(monkeypatch):
     def faulty(w, m, u, ls):
         out = core(w, m, u, ls)
         if (w, m, u, ls) == target:
-            (mono, c), *rest = out
-            out = ((mono, c + 1), *rest)
+            (mono, c), *rest = modespace._terms(out)
+            out = modespace._flat([(mono, c + 1), *rest])
         return out
 
     monkeypatch.setattr(modespace, "_apply_mono", faulty)
@@ -595,7 +595,8 @@ def engine_cases(draw, weight_max):
 def _core(w, m, u, ls):
     """``_apply_mono`` on two monomials through the intern table: its
     (monomial 4-tuple, int) terms, in order."""
-    return [(modespace._MONOS[i], c) for i, c in _apply_mono(modespace._intern(w), m, modespace._intern(u), ls)]
+    out = _apply_mono(modespace._intern(w), m, modespace._intern(u), ls)
+    return [(modespace._MONOS[i], c) for i, c in modespace._terms(out)]
 
 
 @given(engine_cases(4))
@@ -777,7 +778,7 @@ def test_exact_division_certificate():
 
 def test_ground_apply_raises_on_inexact_division(monkeypatch):
     # (x^1)_(-3) x^0 divides k * c by 2; a fake inner coefficient of 1 is odd
-    odd = ((modespace._intern(Monomial(power=1)), 1),)
+    odd = modespace._flat([(modespace._intern(Monomial(power=1)), 1)])
     monkeypatch.setattr(modespace, "_apply_mono", lambda w, m, u, ls: odd)
     with pytest.raises(InexactDivisionError):
         modespace._ground_apply(1, -3, modespace._intern(Monomial()), None)

@@ -20,6 +20,7 @@ from tcdo.modespace import (
     POLY,
     FreeState,
     Monomial,
+    _terms,
     apply_mode,
     binom,
     gen_a,
@@ -119,7 +120,7 @@ def test_glue_shape_table_matches_the_per_power_recursion(ls):
         for amodes, bmodes, lmodes, _ in normal_forms(weight, ls is None):
             for k in powers:
                 mono = (amodes, bmodes, lmodes, k)
-                assert dict(_glue_mono(mono, ls)) == ref_glue_mono(mono, ls, memo), mono
+                assert dict(_terms(_glue_mono(mono, ls))) == ref_glue_mono(mono, ls, memo), mono
 
 
 # the integer sectors a shape is glued in before it switches to
@@ -174,7 +175,7 @@ def test_shared_glue_table_matches_the_per_n_tables(order):
                     c = sum(map(mul, weights, diffs))
                     if c:
                         want[(a, b, lm, q - k)] = c
-                assert dict(_glue_mono(shape + (k,), n)) == want, (shape, n, k)
+                assert dict(_terms(_glue_mono(shape + (k,), n))) == want, (shape, n, k)
     # no sector past the nodes was glued directly
     assert all(tcdo.p1tcdo._SECTORS[shape] == SECTOR_ORDERS[order][: len(shape[0]) + 1] for shape in SHAPES)
 
@@ -227,6 +228,31 @@ def test_clear_caches_empties_every_cache_and_the_sector_state():
         for value in vars(module).values() if hasattr(value, "cache_info")
     ]
     assert cached and [(name, v.__name__) for name, v in cached if v.cache_info().currsize] == []
+
+
+def test_clear_caches_reaches_caches_behind_a_recorder(monkeypatch):
+    # with recorders bound over the module names of _glue_mono and
+    # _apply_mono, a gluing fills both real caches through them, and
+    # clear_caches still empties both: each cache is registered where it is
+    # defined, so no memo outlives the intern table its keys index
+    clear_caches()
+    engine, gluing = tcdo.modespace._apply_mono, tcdo.p1tcdo._glue_mono
+    seen = []
+
+    def recording(real):
+        def call(*args):
+            seen.append(real)
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(tcdo.modespace, "_apply_mono", recording(engine))
+    monkeypatch.setattr(tcdo.p1tcdo, "_glue_mono", recording(gluing))
+    glue(FreeState({Monomial(amodes=(-1, -1), bmodes=(-2,), power=2): 1}, POLY, 1))
+    assert {engine, gluing} <= set(seen)
+    assert engine.cache_info().currsize and gluing.cache_info().currsize
+    clear_caches()
+    assert (engine.cache_info().currsize, gluing.cache_info().currsize) == (0, 0)
+    assert tcdo.modespace._MONOS == []
 
 
 def test_glue_is_weight_preserving_and_h_negating():

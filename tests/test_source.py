@@ -286,15 +286,29 @@ def test_the_glue_table_alone_owns_the_sector_state():
 # until it is bounded or listed, and bounding one takes it off the list
 UNBOUNDED_CACHES = {
     "affine.py": ["_straighten", "_act_word", "_negative_words", "_central_image"],
+    # _apply_mono stays unbounded (ROADMAP item 5): an LRU bound of 65,536 or
+    # 131,072 entries cost +16 to +64 % time on `verify-engine --samples
+    # 3000` and at the Cech ceiling (prototype S), and weight 10 alone needs
+    # 127k entries (prototype T).  Its entries shrink instead: as flat term
+    # tuples they hold 218 bytes each after the `engine-sweep` cold pass and
+    # 177 on `affine singular --n 0 --weight-max 7 --depth 5`, against 366
+    # and 264 as tuples of (key, coeff) pairs (tracemalloc, the memory that
+    # clearing the cache frees)
     "modespace.py": ["_apply_mono"],
     "p1tcdo.py": ["_glue_table"],
 }
 
 
+def _decorator_name(decorator):
+    """The name a decorator calls or is, as written: ``lru_cache`` for both
+    @lru_cache and @functools.lru_cache(...)."""
+    func = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(func, "id", None) or getattr(func, "attr", None)
+
+
 def _unbounded(decorator) -> bool:
     """Whether a decorator is functools.cache or an lru_cache with maxsize None."""
-    func = decorator.func if isinstance(decorator, ast.Call) else decorator
-    name = getattr(func, "id", None) or getattr(func, "attr", None)
+    name = _decorator_name(decorator)
     if name == "cache":
         return True
     if name != "lru_cache" or not isinstance(decorator, ast.Call):
@@ -311,6 +325,11 @@ MODULE_CACHES = {
     "modespace.py": ["_MONOS", "_IDS", "_REACH", "_HEADS", "_CREATED", "_CONTRACTED"],
     "p1tcdo.py": ["_SECTORS"],
 }
+
+# the package's registry of its lru_caches: filled as each module loads,
+# never by a request, so clear_caches empties the caches it holds and
+# must not empty the registry itself
+REGISTRIES = {"__init__.py": ["_REGISTERED"]}
 
 
 def _empty_container(value) -> bool:
@@ -329,12 +348,34 @@ def test_module_level_caches_are_the_listed_ones_and_clear_caches_empties_them()
             if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None and _empty_container(node.value):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 found.setdefault(path.name, []).extend(t.id for t in targets)
-    assert found == MODULE_CACHES
+    assert found == {**MODULE_CACHES, **REGISTRIES}
     tree = ast.parse((SRC / "__init__.py").read_text(), filename="__init__.py")
     (containers,) = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "_containers"]
     cleared = {node.attr for node in ast.walk(containers) if isinstance(node, ast.Attribute)}
+    named = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(containers)}
     assert sorted(name for names in MODULE_CACHES.values() for name in names if name not in cleared) == []
+    assert sorted(name for names in REGISTRIES.values() for name in names if name in named) == []
     assert "_containers" in _calls("__init__.py", "clear_caches")
+
+
+# every module-level lru_cache enters the registry where it is defined, by
+# the decorator above it, so clear_caches and cache_stats reach it even when
+# its module attribute is rebound
+def test_every_lru_cache_is_registered_where_it_is_defined():
+    import tcdo.cli  # the command layer loads every module of the package
+
+    found, unregistered = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            names = [_decorator_name(d) for d in fn.decorator_list]
+            if "lru_cache" in names or "cache" in names:
+                found.add(f"{path.stem}.{fn.name}")
+                if names[0] != "_registered":
+                    unregistered.append(f"{path.name}:{fn.lineno} {fn.name}")
+    assert found and unregistered == []
+    assert set(tcdo._REGISTERED) == found
 
 
 def test_unbounded_caches_are_the_listed_ones():
