@@ -10,6 +10,12 @@ __version__ = "0.1.0"
 # by a request
 _REGISTERED: dict = {}
 
+# every module-level cache container by "module.name", entered by its own
+# module beside the definitions: the node sectors each shape was glued in
+# (``p1tcdo``) and the intern table of ``modespace`` with its id-keyed memos;
+# the table also holds the keys of the gluing's memoized images
+_CONTAINERS: dict = {}
+
 
 def _registered(cache):
     """Enter the lru_cache ``cache`` in ``_REGISTERED`` and return it: the
@@ -18,22 +24,11 @@ def _registered(cache):
     return cache
 
 
-def _containers() -> dict:
-    """Every module-level cache container, by "module.name": the node
-    sectors each shape was glued in (``p1tcdo``) and the intern table of
-    ``modespace`` with its id-keyed memos; the table also holds the keys of
-    the gluing's memoized images."""
-    from . import modespace, p1tcdo
-
-    return {
-        "p1tcdo._SECTORS": p1tcdo._SECTORS,
-        "modespace._MONOS": modespace._MONOS,
-        "modespace._IDS": modespace._IDS,
-        "modespace._REACH": modespace._REACH,
-        "modespace._HEADS": modespace._HEADS,
-        "modespace._CREATED": modespace._CREATED,
-        "modespace._CONTRACTED": modespace._CONTRACTED,
-    }
+def _register_containers(module: str, **containers) -> None:
+    """Enter the cache containers of the module named ``module`` in
+    ``_CONTAINERS``, each by its name there."""
+    prefix = module[len(__name__) + 1:]
+    _CONTAINERS.update((f"{prefix}.{name}", state) for name, state in containers.items())
 
 
 def clear_caches() -> None:
@@ -43,7 +38,7 @@ def clear_caches() -> None:
     table."""
     for cache in _REGISTERED.values():
         cache.cache_clear()
-    for state in _containers().values():
+    for state in _CONTAINERS.values():
         state.clear()
 
 
@@ -54,5 +49,5 @@ def cache_stats() -> dict:
     container (the intern table of ``modespace`` among them)."""
     return {
         "lru": {name: cache.cache_info() for name, cache in _REGISTERED.items()},
-        "containers": {name: len(state) for name, state in _containers().items()},
+        "containers": {name: len(state) for name, state in _CONTAINERS.items()},
     }

@@ -17,8 +17,9 @@ intrinsic bidegree (N, -mu) over there.
 The gluing preserves the h-weight, so in one block each mode shape of
 ``normal_forms(N)`` fills exactly one overlap column, at the ground power its
 h-shift fixes, and the column order does not depend on n or mu.  G_- is read
-off each shape's cached glue table by column position (``_glue_columns``):
-no section monomial is built per block.
+off the glue tables of the shapes by column position, from one cached table
+per (n, N) that serves every mu (``_block_rows``): no section monomial is
+built per block.
 
 Depth slices alone are infinite (the ground polynomials are unbounded), so
 every aggregate q-character is taken over an explicit mu window whose
@@ -43,7 +44,7 @@ from operator import mul
 
 from . import _registered
 from .linalg import _merge, kernel_basis, rank
-from .modespace import _act, _terms, _weight, linear_combination, normal_forms
+from .modespace import _act, _terms, linear_combination, normal_forms
 from .p1tcdo import RAISING, Chart, _glue_mono, _glue_table, _sl2_currents, sections_bidegree
 from .qseries import QSeries, char_H1, char_L, eta_inverse_squared
 from .reports import CheckReport
@@ -82,39 +83,35 @@ def mu_window(n: int, weight_max: int, factor: int = 1) -> range:
     return range(-bound, bound + 1)
 
 
+# one entry per (n, weight) a request reads: 13 sectors x 11 weights = 143
+# cover every request the CLI accepts (n in -6..6, weight <= 10)
 @_registered
-@lru_cache(maxsize=64)
-def _overlap_columns(weight: int) -> tuple:
-    """The overlap columns of the blocks of one conformal weight:
-    ({shape: (column, h_shift)}, the negated h-shifts by column).  The
-    columns are the shapes of ``normal_forms(weight)`` by descending h-shift
-    (a stable sort), which is their order by descending ground power in every
-    block, whatever n and mu."""
-    forms = sorted(normal_forms(weight), key=lambda form: -form[3])
-    return {form[:3]: (i, form[3]) for i, form in enumerate(forms)}, [-form[3] for form in forms]
-
-
-# one entry per (shape, n) a request reads: 342 on `cech-scan`, 1215 at the
-# `cech --weight-max` ceiling of one n, and the blocks of one weight read
-# len(normal_forms(N)) of them (481 at weight 10)
-@_registered
-@lru_cache(maxsize=2048)
-def _glue_columns(shape: tuple, n: int) -> tuple:
-    """``_glue_table(shape, n)`` over the overlap columns: ((column, diffs),
-    ...) in the table's order.  h-weight is preserved, so the term keyed
-    (amodes', bmodes', lmodes', q) lands in every block in the column of its
-    shape, and only if q = n + (shift + shift')/2 for the h-shifts of the two
-    shapes; a term of any other shape or power (an LSTAR mode, say) leaves the
-    overlap basis and raises KeyError."""
-    place, _ = _overlap_columns(_weight(shape + (0,)))
-    shift = place[shape][1]
-    out = []
-    for key, diffs in _glue_table(shape, n):
-        column, target = place.get(key[:3], (None, None))
-        if column is None or 2 * (key[3] - n) != shift + target:
-            raise KeyError(f"the glued key {key} of shape {shape} in sector {n} leaves the overlap basis")
-        out.append((column, diffs))
-    return tuple(out)
+@lru_cache(maxsize=160)
+def _block_rows(n: int, weight: int) -> tuple:
+    """What every block (n, weight, mu) reads, whatever mu: (columns,
+    negated, rows).  ``columns`` are the normal forms (amodes, bmodes,
+    lmodes, shift) of ``normal_forms(weight)`` by descending h-shift (a
+    stable sort), their order by descending ground power in every block, and
+    ``negated`` their negated h-shifts.  ``rows``
+    hold (h-shift, len(amodes) + 1, ((column, diffs), ...)) for each shape of
+    ``normal_forms(weight)`` in its order: its ``_glue_table(shape, n)`` over
+    the columns.  h-weight is preserved, so a term keyed (amodes', bmodes',
+    lmodes', q) lands in the column of its shape, and only if q = n +
+    (shift + shift')/2 for the h-shifts of the two shapes; a term of any
+    other shape or power (an LSTAR mode, say) leaves the overlap basis and
+    raises KeyError."""
+    order = sorted(normal_forms(weight), key=lambda form: -form[3])
+    place = {form[:3]: (i, form[3]) for i, form in enumerate(order)}
+    rows = []
+    for form in normal_forms(weight):
+        glued = []
+        for key, diffs in _glue_table(form[:3], n):
+            column, target = place.get(key[:3], (None, None))
+            if column is None or 2 * (key[3] - n) != form[3] + target:
+                raise KeyError(f"the glued key {key} of shape {form[:3]} in sector {n} leaves the overlap basis")
+            glued.append((column, diffs))
+        rows.append((form[3], len(form[0]) + 1, tuple(glued)))
+    return tuple(order), [-form[3] for form in order], tuple(rows)
 
 
 def _delta_matrix(n: int, weight: int, mu: int):
@@ -129,27 +126,28 @@ def _delta_matrix(n: int, weight: int, mu: int):
     monomial per shape of ``normal_forms(weight)``, of ground power
     (n + shift - mu)/2, the infinity basis has one per shape with
     k = (n + shift + mu)/2 >= 0, and the glued image of that one is its
-    shape's ``_glue_columns`` evaluated at k, so no monomial is built.  The
-    columns number the overlap basis by descending ground power, so the
-    zero-chart monomials (shift >= mu - n) come first and ``rank``, which
-    pivots on the lowest column, eliminates the highest ground power first.
-    Over the blocks of ``cech_dims(0, 9)`` this keeps 106320 nonzero entries
-    in the echelon rows where the order of ``sections_bidegree`` keeps
-    142097.  The kernel vectors of ``cech_kernel`` do not depend on it."""
+    shape's row of ``_block_rows(n, weight)`` evaluated at k, so no monomial
+    is built.  The columns number the overlap basis by descending ground
+    power, so the zero-chart monomials (shift >= mu - n) come first and
+    ``rank``, which pivots on the lowest column, eliminates the highest
+    ground power first.  Over the blocks of ``cech_dims(0, 9)`` this keeps
+    106320 nonzero entries in the echelon rows where the order of
+    ``sections_bidegree`` keeps 142097.  The kernel vectors of
+    ``cech_kernel`` do not depend on it."""
     if (n - mu) % 2:
         return 0, 0, []
-    place, negated = _overlap_columns(weight)
+    _, negated, rows = _block_rows(n, weight)
     dim0 = bisect_right(negated, n - mu)
     principal = []
-    for amodes, bmodes, lmodes, shift in normal_forms(weight):
+    for shift, samples, glued in rows:
         k = (n + shift + mu) // 2
         if k >= 0:
-            weights = [math.comb(k, i) for i in range(len(amodes) + 1)]
+            weights = [math.comb(k, i) for i in range(samples)]
             principal.append({
-                column: c for column, diffs in _glue_columns((amodes, bmodes, lmodes), n)
+                column: c for column, diffs in glued
                 if column >= dim0 and (c := sum(map(mul, diffs, weights)))
             })
-    return len(place), dim0, principal
+    return len(negated), dim0, principal
 
 
 def cech_block(n: int, weight: int, mu: int) -> dict:

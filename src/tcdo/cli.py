@@ -243,25 +243,16 @@ def cmd_affine_singular(args: argparse.Namespace):
 # command accepts no other numeric flag.  A ceiling, (limit, what runs up to
 # it) or None, is checked in row order before any work starts.  Each is sized
 # so that one small n at it finishes within about two minutes on a 2-core
-# Xeon, and n = 6 costs 2-3x that.  A cech n costs about 3.5x more per unit of
-# weight (n = 0 took about 10 s at weight 8, 34 s at 9 and 107 s at 10 when
-# this was sized, n = 6 about 1.4x that; 38 s at weight 10 since the rank
-# pivots on the highest ground power first, 27 s and 411 MB since each mode
-# shape is glued once, 14 s and 145 MB since G_- is read off the glue tables
-# by column, and 9-11 s and 110 MB, from 132 MB, since the engine and glue
-# memos hold flat term tuples), so weight 11 would pass 2 minutes per n when
-# this was sized; the limit has not been re-sized since.  Now,
-# one run each with the other flags at their defaults: affine singular 39 s at
-# weight 8, 4.3 s at depth 6 and 123 s at its sample ceiling; affine char
-# 2.5 s and verma-vs-sections 2.1 s at depth 7 (n = 0; 3.7 s at n = -3);
-# gluing 59-71 s and 113 MB (188 MB before the flat term tuples), and its
-# involution check's overlap basis grows fast past weight 4; zhu 38 s and
-# 86 MB at cutoff 60; verify-engine 12-16 s, but its caches grow by about
-# 19 MB per 1000 samples (218 MB at the ceiling, 50 MB at 1000, since the
-# engine keys its memo by interned monomial ids, enters no action past the
-# pole-order bound and keeps each memoized term list as one flat tuple;
-# 36 MB per 1000, 392 MB and 67 MB with tuples of (key, coeff) pairs), so
-# memory, not time, sets that one.
+# Xeon, and n = 6 costs 2-3x that.  One run at each ceiling, n = 0 and the
+# other flags at their defaults (Python 3.11.7, 2-core Xeon): verify-engine
+# 15 s and 218 MB, where memory, not time, sets the limit (its caches grow by
+# about 19 MB per 1000 samples); zhu 29 s and 82 MB; gluing 72 s and 114 MB
+# at its sample ceiling, and 0.2 s and 23 MB at weight 4 (the involution
+# check's overlap basis grows fast past it); cech 9.8 s and 110 MB; affine
+# singular 38 s and 157 MB at weight 8, 3.6 s and 54 MB at depth 6, and
+# 165-202 s and 44 MB, past the two minutes, at its sample ceiling; affine
+# char 1.2 s and 41 MB, and verma-vs-sections 1.6 s and 45 MB (2.2 s and
+# 62 MB at n = -3), at depth 7.
 _COMMANDS = {
     ("verify-engine", None): (cmd_verify_engine, "mode-calculus property sweep, conformal weight <= 3",
                               {"samples": (10_000, "verify-engine draws"), "seed": None}),

@@ -17,8 +17,8 @@ The caller chooses the numbering of the columns, and with it the pivot
 order, which sets how much fill elimination creates.  A rank or a dimension
 does not depend on it, so a caller that reads only those may number its
 columns for the least fill: ``affine._span_columns`` and
-``cech._overlap_columns`` (the columns of ``cech._delta_matrix``, by
-descending ground power) number the leading term lowest, to be pivoted on
+``cech._block_rows`` (the columns of ``cech._delta_matrix``, by descending
+ground power) number the leading term lowest, to be pivoted on
 first, and each states its order with its measured fill.  The residuals and
 kernel vectors returned do depend on the numbering.
 

@@ -33,7 +33,7 @@ import math
 from operator import mul
 import random
 
-from . import _registered
+from . import _register_containers, _registered
 from .modespace import (
     GEN_A,
     GEN_B,
@@ -105,6 +105,7 @@ def _differences(ys: list) -> tuple:
 
 # the integer sectors each shape was glued in directly: its interpolation nodes
 _SECTORS: dict[tuple, list] = {}
+_register_containers(__name__, _SECTORS=_SECTORS)
 
 
 @_registered

@@ -23,6 +23,7 @@ from tcdo.modespace import (
     gen_a,
     gen_lstar,
     linear_combination,
+    normal_forms,
     vacuum,
     zero,
 )
@@ -30,6 +31,7 @@ from tcdo.p1tcdo import (
     _SYMBOLIC_IMAGES,
     Chart,
     _glue_mono,
+    _glue_table,
     glue,
     include_overlap,
     sections_bidegree,
@@ -156,6 +158,46 @@ def ref_principal_delta(n: int, weight: int, mu: int):
     dim0 = sum(m.power >= 0 for m in basisov)
     glued = ([(index[k], c) for k, c in _terms(_glue_mono(m, n))] for m in basisinf)
     return basisinf, basisov, dim0, [{i: c for i, c in pairs if i >= dim0} for pairs in glued]
+
+
+def ref_overlap_columns(weight: int) -> tuple:
+    """The overlap columns of the blocks of one conformal weight:
+    ({shape: (column, h_shift)}, the negated h-shifts by column).  The
+    columns are the shapes of ``normal_forms(weight)`` by descending h-shift
+    (a stable sort), which is their order by descending ground power in every
+    block, whatever n and mu."""
+    forms = sorted(normal_forms(weight), key=lambda form: -form[3])
+    return {form[:3]: (i, form[3]) for i, form in enumerate(forms)}, [-form[3] for form in forms]
+
+
+def ref_glue_columns(shape: tuple, n: int) -> tuple:
+    """``_glue_table(shape, n)`` over the overlap columns: ((column, diffs),
+    ...) in the table's order.  A term keyed (amodes', bmodes', lmodes', q)
+    lands in the column of its shape only if q = n + (shift + shift')/2 for
+    the h-shifts of the two shapes; any other term raises KeyError."""
+    place, _ = ref_overlap_columns(Monomial(*shape).weight)
+    shift = place[shape][1]
+    out = []
+    for key, diffs in _glue_table(shape, n):
+        column, target = place.get(key[:3], (None, None))
+        if column is None or 2 * (key[3] - n) != shift + target:
+            raise KeyError(f"the glued key {key} of shape {shape} in sector {n} leaves the overlap basis")
+        out.append((column, diffs))
+    return tuple(out)
+
+
+def ref_block_rows(n: int, weight: int) -> tuple:
+    """``cech._block_rows`` assembled shape by shape, as the blocks read it
+    before it was one table per (n, weight): the columns and negated shifts
+    of ``ref_overlap_columns(weight)``, and for each shape of
+    ``normal_forms(weight)`` its h-shift, sample count and
+    ``ref_glue_columns(shape, n)``."""
+    place, negated = ref_overlap_columns(weight)
+    rows = tuple(
+        (shift, len(amodes) + 1, ref_glue_columns((amodes, bmodes, lmodes), n))
+        for amodes, bmodes, lmodes, shift in normal_forms(weight)
+    )
+    return tuple(shape + (shift,) for shape, (_, shift) in place.items()), negated, rows
 
 
 def ref_delta_matrix(n: int, weight: int, mu: int):

@@ -8,9 +8,8 @@ import tcdo.p1tcdo
 from tcdo.cech import (
     BigradedReport,
     StabilityError,
+    _block_rows,
     _delta_matrix,
-    _glue_columns,
-    _overlap_columns,
     cech_block,
     cech_dims,
     cech_kernel,
@@ -30,6 +29,7 @@ from tcdo.qseries import QSeries, eta_inverse_squared
 
 from references import (
     rank_nullity_consistent,
+    ref_block_rows,
     ref_cech_dims,
     ref_cech_kernel,
     ref_check_sl2_stability,
@@ -119,19 +119,22 @@ def test_delta_matrix_matches_the_state_path():
 
 def test_overlap_order_keeps_every_rank():
     # every block of `tcdo cech --n -4..4 --weight-max 4` (doubled window):
-    # the overlap basis in the column order of _overlap_columns, as
-    # _delta_matrix numbers it, is sorted by descending ground power, puts the
-    # zero-chart monomials first, and G_- over it has the rank it has over
-    # the basis in the order of sections_bidegree
+    # the overlap basis in the column order of _block_rows, as _delta_matrix
+    # numbers it, is sorted by descending ground power, puts the zero-chart
+    # monomials first, and G_- over it has the rank it has over the basis in
+    # the order of sections_bidegree
     blocks = 0
     for n in range(-4, 5):
         for N in range(5):
-            place, _ = _overlap_columns(N)
-            assert [column for column, _ in place.values()] == list(range(len(place)))
+            columns, negated, rows = _block_rows(n, N)
+            assert len(set(columns)) == len(columns) == len(rows)
+            assert negated == [-shift for *_, shift in columns]
+            assert all(0 <= column < len(columns) for *_, glued in rows for column, _ in glued)
             for mu in mu_window(n, 4, 2):
                 dim_overlap, dim0, principal = _delta_matrix(n, N, mu)
                 basisov = [
-                    Monomial(*shape, (n + shift - mu) // 2) for shape, (_, shift) in place.items()
+                    Monomial(amodes, bmodes, lmodes, (n + shift - mu) // 2)
+                    for amodes, bmodes, lmodes, shift in columns
                 ][:dim_overlap]
                 plain = {m: i for i, m in enumerate(sections_bidegree(Chart.OVERLAP, n, N, mu))}
                 assert sorted(plain) == sorted(basisov)
@@ -187,14 +190,24 @@ def test_delta_matrix_rejects_a_glued_key_outside_the_overlap_basis(monkeypatch,
     # the vacuum shape's table in sector 0 glues to the stray term alone; the
     # column view, built from the patched table, refuses it
     monkeypatch.setattr(tcdo.cech, "_glue_table", lambda shape, ls: ((stray, (1,)),))
-    _glue_columns.cache_clear()
+    _block_rows.cache_clear()
     try:
         with pytest.raises(KeyError):
             _delta_matrix(0, 0, 0)
         with pytest.raises(KeyError):
             cech_block(0, 0, 0)
     finally:
-        _glue_columns.cache_clear()
+        _block_rows.cache_clear()
+
+
+def test_block_rows_match_the_per_shape_columns():
+    # the certificate of the block table: for n = -6..6 and weight <= 5 it
+    # holds the column numbering, negated shifts and rows that the overlap
+    # columns of each weight and the glue table of each shape mapped onto
+    # them give, shape by shape
+    for n in range(-6, 7):
+        for N in range(6):
+            assert _block_rows(n, N) == ref_block_rows(n, N), (n, N)
 
 
 def test_delta_matrix_matches_the_monomial_path():

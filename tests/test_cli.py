@@ -487,6 +487,16 @@ def test_cech_weight_max_above_limit_returns_2(monkeypatch, capsys):
     assert f"--weight-max {CECH_WEIGHT_MAX}" in err and f"got {too_deep}" in err
 
 
+def test_the_block_table_holds_every_block_family_the_cli_accepts():
+    # cech._block_rows keeps one entry per (n, weight): every n that
+    # parse_n_spec accepts, at every weight up to the --weight-max ceiling
+    # of a command that reads Cech blocks, fits in it without an eviction,
+    # so raising a ceiling fails here until the table is re-sized
+    lo, hi = parse_n_spec.__defaults__
+    weight_max = max(CECH_WEIGHT_MAX, CEILINGS["affine", "singular", "weight_max"][0])
+    assert tcdo.cech._block_rows.cache_info().maxsize >= (hi - lo + 1) * (weight_max + 1)
+
+
 def test_cech_weight_max_at_limit_reaches_the_scan(monkeypatch, capsys):
     # the scan at the limit takes minutes, so a stand-in records the call
     # and stops it once the guard has let it through

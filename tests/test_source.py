@@ -84,10 +84,9 @@ def test_engine_core_never_builds_a_monomial():
 
 
 # the intern table and the functions on its ids stay inside modespace: no
-# other module imports or reads one (tcdo._containers, behind the package's
-# cache hooks, only names the table to empty and size it), and _act, the
-# boundary the gluing, the H^0 scan and the word replay call, returns plain
-# 4-tuple keys
+# other module imports or reads one (modespace enters its containers in the
+# package's cache hooks itself), and _act, the boundary the gluing, the H^0
+# scan and the word replay call, returns plain 4-tuple keys
 ID_LEVEL = {
     "_MONOS", "_IDS", "_REACH", "_HEADS", "_CREATED", "_CONTRACTED",
     "_intern", "_head_id", "_interned", "_pairs", "_act_ids",
@@ -103,12 +102,10 @@ def test_ids_never_leave_the_mode_engine():
         if path.name == "modespace.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
-        hooks = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "_containers"]
-        allowed = {id(node) for fn in hooks for node in ast.walk(fn)} if path.name == "__init__.py" else set()
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 names = {alias.name for alias in node.names}
-            elif isinstance(node, ast.Attribute) and id(node) not in allowed:
+            elif isinstance(node, ast.Attribute):
                 names = {node.attr}
             else:
                 continue
@@ -140,9 +137,9 @@ DELTA_FORBIDDEN = {
 
 
 def test_delta_matrix_builds_no_states():
-    assert {"_overlap_columns", "_glue_columns", "normal_forms"} <= _calls("cech.py", "_delta_matrix")
-    assert {"_overlap_columns", "_glue_table"} <= _calls("cech.py", "_glue_columns")
-    for name in ("cech_block", "_delta_matrix", "_glue_columns", "_overlap_columns"):
+    assert "_block_rows" in _calls("cech.py", "_delta_matrix")
+    assert {"normal_forms", "_glue_table"} <= _calls("cech.py", "_block_rows")
+    for name in ("cech_block", "_delta_matrix", "_block_rows"):
         assert sorted(_calls("cech.py", name) & DELTA_FORBIDDEN) == [], name
 
 
@@ -267,8 +264,8 @@ def test_zhu_classes_are_read_off_without_the_engine():
 
 # the node sectors of each shape have one owner: the cached glue table decides
 # there whether a sector is glued or interpolated, and the per-monomial cache
-# above it keeps no sector state (tcdo._containers only names the dict, so
-# clear_caches can empty it)
+# above it keeps no sector state (p1tcdo enters the dict in the package's
+# cache hooks beside its definition, so clear_caches can empty it)
 def test_the_glue_table_alone_owns_the_sector_state():
     found = set()
     for path in sorted(SRC.glob("*.py")):
@@ -279,7 +276,7 @@ def test_the_glue_table_alone_owns_the_sector_state():
             ):
                 found.add((path.name, fn.name))
     assert ("p1tcdo.py", "_glue_mono") not in found
-    assert found == {("p1tcdo.py", "_glue_table"), ("__init__.py", "_containers")}
+    assert found == {("p1tcdo.py", "_glue_table")}
 
 
 # every module-level function cached without a bound; a new one fails here
@@ -319,17 +316,17 @@ def _unbounded(decorator) -> bool:
 
 # every module-level dict, list or set bound empty: mutable state that grows
 # with the requests, like a cache; a new one fails here until it is listed,
-# and tcdo.clear_caches must empty each listed one (it empties what
-# tcdo._containers names, which tcdo.cache_stats sizes too)
+# and each listed one must be entered in tcdo._CONTAINERS, which
+# tcdo.clear_caches empties and tcdo.cache_stats sizes
 MODULE_CACHES = {
     "modespace.py": ["_MONOS", "_IDS", "_REACH", "_HEADS", "_CREATED", "_CONTRACTED"],
     "p1tcdo.py": ["_SECTORS"],
 }
 
-# the package's registry of its lru_caches: filled as each module loads,
-# never by a request, so clear_caches empties the caches it holds and
-# must not empty the registry itself
-REGISTRIES = {"__init__.py": ["_REGISTERED"]}
+# the package's registries of its lru_caches and its cache containers:
+# filled as each module loads, never by a request, so clear_caches empties
+# the caches they hold and must not empty a registry itself
+REGISTRIES = {"__init__.py": ["_REGISTERED", "_CONTAINERS"]}
 
 
 def _empty_container(value) -> bool:
@@ -349,13 +346,17 @@ def test_module_level_caches_are_the_listed_ones_and_clear_caches_empties_them()
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 found.setdefault(path.name, []).extend(t.id for t in targets)
     assert found == {**MODULE_CACHES, **REGISTRIES}
-    tree = ast.parse((SRC / "__init__.py").read_text(), filename="__init__.py")
-    (containers,) = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "_containers"]
-    cleared = {node.attr for node in ast.walk(containers) if isinstance(node, ast.Attribute)}
-    named = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(containers)}
-    assert sorted(name for names in MODULE_CACHES.values() for name in names if name not in cleared) == []
-    assert sorted(name for names in REGISTRIES.values() for name in names if name in named) == []
-    assert "_containers" in _calls("__init__.py", "clear_caches")
+    import tcdo.cli  # the command layer loads every module of the package
+
+    listed = {f"{filename[:-3]}.{name}": name for filename, names in MODULE_CACHES.items() for name in names}
+    assert set(tcdo._CONTAINERS) == set(listed)
+    for key, state in tcdo._CONTAINERS.items():
+        assert state is getattr(sys.modules[f"tcdo.{key.split('.')[0]}"], listed[key]), key
+    tcdo.cech.cech_block(0, 2, 0)
+    assert all(tcdo._CONTAINERS[key] for key in ("modespace._MONOS", "p1tcdo._SECTORS"))
+    tcdo.clear_caches()
+    assert [key for key, state in tcdo._CONTAINERS.items() if state] == []
+    assert tcdo._REGISTERED and set(tcdo._CONTAINERS) == set(listed)
 
 
 # every module-level lru_cache enters the registry where it is defined, by
