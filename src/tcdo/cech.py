@@ -122,9 +122,10 @@ def _delta_matrix(n: int, weight: int, mu: int):
     < dim0.
 
     The gluing preserves the h-weight, and every h-shift is even.  So both
-    bases are empty when n - mu is odd.  Otherwise the overlap basis has one
-    monomial per shape of ``normal_forms(weight)``, of ground power
-    (n + shift - mu)/2, the infinity basis has one per shape with
+    bases are empty when n - mu is odd.  Otherwise, by the rule of
+    ``sections_bidegree`` that this arithmetic follows inline, the overlap
+    basis has one monomial per shape of ``normal_forms(weight)``, of ground
+    power (n + shift - mu)/2, the infinity basis has one per shape with
     k = (n + shift + mu)/2 >= 0, and the glued image of that one is its
     shape's row of ``_block_rows(n, weight)`` evaluated at k, so no monomial
     is built.  The columns number the overlap basis by descending ground

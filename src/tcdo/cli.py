@@ -182,7 +182,7 @@ def cmd_affine_verma_vs_sections(args: argparse.Namespace):
             rep.details["statement"] = "image dimensions equal the irreducible quotient's"
         # the free lambda*-tower lines the raw PBW count up with the sections
         for (d, mu), (raw, *_) in sorted(table.items()):
-            unclamped = p1tcdo.unclamped_sections_dim(Chart.ZERO, n, d, mu)
+            unclamped = len(p1tcdo.sections_bidegree(Chart.ZERO, n, d, mu, tower=True))
             rep.record(
                 raw == unclamped,
                 f"(d={d}, mu={mu}): raw PBW {raw} != unclamped sections {unclamped}",
@@ -250,9 +250,8 @@ def cmd_affine_singular(args: argparse.Namespace):
 # at its sample ceiling, and 0.2 s and 23 MB at weight 4 (the involution
 # check's overlap basis grows fast past it); cech 9.8 s and 110 MB; affine
 # singular 38 s and 157 MB at weight 8, 3.6 s and 54 MB at depth 6, and
-# 165-202 s and 44 MB, past the two minutes, at its sample ceiling; affine
-# char 1.2 s and 41 MB, and verma-vs-sections 1.6 s and 45 MB (2.2 s and
-# 62 MB at n = -3), at depth 7.
+# 94-98 s and 43 MB at its sample ceiling; affine char 1.2 s and 41 MB, and
+# verma-vs-sections 1.6 s and 45 MB (2.2 s and 62 MB at n = -3), at depth 7.
 _COMMANDS = {
     ("verify-engine", None): (cmd_verify_engine, "mode-calculus property sweep, conformal weight <= 3",
                               {"samples": (10_000, "verify-engine draws"), "seed": None}),
@@ -270,7 +269,7 @@ _COMMANDS = {
     ("affine", "singular"): (cmd_affine_singular, "singular vectors: H^0 vs PBW",
                              {"weight_max": (8, "affine singular scans H^0"),
                               "depth_max": (6, "affine singular scans the Verma module"),
-                              "samples": (500_000, "affine singular draws"), "seed": None}),
+                              "samples": (250_000, "affine singular draws"), "seed": None}),
 }
 
 

@@ -20,8 +20,10 @@ of a residue-n state to x^(n-j), and of a symbolic state to x^(-j).  Glued
 coefficients of a shape with d A-modes have degree <= d in (j, n): a shape is
 glued in d + 1 integer sectors and interpolated in n for all the others.
 
-Section bases of one bidegree are read off the walk ``modespace.normal_forms``;
-only the ground power that lands on the h-weight depends on the chart.
+Every section basis of one bidegree is ``sections_bidegree``, read off the
+walk ``modespace.normal_forms`` with the lambda*-tower clamped to the residue
+or left free (``tower``); only the ground power that lands on the h-weight
+depends on the chart.
 """
 
 from __future__ import annotations
@@ -242,21 +244,10 @@ def check_gluing_morphism(twist: int | None, samples: int = 100, seed: int = 42)
     return rep
 
 
-def overlap_basis(weight_max: int, h_bound: int, lstar: int | None = None):
-    """All overlap normal-form monomials with weight <= weight_max and
-    |twist-free h-weight| <= h_bound."""
-    out = []
-    for weight in range(weight_max + 1):
-        for amodes, bmodes, lmodes, shift in normal_forms(weight, lstar is None):
-            # |shift - 2k| <= h_bound
-            for k in range((shift - h_bound + 1) // 2, (shift + h_bound) // 2 + 1):
-                out.append(Monomial(amodes, bmodes, lmodes, k))
-    return out
-
-
 def check_involution(twist: int | None, weight_max: int = 4) -> CheckReport:
     """glue after its mirror is the identity on every overlap basis monomial
-    of sector ``twist`` with weight <= weight_max and |h-weight| <=
+    of sector ``twist`` (``sections_bidegree``, the tower left free in the
+    symbolic sector) with weight <= weight_max and |twist-free h-weight| <=
     2 weight_max + 4.  The mirror is the same formula with the letters
     exchanged, hence the same table in the shared representation, so the
     round trip glues twice.  Specialized sections round-trip through the
@@ -264,9 +255,11 @@ def check_involution(twist: int | None, weight_max: int = 4) -> CheckReport:
     sheaf are identified by x^n, not by 1)."""
     rep = CheckReport("gluing-involution", details={"weight_max": weight_max})
     h_bound = 2 * weight_max + 4
-    for mono in overlap_basis(weight_max, h_bound, twist):
-        u = FreeState({mono: 1}, LAURENT, twist)
-        rep.record(glue(glue(u)) == u, f"round trip of {mono.render()}")
+    for weight in range(weight_max + 1):
+        for mu in range(-h_bound, h_bound + 1):
+            for mono in sections_bidegree(Chart.OVERLAP, 0, weight, mu, twist is None):
+                u = FreeState({mono: 1}, LAURENT, twist)
+                rep.record(glue(glue(u)) == u, f"round trip of {mono.render()}")
     return rep
 
 
@@ -373,35 +366,21 @@ def sugawara_zero_mode_value(n: int) -> Fraction:
 # -- section spaces ---------------------------------------------------------------
 
 
-def _ground_power(chart: Chart, shift: int, mu: int) -> int | None:
-    """The ground exponent k with h-weight shift - 2k = mu, or None when
-    there is none on the chart (parity, or k < 0 on a polynomial chart)."""
-    k, odd = divmod(shift - mu, 2)
-    if odd or (k < 0 and chart is not Chart.OVERLAP):
-        return None
-    return k
-
-
-def sections_bidegree(chart: Chart, n: int, weight: int, mu: int):
-    """Normal-form monomial basis of the chart sections of the degree-n sheaf,
-    residue-n specialized, at one exact (weight, h-weight) bidegree: each
-    A/B mode shape of ``normal_forms(weight)``, in its order, with the one
-    ground power that lands on mu.  The basis is a list of ``Monomial``s with
-    no LSTAR modes; the state of one is ``FreeState({m: 1}, chart.ring, n)``."""
+def sections_bidegree(chart: Chart, n: int, weight: int, mu: int, tower: bool = False):
+    """Normal-form monomial basis of the chart sections of the degree-n sheaf
+    at one exact (weight, h-weight) bidegree: each mode shape of
+    ``normal_forms(weight, tower)``, in its order, at the one ground power
+    k = (n + shift - mu)/2 that lands on mu, where n + shift - mu is even and
+    k >= 0 (any k on the overlap).  The basis is a list of ``Monomial``s; the
+    state of one is ``FreeState({m: 1}, chart.ring, n)``.  Without the tower
+    the monomials carry no LSTAR modes: the lambda*-tower is clamped to the
+    residue n, and the spaces line up with the central quotient of the
+    Verma module.  With it they keep the LSTAR modes of their shapes, the
+    tower is left free, and the counts line up with raw PBW counts in the
+    Verma module itself."""
     out = []
-    for amodes, bmodes, _, shift in normal_forms(weight):
-        k = _ground_power(chart, n + shift, mu)
-        if k is not None:
-            out.append(Monomial(amodes, bmodes, (), k))
+    for amodes, bmodes, lmodes, shift in normal_forms(weight, tower):
+        k, odd = divmod(n + shift - mu, 2)
+        if not odd and (k >= 0 or chart is Chart.OVERLAP):
+            out.append(Monomial(amodes, bmodes, lmodes, k))
     return out
-
-
-def unclamped_sections_dim(chart: Chart, n: int, weight: int, mu: int) -> int:
-    """Monomial count at one bidegree with the central lambda*-tower left
-    free instead of clamped to the residue n.  The free tower restores the
-    third mode family, which is what lines up with raw PBW counts in the
-    Verma module (the clamped spaces line up with its central quotient)."""
-    return sum(
-        _ground_power(chart, n + shift, mu) is not None
-        for *_, shift in normal_forms(weight, True)
-    )

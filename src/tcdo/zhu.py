@@ -114,15 +114,10 @@ def homogeneous_weight(a: FreeState) -> int:
 
 def zhu_star(a: FreeState, b: FreeState) -> FreeState:
     """a * b = sum_{j=0..Da} C(Da, j) a_(j-1) b for homogeneous a."""
-    return zhu_star_n(a, -1, b)
-
-
-def zhu_star_n(a: FreeState, n: int, b: FreeState) -> FreeState:
-    """The shifted products a *_n b = sum_{i=0..Da} C(Da, i) a_(n+i) b."""
     da = homogeneous_weight(a)
-    out = apply_mode(a, n, b)
-    for i in range(1, da + 1):
-        out = out + binom(da, i) * apply_mode(a, n + i, b)
+    out = apply_mode(a, -1, b)
+    for j in range(1, da + 1):
+        out = out + binom(da, j) * apply_mode(a, j - 1, b)
     return out
 
 

@@ -39,7 +39,7 @@ from tcdo.p1tcdo import (
 )
 from tcdo.qseries import QSeries, _check_orders
 from tcdo.reports import CheckReport
-from tcdo.zhu import DiffOp, GradingError, diffop, diffop_zero, zhu_star
+from tcdo.zhu import DiffOp, GradingError, diffop, diffop_zero, homogeneous_weight, zhu_star
 
 
 def commutator_sides(w: FreeState, r: int, v: FreeState, m: int, u: FreeState):
@@ -128,6 +128,16 @@ def zhu_star_linear(a: FreeState, b: FreeState) -> FreeState:
         out = term if out is None else out + term
     if out is None:
         raise GradingError("empty left factor")
+    return out
+
+
+def zhu_star_n(a: FreeState, n: int, b: FreeState) -> FreeState:
+    """The shifted products a *_n b = sum_{i=0..Da} C(Da, i) a_(n+i) b for
+    homogeneous a; the Zhu product is the case n = -1."""
+    da = homogeneous_weight(a)
+    out = apply_mode(a, n, b)
+    for i in range(1, da + 1):
+        out = out + binom(da, i) * apply_mode(a, n + i, b)
     return out
 
 

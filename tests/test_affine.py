@@ -45,7 +45,7 @@ from tcdo.affine import (
 )
 from tcdo.cli import main
 from tcdo.modespace import VACUUM_MONO, _act
-from tcdo.p1tcdo import Chart, _sl2_currents, sections_bidegree, unclamped_sections_dim
+from tcdo.p1tcdo import Chart, _sl2_currents, sections_bidegree
 from tcdo.qseries import char_L
 
 from references import pbw_depth_max, ref_irreducible_dims, ref_verma_images
@@ -544,8 +544,8 @@ def test_raw_verma_matches_unclamped_fock():
             for mu in range(n - 10, n + 7):
                 if (n - mu) % 2:
                     continue
-                assert len(verma_basis(n, d, mu)) == unclamped_sections_dim(
-                    Chart.ZERO, n, d, mu
+                assert len(verma_basis(n, d, mu)) == len(
+                    sections_bidegree(Chart.ZERO, n, d, mu, tower=True)
                 )
 
 

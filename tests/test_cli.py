@@ -216,8 +216,14 @@ def test_affine_verma_vs_sections_dominant_twist_passes(capsys):
 
 
 def test_affine_verma_vs_sections_raw_count_mismatch_exits_1(monkeypatch, capsys):
-    real = tcdo.p1tcdo.unclamped_sections_dim
-    monkeypatch.setattr(tcdo.p1tcdo, "unclamped_sections_dim", lambda *args: real(*args) + 1)
+    # only the free-tower basis, the raw count's side, gains a monomial
+    real = tcdo.p1tcdo.sections_bidegree
+
+    def padded(chart, n, weight, mu, tower=False):
+        out = real(chart, n, weight, mu, tower)
+        return out + [tcdo.modespace.Monomial()] if tower else out
+
+    monkeypatch.setattr(tcdo.p1tcdo, "sections_bidegree", padded)
     code, out, _ = run(["affine", "verma-vs-sections", "--n", "-2", "--depth", "1", "--format", "json"], capsys)
     assert code == 1
     (rep,) = json.loads(out)["results"]

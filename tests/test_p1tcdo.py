@@ -40,12 +40,10 @@ from tcdo.p1tcdo import (
     check_sl2_global,
     glue,
     include_overlap,
-    overlap_basis,
     sections_bidegree,
     sl2_embedding,
     sugawara_image,
     sugawara_zero_mode_value,
-    unclamped_sections_dim,
 )
 from tcdo.cech import mu_window
 
@@ -361,10 +359,11 @@ def _ref_sections(chart, n, weight_max, h_window):
     return out
 
 
-def _ref_unclamped_dim(chart, n, weight, mu):
+def _ref_tower_basis(chart, n, weight, mu):
+    """The monomials of exact weight and h-weight with the lambda*-tower free."""
     if weight < 0:
-        return 0
-    total = 0
+        return []
+    out = []
     for amodes in _ref_mode_tuples(weight, 1):
         wa = sum(-m for m in amodes)
         for bmodes in _ref_mode_tuples(weight - wa, 2):
@@ -377,8 +376,8 @@ def _ref_unclamped_dim(chart, n, weight, mu):
                     continue
                 k = (shift - mu) // 2
                 if chart is Chart.OVERLAP or k >= 0:
-                    total += 1
-    return total
+                    out.append(Monomial(amodes, bmodes, lmodes, k))
+    return out
 
 
 def _ref_overlap_basis(weight_max, h_bound, lstar):
@@ -395,9 +394,14 @@ def _ref_overlap_basis(weight_max, h_bound, lstar):
     return out
 
 
-def _window_sections(chart, n, weights, mus):
+def _window_sections(chart, n, weights, mus, tower=False):
     """sections_bidegree summed over a window of bidegrees."""
-    return [m for N in weights for mu in mus for m in sections_bidegree(chart, n, N, mu)]
+    return [m for N in weights for mu in mus for m in sections_bidegree(chart, n, N, mu, tower)]
+
+
+def _overlap_window(weight_max, h_bound, lstar):
+    """The overlap bases ``check_involution`` walks for sector lstar."""
+    return _window_sections(Chart.OVERLAP, 0, range(weight_max + 1), range(-h_bound, h_bound + 1), lstar is None)
 
 
 def test_normal_forms_are_exact_weight_shapes():
@@ -467,19 +471,34 @@ def test_unclamped_sections_dim_matches_filtered_count():
         for n in range(-4, 5):
             for N in range(-1, 6):
                 for mu in mu_window(n, 5, 2):
-                    assert unclamped_sections_dim(chart, n, N, mu) == _ref_unclamped_dim(
-                        chart, n, N, mu
+                    assert len(sections_bidegree(chart, n, N, mu, tower=True)) == len(
+                        _ref_tower_basis(chart, n, N, mu)
                     ), (chart, n, N, mu)
+
+
+def test_tower_sections_are_the_free_tower_monomials():
+    # the count above cannot see a basis that repeats a shape's monomial in
+    # place of another's (its LSTAR modes dropped, say); the set can
+    for chart in Chart:
+        for n in (-3, 0, 2):
+            for N in range(5):
+                for mu in mu_window(n, 4, 2):
+                    got = sections_bidegree(chart, n, N, mu, tower=True)
+                    assert len(got) == len(set(got)), (chart, n, N, mu)
+                    assert set(got) == set(_ref_tower_basis(chart, n, N, mu)), (chart, n, N, mu)
+                    assert all(m.weight == N and n + m.h_shift == mu for m in got)
 
 
 def test_overlap_basis_matches_filtered_enumeration():
     for lstar in (None, 0, -2):
         for weight_max in range(5):
             for h_bound in (0, 3, 12):
-                got = overlap_basis(weight_max, h_bound, lstar)
+                got = _overlap_window(weight_max, h_bound, lstar)
                 want = _ref_overlap_basis(weight_max, h_bound, lstar)
                 assert len(got) == len(set(got))
                 assert set(got) == set(want)
+            want = len(_ref_overlap_basis(weight_max, 2 * weight_max + 4, lstar))
+            assert check_involution(lstar, weight_max).checks == want
 
 
 def test_h_weight_eigenvalue_on_sections():
@@ -493,7 +512,7 @@ def test_h_weight_eigenvalue_on_sections():
 
 
 def test_overlap_basis_respects_bounds():
-    for mono in overlap_basis(2, 6):
+    for mono in _overlap_window(2, 6, None):
         assert mono.weight <= 2
         assert abs(mono.h_shift) <= 6
 

@@ -34,10 +34,9 @@ from tcdo.zhu import (
     diffop_one,
     zhu_reduce,
     zhu_star,
-    zhu_star_n,
 )
 
-from references import ref_zhu_reduce, weight_components, zhu_star_linear
+from references import ref_zhu_reduce, weight_components, zhu_star_linear, zhu_star_n
 
 SEED = 42
 
