@@ -459,21 +459,13 @@ def verma_to_sections(n: int, d_max: int) -> dict:
     return table
 
 
-def _sampled_report(name: str, samples: int, seed: int) -> CheckReport:
-    rep = CheckReport(name, details={"samples": samples, "seed": seed})
-    if samples == 0:
-        rep.details["warning"] = "samples=0: vacuous pass"
-    return rep
-
-
 def check_affine_relations(samples: int = 60, seed: int = 42) -> CheckReport:
     """Bracket self-consistency on random PBW vectors: the commutator of two
     mode actions equals the action of their bracket plus the central term;
     samples=0 is a vacuous pass flagged with a warning."""
-    rng = random.Random(seed)
-    rep = _sampled_report("affine-bracket", samples, seed)
     nus = [Fraction(0), Fraction(2), Fraction(-3), Fraction(1, 2)]
-    for i in range(samples):
+
+    def trial(rng, i):
         nu = rng.choice(nus)
         v = random_pbw(rng, 3, nu)
         xg, yg = rng.choice("ehf"), rng.choice("ehf")
@@ -483,24 +475,26 @@ def check_affine_relations(samples: int = 60, seed: int = 42) -> CheckReport:
         rhs = PBWVector({}, nu) if br is None else br[0] * act(br[1], m + k, v)
         if m + k == 0:
             rhs = rhs + (m * SL2_FORM.get((xg, yg), 0) * LEVEL) * v
-        rep.record(lhs == rhs, f"sample {i}: [{xg}_({m}), {yg}_({k})]")
-    return rep
+        return lhs == rhs, lambda: f"sample {i}: [{xg}_({m}), {yg}_({k})]"
+
+    rep = CheckReport("affine-bracket", details={"samples": samples, "seed": seed})
+    return rep.sample(random.Random(seed), samples, trial)
 
 
 def check_sugawara_centrality(samples: int = 30, seed: int = 42) -> CheckReport:
     """T_k commutes with every mode action on random PBW vectors; samples=0
     is a vacuous pass flagged with a warning."""
-    rng = random.Random(seed)
-    rep = _sampled_report("affine-sugawara-central", samples, seed)
-    for i in range(samples):
+
+    def trial(rng, i):
         nu = rng.choice([Fraction(0), Fraction(1), Fraction(-2), Fraction(5, 3)])
         v = random_pbw(rng, 2, nu)
         k = rng.randint(-2, 1)
         gen, m = rng.choice("ehf"), rng.randint(-2, 2)
-        lhs = sugawara_apply(k, act(gen, m, v))
-        rhs = act(gen, m, sugawara_apply(k, v))
-        rep.record(lhs == rhs, f"sample {i}: [T_({k}), {gen}_({m})]")
-    return rep
+        ok = sugawara_apply(k, act(gen, m, v)) == act(gen, m, sugawara_apply(k, v))
+        return ok, lambda: f"sample {i}: [T_({k}), {gen}_({m})]"
+
+    rep = CheckReport("affine-sugawara-central", details={"samples": samples, "seed": seed})
+    return rep.sample(random.Random(seed), samples, trial)
 
 
 def random_pbw(rng: random.Random, depth_max: int, nu) -> PBWVector:

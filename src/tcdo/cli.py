@@ -246,11 +246,11 @@ def cmd_affine_singular(args: argparse.Namespace):
 # Xeon, and n = 6 costs 2-3x that.  One run at each ceiling, n = 0 and the
 # other flags at their defaults (Python 3.11.7, 2-core Xeon): verify-engine
 # 15 s and 218 MB, where memory, not time, sets the limit (its caches grow by
-# about 19 MB per 1000 samples); zhu 29 s and 82 MB; gluing 72 s and 114 MB
+# about 19 MB per 1000 samples); zhu 29 s and 82 MB; gluing 44 s and 113 MB
 # at its sample ceiling, and 0.2 s and 23 MB at weight 4 (the involution
 # check's overlap basis grows fast past it); cech 9.8 s and 110 MB; affine
 # singular 38 s and 157 MB at weight 8, 3.6 s and 54 MB at depth 6, and
-# 94-98 s and 43 MB at its sample ceiling; affine char 1.2 s and 41 MB, and
+# 73 s and 43 MB at its sample ceiling; affine char 1.2 s and 41 MB, and
 # verma-vs-sections 1.6 s and 45 MB (2.2 s and 62 MB at n = -3), at depth 7.
 _COMMANDS = {
     ("verify-engine", None): (cmd_verify_engine, "mode-calculus property sweep, conformal weight <= 3",

@@ -88,6 +88,7 @@ from operator import itemgetter
 
 from . import _register_containers, _registered
 from .linalg import LinearCombination, _integer_row, _merge
+from .reports import CheckReport
 
 POLY = "poly"
 LAURENT = "laurent"
@@ -756,24 +757,12 @@ def random_state(rng: random.Random, weight_max: int, ring: str = POLY,
 def engine_property_suite(samples: int = 200, seed: int = 42):
     """Seeded property sweep over the raw mode calculus on states of
     conformal weight <= 3: the Borcherds identity in all three sectors,
-    translation covariance, grading bookkeeping, and h-grading diagonality.
-    Returns one CheckReport per property; samples=0 is a vacuous pass
-    flagged with a warning."""
-    from .reports import CheckReport
-
+    translation covariance, grading bookkeeping, and h-grading diagonality,
+    drawn in that order from one rng.  Returns one CheckReport per property;
+    samples=0 is a vacuous pass flagged with a warning."""
     weight_max = 3
-    rng = random.Random(seed)
-    borcherds = CheckReport("borcherds-identity", details={"samples": samples, "seed": seed})
-    covariance = CheckReport("translation-covariance", details={"samples": samples})
-    grading = CheckReport("grading-bookkeeping", details={"samples": samples})
-    diagonal = CheckReport("h0-diagonality", details={"samples": samples})
-    suite = [borcherds, covariance, grading, diagonal]
-    if samples == 0:
-        for rep in suite:
-            rep.details["warning"] = "samples=0: vacuous pass"
-        return suite
 
-    for i in range(samples):
+    def borcherds(rng, i):
         sector = ("poly", "laurent", "module")[i % 3]
         if sector == "poly":
             a, b, c = (random_state(rng, weight_max) for _ in range(3))
@@ -784,20 +773,16 @@ def engine_property_suite(samples: int = 200, seed: int = 42):
             b = random_state(rng, weight_max)
             c = random_state(rng, weight_max, lstar=rng.randint(-3, 3))
         m, n, k = (rng.randint(-2, 2) for _ in range(3))
-        borcherds.record(
-            check_borcherds(a, b, c, m, n, k),
-            f"sample {i} ({sector}): m={m} n={n} k={k}",
-        )
+        return check_borcherds(a, b, c, m, n, k), lambda: f"sample {i} ({sector}): m={m} n={n} k={k}"
 
-    for i in range(samples):
+    def covariance(rng, i):
         w = random_state(rng, weight_max)
         u = random_state(rng, weight_max)
         m = rng.randint(-3, 2)
-        lhs = apply_mode(translation(w), m, u)
-        rhs = (-m) * apply_mode(w, m - 1, u)
-        covariance.record(lhs == rhs, f"sample {i}: (T w)_({m}) != -{m} w_({m - 1})")
+        ok = apply_mode(translation(w), m, u) == (-m) * apply_mode(w, m - 1, u)
+        return ok, lambda: f"sample {i}: (T w)_({m}) != -{m} w_({m - 1})"
 
-    for i in range(samples):
+    def grading(rng, i):
         wm_mono = random_monomial(rng, weight_max)
         um_mono = random_monomial(rng, weight_max)
         m = rng.randint(-3, 2)
@@ -806,19 +791,26 @@ def engine_property_suite(samples: int = 200, seed: int = 42):
         )
         want_w = wm_mono.weight + um_mono.weight - m - 1
         want_h = wm_mono.h_shift + um_mono.h_shift
-        grading.record(
-            all(t.weight == want_w and t.h_shift == want_h for t in out.terms),
-            f"sample {i}: bigrade drift under w_({m})",
-        )
+        ok = all(t.weight == want_w and t.h_shift == want_h for t in out.terms)
+        return ok, lambda: f"sample {i}: bigrade drift under w_({m})"
 
     h_state = FreeState({Monomial((-1,), (), (), 1): -2}, POLY) + gen_lstar()
-    for i in range(samples):
+
+    def diagonality(rng, i):
         t = rng.randint(-3, 3)
         mono = random_monomial(rng, weight_max, symbolic=False)
         u = FreeState({mono: 1}, POLY, t)
         mu = t + mono.h_shift
-        diagonal.record(
-            apply_mode(h_state, 0, u) == mu * u,
-            f"sample {i}: h_(0) eigenvalue != {mu} at twist {t}",
-        )
+        ok = apply_mode(h_state, 0, u) == mu * u
+        return ok, lambda: f"sample {i}: h_(0) eigenvalue != {mu} at twist {t}"
+
+    rng = random.Random(seed)
+    suite = [
+        CheckReport("borcherds-identity", details={"samples": samples, "seed": seed}),
+        CheckReport("translation-covariance", details={"samples": samples}),
+        CheckReport("grading-bookkeeping", details={"samples": samples}),
+        CheckReport("h0-diagonality", details={"samples": samples}),
+    ]
+    for rep, trial in zip(suite, (borcherds, covariance, grading, diagonality)):
+        rep.sample(rng, samples, trial)
     return suite

@@ -10,7 +10,10 @@ class CheckReport:
     """Outcome of one named suite of exact identity checks.
 
     ``checks`` counts individual identities tested; ``failures`` holds one
-    human-readable counterexample string per failed identity.
+    human-readable counterexample string per failed identity.  ``sample``
+    owns the seeded loop of every sampled suite: it counts each trial,
+    builds a failure's text only when that trial fails, and flags
+    samples=0 as a vacuous pass.
     """
 
     name: str
@@ -26,6 +29,20 @@ class CheckReport:
         self.checks += 1
         if not ok:
             self.failures.append(describe)
+
+    def sample(self, rng, samples: int, trial) -> CheckReport:
+        """Run ``trial(rng, i)`` for i in range(samples); each trial draws
+        sample i from ``rng`` and returns ``(ok, describe)``, and the
+        zero-argument ``describe()`` is called only when ``ok`` is false.
+        Returns the report."""
+        if samples == 0:
+            self.details["warning"] = "samples=0: vacuous pass"
+        for i in range(samples):
+            ok, describe = trial(rng, i)
+            self.checks += 1
+            if not ok:
+                self.failures.append(describe())
+        return self
 
     def as_dict(self) -> dict:
         return {

@@ -217,6 +217,44 @@ def test_sugawara_spans_use_centrality_and_the_checks_keep_the_expansion():
     assert "sugawara_apply" in check and "_central_image" not in check
 
 
+# every sampled suite runs its seeded loop through CheckReport.sample, which
+# builds a failure's text only for a failing trial and flags samples=0 once.
+# The guard keys on the draw, not on the name ``samples``: _glue_table and
+# _delta_matrix loop over range(samples) interpolation nodes
+DRAWS = {"random_state", "random_monomial", "random_pbw"}
+
+
+def _draws(node) -> bool:
+    """Whether ``node`` draws from an rng: rng.<method>, or a random_* helper."""
+    return any(
+        isinstance(sub, ast.Attribute) and getattr(sub.value, "id", None) == "rng"
+        or getattr(sub, "id", None) in DRAWS or getattr(sub, "attr", None) in DRAWS
+        for sub in ast.walk(node)
+    )
+
+
+def test_no_sampled_loop_records_its_own_checks():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_sampled_report":
+                found.append(f"{path.name}:{node.lineno} _sampled_report")
+            records = isinstance(node, ast.For) and any(
+                isinstance(sub, ast.Call) and getattr(sub.func, "attr", None) == "record" for sub in ast.walk(node)
+            )
+            if records and _draws(node):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+    for filename, name in (
+        ("modespace.py", "engine_property_suite"),
+        ("p1tcdo.py", "check_gluing_morphism"),
+        ("affine.py", "check_affine_relations"),
+        ("affine.py", "check_sugawara_centrality"),
+    ):
+        assert "sample" in _calls(filename, name), name
+
+
 # main takes the handler from the command table's row, so no handler
 # switches on the affine mode
 def test_no_command_handler_reads_the_mode():
