@@ -246,7 +246,9 @@ def cmd_affine_singular(args: argparse.Namespace):
 # Xeon, and n = 6 costs 2-3x that.  One run at each ceiling, n = 0 and the
 # other flags at their defaults (Python 3.11.7, 2-core Xeon): verify-engine
 # 15 s and 218 MB, where memory, not time, sets the limit (its caches grow by
-# about 19 MB per 1000 samples); zhu 29 s and 82 MB; gluing 44 s and 113 MB
+# about 19 MB per 1000 samples); zhu 9.4-11.9 s and 197 MB, where memory sets
+# the limit too, with a margin under verify-engine's 218 MB (208 MB at cutoff
+# 87, 213 MB at 88, 226 MB at 90); gluing 44 s and 113 MB
 # at its sample ceiling, and 0.2 s and 23 MB at weight 4 (the involution
 # check's overlap basis grows fast past it); cech 9.8 s and 110 MB; affine
 # singular 38 s and 157 MB at weight 8, 3.6 s and 54 MB at depth 6, and
@@ -256,7 +258,7 @@ _COMMANDS = {
     ("verify-engine", None): (cmd_verify_engine, "mode-calculus property sweep, conformal weight <= 3",
                               {"samples": (10_000, "verify-engine draws"), "seed": None}),
     ("zhu", None): (cmd_zhu, "weight-zero associative quotient checks",
-                    {"cutoff": (60, "zhu reduces the filtration words")}),
+                    {"cutoff": (85, "zhu reduces the filtration words")}),
     ("gluing", None): (cmd_gluing, "two-chart gluing, involution, sl2, Sugawara",
                        {"samples": (250_000, "gluing draws"), "weight_max": (4, "gluing checks the involution"),
                         "seed": None}),

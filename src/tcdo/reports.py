@@ -34,7 +34,9 @@ class CheckReport:
         """Run ``trial(rng, i)`` for i in range(samples); each trial draws
         sample i from ``rng`` and returns ``(ok, describe)``, and the
         zero-argument ``describe()`` is called only when ``ok`` is false.
-        Returns the report."""
+        Returns the report; a negative ``samples`` raises ValueError."""
+        if samples < 0:
+            raise ValueError(f"{self.name}: samples must be nonnegative, got {samples}")
         if samples == 0:
             self.details["warning"] = "samples=0: vacuous pass"
         for i in range(samples):

@@ -219,12 +219,11 @@ def check_zhu_of_tcdo_chart(cutoff: int = 3) -> CheckReport:
                 layer[k, e] = w
                 words.append(((d, k, e), zhu_reduce(w)))
 
-    keys = sorted({key for _, op in words for key in op.terms})
-    index = {key: i for i, key in enumerate(keys)}
+    # the DiffOp keys (k, p, e) are the columns, pivoted in tuple order
     tracker = SpanTracker()
     independent = True
     for (d, k, e), op in words:
-        if not tracker.add({index[key]: c for key, c in op.terms.items()}):
+        if not tracker.add(op.terms):
             independent = False
             rep.record(False, f"word x^{d} a^{k} l*^{e} is dependent")
         rep.record(op == diffop(k=d, p=k, e=e), f"x^{d} a^{k} l*^{e} reduces to itself")

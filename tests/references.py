@@ -5,10 +5,11 @@ definition; the package itself has no use for them.
 """
 
 from functools import lru_cache
+from math import gcd
 
 from tcdo.affine import _act_terms, _negative_words, _sugawara_span, word_depth, word_h_shift
 from tcdo.cech import BigradedReport, mu_window
-from tcdo.linalg import kernel_basis, rank
+from tcdo.linalg import _Echelon, kernel_basis, rank
 from tcdo.modespace import (
     GEN_A,
     LAURENT,
@@ -151,6 +152,40 @@ def rank_nullity_consistent(report: BigradedReport) -> bool:
         if lhs != rhs:
             return False
     return True
+
+
+def ref_reduce(core: _Echelon, vec: dict) -> tuple[int, int]:
+    """``core.reduce(vec)`` as it was before the walk started at the
+    vector's lowest column: every stored pivot is probed, in increasing
+    order."""
+    rows = core.rows
+    num = den = 1
+    for p in core.pivots:
+        c = vec.get(p)
+        if c is None:
+            continue
+        row = rows[p]
+        a = row[p]
+        g = gcd(a, c)
+        a //= g
+        c //= g
+        if a != 1:
+            for j in vec:
+                vec[j] *= a
+        for j, b in row.items():
+            x = vec.get(j, 0) - c * b
+            if x:
+                vec[j] = x
+            else:
+                del vec[j]
+        if a != 1:
+            num *= a
+            h = gcd(*vec.values())
+            if h > 1:
+                den *= h
+                for j in vec:
+                    vec[j] //= h
+    return num, den
 
 
 # the Cech differential as it was before cech._delta_matrix kept only its

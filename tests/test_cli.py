@@ -677,6 +677,23 @@ def test_request_at_a_ceiling_reaches_the_work(key, monkeypatch):
     assert len(calls) == 1
 
 
+def test_the_readme_ceiling_table_lists_every_ceiling_of_the_command_table():
+    # the rows `| `command [mode] --flag` | limit | ... |` of the README table
+    # headed `| request | ceiling | at the ceiling |`
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| request | ceiling | at the ceiling |") + 2
+    end = lines.index("", start)
+    listed = {}
+    for line in lines[start:end]:
+        request, limit = (cell.strip() for cell in line.strip("|").split("|")[:2])
+        listed[request.strip("`")] = int(limit)
+    want = {
+        " ".join(filter(None, (command, mode, FLAGS[option]))): ceiling[0]
+        for (command, mode, option), ceiling in CEILINGS.items()
+    }
+    assert listed == want
+
+
 def test_unwritable_out_returns_2(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     code, out, err = run(["verify-engine", "--samples", "1", "--out", str(target)], capsys)

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcdo.linalg import SpanTracker, kernel_basis, rank
+from references import ref_reduce
+from tcdo.linalg import SpanTracker, _Echelon, kernel_basis, rank
 
 
 # -- dense reference ------------------------------------------------------------
@@ -347,6 +348,73 @@ def test_rank_on_wider_matrices(case):
     ncols, mat = case
     assert rank([as_sparse(row) for row in mat]) == ref_rank(mat, ncols)
     assert kernel_basis(column_images(mat, ncols)) == ref_kernel(mat, ncols)
+
+
+# -- the pivot walk ---------------------------------------------------------------
+
+walk_entries = st.one_of(st.sampled_from([1, -1, 2, -3, 6, -10]), st.integers(-9, 9), delta_sized)
+
+
+@st.composite
+def echelons_and_vectors(draw):
+    """(echelon, vectors): random sparse integer rows over up to 12 columns
+    added to an ``_Echelon``, and sparse integer vectors with 0 up to ncols
+    entries, so they are both shorter and longer than the pivot list.  The
+    entries are not only +-1, so most echelons store pivot entries other
+    than 1."""
+    ncols = draw(st.integers(1, 12))
+    sparse_ints = st.dictionaries(st.integers(0, ncols - 1), walk_entries.filter(bool), max_size=ncols)
+    core = _Echelon()
+    for row in draw(st.lists(sparse_ints, max_size=10)):
+        core.add(row)
+    return core, draw(st.lists(sparse_ints, min_size=1, max_size=6))
+
+
+@settings(max_examples=60)
+@given(echelons_and_vectors())
+def test_reduce_matches_the_walk_over_every_pivot(case):
+    core, vectors = case
+    assert_rows_primitive(core)
+    for vec in vectors:
+        want = dict(vec)
+        assert core.reduce(vec) == ref_reduce(core, want)
+        assert vec == want
+
+
+@given(staircases(), st.data())
+def test_reduce_matches_the_walk_over_every_pivot_at_non_unit_pivots(case, data):
+    ncols, mat, leads = case
+    core = _Echelon()
+    for row in mat:
+        core.add(as_sparse(row))
+    assert {p: row[p] for p, row in core.rows.items()} == leads
+    sparse_ints = st.dictionaries(st.integers(0, ncols - 1), walk_entries.filter(bool), min_size=1, max_size=ncols)
+    for vec in data.draw(st.lists(sparse_ints, min_size=1, max_size=4)):
+        want = dict(vec)
+        assert core.reduce(vec) == ref_reduce(core, want)
+        assert vec == want
+
+
+class ProbeCounter(dict):
+    """A vector that counts its ``get`` calls."""
+
+    probes = 0
+
+    def get(self, key, default=None):
+        self.probes += 1
+        return super().get(key, default)
+
+
+def test_reduce_probes_no_pivot_below_the_lowest_column():
+    core = _Echelon()
+    for j in range(1000):
+        assert core.add({j: 1})
+    vec = ProbeCounter({1000: 1})
+    assert core.reduce(vec) == (1, 1)
+    assert (vec, vec.probes) == ({1000: 1}, 0)
+    old = ProbeCounter({1000: 1})
+    assert ref_reduce(core, old) == (1, 1)
+    assert old.probes == 1000
 
 
 # -- the shared linear-combination class ------------------------------------------

@@ -4,6 +4,8 @@ the seven suites that run through it."""
 import hashlib
 import random
 
+import pytest
+
 from tcdo.affine import check_affine_relations, check_sugawara_centrality
 from tcdo.modespace import engine_property_suite
 from tcdo.p1tcdo import check_gluing_morphism
@@ -54,6 +56,32 @@ def test_zero_samples_flags_each_sampled_report_with_the_one_warning():
         assert list(rep.details)[-1] == "warning"
         # the gluing suite's 18 generator checks are not sampled
         assert rep.checks == (18 if rep.name == "gluing-morphism" else 0)
+
+
+def test_negative_samples_raise_in_every_sampled_suite(monkeypatch):
+    for run in (
+        lambda: engine_property_suite(-3, 1),
+        lambda: check_gluing_morphism(None, samples=-2),
+        lambda: check_affine_relations(-1),
+        lambda: check_sugawara_centrality(-1),
+    ):
+        with pytest.raises(ValueError, match="samples must be nonnegative"):
+            run()
+    # each suite reaches the driver with its own negative count: let the
+    # suites go on past the refusal so that all seven are seen
+    refused = []
+    sample = CheckReport.sample
+
+    def refuse(self, rng, samples, trial):
+        with pytest.raises(ValueError, match=f"{self.name}: samples must be nonnegative, got -1"):
+            sample(self, rng, samples, lambda rng, i: _never())
+        refused.append(self.name)
+        return self
+
+    monkeypatch.setattr(CheckReport, "sample", refuse)
+    reports = _sampled_reports(-1, 42)
+    assert refused == [rep.name for rep in reports]
+    assert len(set(refused)) == 7
 
 
 # sha256 of repr([(report name, text), ...]) over the text of every check,
