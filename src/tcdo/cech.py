@@ -45,7 +45,7 @@ from operator import mul
 from . import _registered
 from .linalg import _merge, kernel_basis, rank
 from .modespace import _act, _terms, linear_combination, normal_forms
-from .p1tcdo import RAISING, Chart, _glue_mono, _glue_table, _sl2_currents, sections_bidegree
+from .p1tcdo import RAISING, Chart, _glue_mono, _glue_table, _glued, _sl2_currents, sections_bidegree
 from .qseries import QSeries, char_H1, char_L, eta_inverse_squared
 from .reports import CheckReport
 
@@ -267,10 +267,7 @@ def scan_h0_sl2(n: int, weight_max: int):
             halves, conditions = [], []
             for vec in kernel:
                 sinf = [(mono, c.numerator * (den // c.denominator)) for mono, c in zip(basisinf, vec) if c]
-                glued = {}
-                for mono, c in sinf:
-                    _merge(glued, _terms(_glue_mono(mono, n)), c)
-                s0 = [(mono, c) for mono, c in glued.items() if c]
+                s0 = list(_glued(sinf, n).items())
                 halves.append(s0)
                 condition = {}
                 for gen in "ehf":

@@ -245,11 +245,12 @@ def cmd_affine_singular(args: argparse.Namespace):
 # so that one small n at it finishes within about two minutes on a 2-core
 # Xeon, and n = 6 costs 2-3x that.  One run at each ceiling, n = 0 and the
 # other flags at their defaults (Python 3.11.7, 2-core Xeon): verify-engine
-# 15 s and 218 MB, where memory, not time, sets the limit (its caches grow by
-# about 19 MB per 1000 samples); zhu 9.4-11.9 s and 197 MB, where memory sets
-# the limit too, with a margin under verify-engine's 218 MB (208 MB at cutoff
-# 87, 213 MB at 88, 226 MB at 90); gluing 44 s and 113 MB
-# at its sample ceiling, and 0.2 s and 23 MB at weight 4 (the involution
+# 7.9-8.6 s and 219 MB (two runs), where memory, not time, sets the limit
+# (its caches grow by about 19 MB per 1000 samples); zhu 9.4-11.9 s and
+# 197 MB, where memory sets the limit too, with a margin under
+# verify-engine's 219 MB (208 MB at cutoff 87, 213 MB at 88, 226 MB at 90);
+# gluing 46-52 s and 121 MB at its sample ceiling (two runs; 46.7 s and 94 MB
+# at twist 6; 24-25 s at 250,000), and 0.2 s and 23 MB at weight 4 (the involution
 # check's overlap basis grows fast past it); cech 9.8 s and 110 MB; affine
 # singular 38 s and 157 MB at weight 8, 3.6 s and 54 MB at depth 6, and
 # 73 s and 43 MB at its sample ceiling; affine char 1.2 s and 41 MB, and
@@ -260,7 +261,7 @@ _COMMANDS = {
     ("zhu", None): (cmd_zhu, "weight-zero associative quotient checks",
                     {"cutoff": (85, "zhu reduces the filtration words")}),
     ("gluing", None): (cmd_gluing, "two-chart gluing, involution, sl2, Sugawara",
-                       {"samples": (250_000, "gluing draws"), "weight_max": (4, "gluing checks the involution"),
+                       {"samples": (500_000, "gluing draws"), "weight_max": (4, "gluing checks the involution"),
                         "seed": None}),
     ("cech", None): (cmd_cech, "bigraded cohomology scan and character comparison",
                      {"weight_max": (10, "cech scans")}),

@@ -55,7 +55,7 @@ conformal weight alone.  Ids never leave this module.  ``_act``, which the
 gluing (``_glue_table``), the H^0 scan and the word replay call, takes and
 returns (4-tuple, int) pairs, its output keyed by the table's shared tuples,
 which key the gluing's memoized images (``_glue_mono``) too (``_shared``);
-``apply_mode`` and ``borcherds_sides`` intern their integer rows once and
+``apply_mode`` and the sampled checks intern their integer rows once and
 run every nested action on ids.  Every memoized term list, of
 ``_apply_mono`` and of ``_glue_mono``, is one flat tuple (k0, c0, k1, c1,
 ...) of the terms in their order, zero sums included where the recursion
@@ -69,12 +69,12 @@ it.  ``Monomial`` is the validated form of the 4-tuple: a
 ``tuple`` subclass that equals and hashes as its fields, so the table finds
 plain tuples and monomials alike.  Validation and ``Fraction`` enter only at
 the public boundary: ``_state`` turns every output key of ``apply_mode``,
-``linear_combination``, ``borcherds_sides`` and ``glue`` into a
-``Monomial``, and a ``FreeState`` rejects any other key.  The identity
-checks run on the integer core too: ``borcherds_sides`` scales its three
-states to integers once and sums each side of the Borcherds identity as one
-integer dict over a common denominator, so each side becomes a state once,
-not once per composed action.
+``linear_combination`` and ``glue`` into a ``Monomial``, and a ``FreeState``
+rejects any other key.  The sampled identity checks of
+``engine_property_suite`` never cross that boundary: each scales its drawn
+states to integers once and compares integer dicts over their common
+denominators (``check_borcherds`` sums each side of the Borcherds identity
+as one such dict), so a passing sample builds no state at all.
 """
 
 from __future__ import annotations
@@ -129,6 +129,19 @@ def _out_of_order(modes: tuple[int, ...], top: int) -> bool:
     return modes[-1] > top or (len(modes) > 1 and list(modes) != sorted(modes))
 
 
+def _weight(mono: tuple) -> int:
+    """Conformal weight of a monomial 4-tuple: |m| per A/LSTAR mode, |m|-1
+    per B mode, 0 for ground."""
+    amodes, bmodes, lmodes, _ = mono
+    return -sum(amodes) - sum(bmodes) - len(bmodes) - sum(lmodes)
+
+
+def _h_shift(mono: tuple) -> int:
+    """Twist-free h-weight of a monomial 4-tuple: +2 per A mode, -2 per B
+    mode and per ground power."""
+    return 2 * len(mono[0]) - 2 * len(mono[1]) - 2 * mono[3]
+
+
 class Monomial(tuple):
     """One normal-form basis monomial: mode tuples plus the ground exponent.
 
@@ -167,16 +180,8 @@ class Monomial(tuple):
     lmodes = property(itemgetter(2))
     power = property(itemgetter(3))
 
-    @property
-    def weight(self) -> int:
-        """Conformal weight: |m| per A/LSTAR mode, |m|-1 per B mode, 0 for ground."""
-        amodes, bmodes, lmodes, _ = self
-        return -sum(amodes) - sum(bmodes) - len(bmodes) - sum(lmodes)
-
-    @property
-    def h_shift(self) -> int:
-        """Twist-free h-weight: +2 per A mode, -2 per B mode and per ground power."""
-        return 2 * len(self.amodes) - 2 * len(self.bmodes) - 2 * self.power
+    weight = property(_weight)
+    h_shift = property(_h_shift)
 
     def render(self, letter: str = "x") -> str:
         parts = [f"a({m})" for m in self.amodes]
@@ -585,6 +590,13 @@ def _act(wterms, m: int, uterms, ls) -> dict[tuple, int]:
     return dict(_pairs(_act_ids(_interned(wterms), m, _interned(uterms), ls)))
 
 
+def _id_row(u: FreeState) -> tuple[list[tuple[int, int]], int]:
+    """(terms, den): the terms of ``u`` times den, the lcm of their
+    denominators, as integer (id, coefficient) pairs."""
+    row, den = _integer_row(u.terms)
+    return _interned(row.items()), den
+
+
 def _state(pairs, den: int, ring: str, lstar) -> FreeState:
     """The state with coefficients c / den over (monomial 4-tuple, c) pairs.
     This is the engine's public boundary: each nonzero key, a 4-tuple from
@@ -616,10 +628,9 @@ def apply_mode(w: FreeState, m: int, u: FreeState) -> FreeState:
     constants, and each output coefficient becomes a ``Fraction`` once.
     """
     ring, ls = _action_sector(w.ring, w.lstar, u.ring, u.lstar)
-    wterms, dw = _integer_row(w.terms)
-    uterms, du = _integer_row(u.terms)
-    out = _act_ids(_interned(wterms.items()), m, _interned(uterms.items()), ls)
-    return _state(_pairs(out), dw * du, ring, ls)
+    wterms, dw = _id_row(w)
+    uterms, du = _id_row(u)
+    return _state(_pairs(_act_ids(wterms, m, uterms, ls)), dw * du, ring, ls)
 
 
 def linear_combination(parts, ring: str = POLY, lstar: int | None = None) -> FreeState:
@@ -665,31 +676,34 @@ def _nonzero(terms: dict) -> dict:
     return {mono: c for mono, c in terms.items() if c}
 
 
-def borcherds_sides(a: FreeState, b: FreeState, c: FreeState, m: int, n: int, k: int):
-    """Both sides of the Borcherds identity
+def _scaled(terms: dict, scale: int) -> dict:
+    """The nonzero terms of ``scale`` times the integer dict ``terms``."""
+    return {key: v for key, c in terms.items() if (v := scale * c)}
+
+
+def _borcherds_numerators(a: FreeState, b: FreeState, c: FreeState, m: int, n: int, k: int):
+    """The integer numerators of both sides of the Borcherds identity
 
         sum_j C(m,j) (a_(n+j) b)_(m+k-j) c
           = sum_j (-1)^j C(n,j) [ a_(m+n-j) (b_(k+j) c)
                                   - (-1)^n b_(n+k-j) (a_(m+j) c) ]
 
-    with the j-sums bounded by exact weight bookkeeping.  Both sides run on
-    the integer core: a, b and c are scaled to integers once, by their least
-    common denominators da, db and dc, and each side is summed in one
-    {id: int} dict from nested ``_act_ids`` calls.  Every term of either
-    side then has the common denominator da*db*dc, so the sides agree
-    exactly when their integer numerators do; each becomes a state once.
-    The sector of every action the identity takes is checked once, in the
-    order the composed ``apply_mode`` calls would meet it.
+    as two nonzero {id: int} dicts, with the j-sums bounded by exact weight
+    bookkeeping.  a, b and c are scaled to integers once, by their least
+    common denominators da, db and dc, and each side is summed in one dict
+    from nested ``_act_ids`` calls, so every term of either side has the
+    common denominator da*db*dc.  The sector of every action the identity
+    takes is checked once, in the order the composed ``apply_mode`` calls
+    would meet it.
     """
     ab = _action_sector(a.ring, a.lstar, b.ring, b.lstar)
-    ring, ls = _action_sector(*ab, c.ring, c.lstar)
+    _, ls = _action_sector(*ab, c.ring, c.lstar)
     _action_sector(a.ring, a.lstar, *_action_sector(b.ring, b.lstar, c.ring, c.lstar))
     _action_sector(b.ring, b.lstar, *_action_sector(a.ring, a.lstar, c.ring, c.lstar))
     wa = max(a.weights(), default=0)
     wb = max(b.weights(), default=0)
     wc = max(c.weights(), default=0)
-    (arow, da), (brow, db), (crow, dc) = (_integer_row(s.terms) for s in (a, b, c))
-    aterms, bterms, cterms = (_interned(row.items()) for row in (arow, brow, crow))
+    (aterms, _), (bterms, _), (cterms, _) = (_id_row(s) for s in (a, b, c))
     lhs: dict[int, int] = {}
     for j in range(max(wa + wb - n, 0) + 1):
         coef = binom(m, j)
@@ -706,12 +720,15 @@ def borcherds_sides(a: FreeState, b: FreeState, c: FreeState, m: int, n: int, k:
         inner = _nonzero(_act_ids(aterms, m + j, cterms, ls))
         sign = -1 if (j + n) % 2 == 0 else 1
         _merge(rhs, _act_ids(bterms, n + k - j, inner.items(), ls).items(), sign * coef)
-    den = da * db * dc
-    return _state(_pairs(lhs), den, ring, ls), _state(_pairs(rhs), den, ring, ls)
+    return _nonzero(lhs), _nonzero(rhs)
 
 
 def check_borcherds(a, b, c, m: int, n: int, k: int) -> bool:
-    lhs, rhs = borcherds_sides(a, b, c, m, n, k)
+    """Whether the Borcherds identity holds for states a, b, c at (m, n, k):
+    the two sides of ``_borcherds_numerators`` share their denominator, so
+    they agree exactly when their integer numerators do.  No state is
+    built."""
+    lhs, rhs = _borcherds_numerators(a, b, c, m, n, k)
     return lhs == rhs
 
 
@@ -759,7 +776,15 @@ def engine_property_suite(samples: int = 200, seed: int = 42):
     conformal weight <= 3: the Borcherds identity in all three sectors,
     translation covariance, grading bookkeeping, and h-grading diagonality,
     drawn in that order from one rng.  Returns one CheckReport per property;
-    samples=0 is a vacuous pass flagged with a warning."""
+    samples=0 is a vacuous pass flagged with a warning.
+
+    Every trial decides on the integer core and builds no state: Borcherds
+    compares the numerators of its two sides (``check_borcherds``);
+    covariance compares (T w)_(m) u with -m w_(m-1) u, each cross-multiplied
+    by the other's integer scale; grading reads the weight and h-shift of
+    every term off the intern table; and diagonality compares h_(0) u with
+    mu u.  The draws and every failure text are those of the same checks
+    on states, which ``tests/references.py`` keeps as the reference."""
     weight_max = 3
 
     def borcherds(rng, i):
@@ -779,29 +804,31 @@ def engine_property_suite(samples: int = 200, seed: int = 42):
         w = random_state(rng, weight_max)
         u = random_state(rng, weight_max)
         m = rng.randint(-3, 2)
-        ok = apply_mode(translation(w), m, u) == (-m) * apply_mode(w, m - 1, u)
+        # (T w)_(m) u over dt * du against -m w_(m-1) u over dw * du
+        (tterms, dt), (wterms, dw), (uterms, _) = (_id_row(s) for s in (translation(w), w, u))
+        lhs = _act_ids(tterms, m, uterms, None)
+        rhs = _act_ids(wterms, m - 1, uterms, None)
+        ok = _scaled(lhs, dw) == _scaled(rhs, -m * dt)
         return ok, lambda: f"sample {i}: (T w)_({m}) != -{m} w_({m - 1})"
 
     def grading(rng, i):
         wm_mono = random_monomial(rng, weight_max)
         um_mono = random_monomial(rng, weight_max)
         m = rng.randint(-3, 2)
-        out = apply_mode(
-            FreeState({wm_mono: 1}, POLY), m, FreeState({um_mono: 1}, POLY)
-        )
-        want_w = wm_mono.weight + um_mono.weight - m - 1
-        want_h = wm_mono.h_shift + um_mono.h_shift
-        ok = all(t.weight == want_w and t.h_shift == want_h for t in out.terms)
+        out = _act_ids([(_intern(wm_mono), 1)], m, [(_intern(um_mono), 1)], None)
+        want = (wm_mono.weight + um_mono.weight - m - 1, wm_mono.h_shift + um_mono.h_shift)
+        ok = {(_weight(_MONOS[t]), _h_shift(_MONOS[t])) for t, c in out.items() if c} <= {want}
         return ok, lambda: f"sample {i}: bigrade drift under w_({m})"
 
-    h_state = FreeState({Monomial((-1,), (), (), 1): -2}, POLY) + gen_lstar()
+    # h = -2 a_(-1) x + l*_(-1), the Cartan current of the zero chart
+    h_terms = _interned([(Monomial((-1,), (), (), 1), -2), (Monomial(lmodes=(-1,)), 1)])
 
     def diagonality(rng, i):
         t = rng.randint(-3, 3)
         mono = random_monomial(rng, weight_max, symbolic=False)
-        u = FreeState({mono: 1}, POLY, t)
         mu = t + mono.h_shift
-        ok = apply_mode(h_state, 0, u) == mu * u
+        uid = _intern(mono)
+        ok = _nonzero(_act_ids(h_terms, 0, [(uid, 1)], t)) == _scaled({uid: 1}, mu)
         return ok, lambda: f"sample {i}: h_(0) eigenvalue != {mu} at twist {t}"
 
     rng = random.Random(seed)

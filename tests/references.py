@@ -4,12 +4,13 @@ Each one restates an identity or a bookkeeping rule directly from its
 definition; the package itself has no use for them.
 """
 
+import random
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 from tcdo.affine import _act_terms, _negative_words, _sugawara_span, word_depth, word_h_shift
 from tcdo.cech import BigradedReport, mu_window
-from tcdo.linalg import _Echelon, kernel_basis, rank
+from tcdo.linalg import _Echelon, _integer_row, kernel_basis, rank
 from tcdo.modespace import (
     GEN_A,
     LAURENT,
@@ -17,7 +18,10 @@ from tcdo.modespace import (
     FreeState,
     Monomial,
     _act,
+    _borcherds_numerators,
     _head,
+    _pairs,
+    _state,
     _terms,
     apply_mode,
     binom,
@@ -25,6 +29,9 @@ from tcdo.modespace import (
     gen_lstar,
     linear_combination,
     normal_forms,
+    random_monomial,
+    random_state,
+    translation,
     vacuum,
     zero,
 )
@@ -78,6 +85,119 @@ def ref_borcherds_sides(a: FreeState, b: FreeState, c: FreeState, m: int, n: int
         sgn = 1 if (j + n) % 2 == 0 else -1
         rhs = rhs - (sgn * coef) * apply_mode(b, n + k - j, apply_mode(a, m + j, c))
     return lhs, rhs
+
+
+def core_borcherds_sides(a: FreeState, b: FreeState, c: FreeState, m: int, n: int, k: int):
+    """The two states whose numerators ``modespace._borcherds_numerators``
+    returns: each side over the common denominator da*db*dc, in the sector
+    of c and the Laurent ring if any of a, b, c is Laurent."""
+    lhs, rhs = _borcherds_numerators(a, b, c, m, n, k)
+    den = prod(_integer_row(s.terms)[1] for s in (a, b, c))
+    ring = LAURENT if LAURENT in (a.ring, b.ring, c.ring) else POLY
+    return tuple(_state(_pairs(side), den, ring, c.lstar) for side in (lhs, rhs))
+
+
+def ref_engine_property_suite(samples: int = 200, seed: int = 42):
+    """``engine_property_suite`` with every trial decided on states: the
+    same draws and failure texts, with Borcherds composed from public
+    ``apply_mode`` calls (``ref_borcherds_sides``) and the other three
+    identities compared as ``FreeState``s."""
+    weight_max = 3
+
+    def borcherds(rng, i):
+        sector = ("poly", "laurent", "module")[i % 3]
+        if sector == "poly":
+            a, b, c = (random_state(rng, weight_max) for _ in range(3))
+        elif sector == "laurent":
+            a, b, c = (random_state(rng, weight_max, LAURENT) for _ in range(3))
+        else:
+            a = random_state(rng, weight_max)
+            b = random_state(rng, weight_max)
+            c = random_state(rng, weight_max, lstar=rng.randint(-3, 3))
+        m, n, k = (rng.randint(-2, 2) for _ in range(3))
+        lhs, rhs = ref_borcherds_sides(a, b, c, m, n, k)
+        return lhs == rhs, lambda: f"sample {i} ({sector}): m={m} n={n} k={k}"
+
+    def covariance(rng, i):
+        w = random_state(rng, weight_max)
+        u = random_state(rng, weight_max)
+        m = rng.randint(-3, 2)
+        ok = apply_mode(translation(w), m, u) == (-m) * apply_mode(w, m - 1, u)
+        return ok, lambda: f"sample {i}: (T w)_({m}) != -{m} w_({m - 1})"
+
+    def grading(rng, i):
+        wm_mono = random_monomial(rng, weight_max)
+        um_mono = random_monomial(rng, weight_max)
+        m = rng.randint(-3, 2)
+        out = apply_mode(FreeState({wm_mono: 1}, POLY), m, FreeState({um_mono: 1}, POLY))
+        want_w = wm_mono.weight + um_mono.weight - m - 1
+        want_h = wm_mono.h_shift + um_mono.h_shift
+        ok = all(t.weight == want_w and t.h_shift == want_h for t in out.terms)
+        return ok, lambda: f"sample {i}: bigrade drift under w_({m})"
+
+    h_state = FreeState({Monomial((-1,), (), (), 1): -2}, POLY) + gen_lstar()
+
+    def diagonality(rng, i):
+        t = rng.randint(-3, 3)
+        mono = random_monomial(rng, weight_max, symbolic=False)
+        u = FreeState({mono: 1}, POLY, t)
+        mu = t + mono.h_shift
+        ok = apply_mode(h_state, 0, u) == mu * u
+        return ok, lambda: f"sample {i}: h_(0) eigenvalue != {mu} at twist {t}"
+
+    rng = random.Random(seed)
+    suite = [
+        CheckReport("borcherds-identity", details={"samples": samples, "seed": seed}),
+        CheckReport("translation-covariance", details={"samples": samples}),
+        CheckReport("grading-bookkeeping", details={"samples": samples}),
+        CheckReport("h0-diagonality", details={"samples": samples}),
+    ]
+    for rep, trial in zip(suite, (borcherds, covariance, grading, diagonality)):
+        rep.sample(rng, samples, trial)
+    return suite
+
+
+def ref_check_gluing_morphism(twist, samples: int = 100, seed: int = 42) -> CheckReport:
+    """``check_gluing_morphism`` with every sample decided on states:
+    glue(u_(m) v) == glue(u)_(m) glue(v) through ``glue`` and
+    ``apply_mode``, with the same draws and failure texts."""
+    rep = CheckReport(
+        "gluing-morphism",
+        details={"samples": samples, "seed": seed, "transition_degree": twist or 0},
+    )
+    gens = {name: FreeState({mono: 1}) for name, mono in {
+        "d_y": Monomial(amodes=(-1,)),
+        "y": Monomial(power=1),
+        "l*": Monomial(lmodes=(-1,)),
+    }.items()}
+    for xn, xi in gens.items():
+        for en, eta in gens.items():
+            for m in (0, 1):
+                lhs = glue(apply_mode(xi, m, eta))
+                rhs = apply_mode(glue(xi), m, glue(eta))
+                rep.record(lhs == rhs, f"generators ({xn})_({m}) {en}")
+
+    def trial(rng, i):
+        u = random_state(rng, 3, ring=POLY)
+        v = random_state(rng, 3, ring=POLY, lstar=twist)
+        m = rng.randint(-2, 2)
+        ok = glue(apply_mode(u, m, v)) == apply_mode(glue(u), m, glue(v))
+        return ok, lambda: f"sample {i}: ({u.render('y')})_({m}) {v.render('y')}"
+
+    return rep.sample(random.Random(seed), samples, trial)
+
+
+def ref_check_involution(twist, weight_max: int = 4) -> CheckReport:
+    """``check_involution`` decided on states: glue(glue(u)) == u for the
+    state u of each overlap basis monomial."""
+    rep = CheckReport("gluing-involution", details={"weight_max": weight_max})
+    h_bound = 2 * weight_max + 4
+    for weight in range(weight_max + 1):
+        for mu in range(-h_bound, h_bound + 1):
+            for mono in sections_bidegree(Chart.OVERLAP, 0, weight, mu, twist is None):
+                u = FreeState({mono: 1}, LAURENT, twist)
+                rep.record(glue(glue(u)) == u, f"round trip of {mono.render()}")
+    return rep
 
 
 def ref_glue_mono(mono: tuple, ls, memo: dict) -> dict:

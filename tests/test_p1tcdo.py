@@ -47,7 +47,7 @@ from tcdo.p1tcdo import (
 )
 from tcdo.cech import mu_window
 
-from references import bigrade, ref_glue_mono
+from references import bigrade, ref_check_involution, ref_glue_mono
 
 SEED = 42
 
@@ -104,6 +104,15 @@ def test_involution_symbolic():
 def test_involution_specialized(n):
     rep = check_involution(n, weight_max=2)
     assert rep.passed, rep.failures[:3]
+
+
+@pytest.mark.parametrize("twist", [None, -2, 3])
+def test_involution_matches_the_state_path(twist):
+    # the integer round trip against glue(glue(u)) == u on states, at the
+    # CLI's default weight
+    rep = check_involution(twist, weight_max=4)
+    assert rep.as_dict() == ref_check_involution(twist, weight_max=4).as_dict()
+    assert rep.passed and rep.checks == (1118 if twist is None else 494)
 
 
 @pytest.mark.parametrize("ls", [None, *range(-4, 5)])

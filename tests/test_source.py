@@ -62,8 +62,9 @@ ENGINE_CORE = {
     "modespace.py": (
         "_gen_mode_terms", "_contractions", "_head", "_apply_mono", "_ground_apply", "_act",
         "_nonzero", "_intern", "_shared", "_head_id", "_interned", "_pairs", "_act_ids", "_poles",
+        "_scaled", "_id_row", "_borcherds_numerators",
     ),
-    "p1tcdo.py": ("_glue_table", "_glue_mono"),
+    "p1tcdo.py": ("_glue_table", "_glue_mono", "_glued"),
 }
 
 
