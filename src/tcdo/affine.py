@@ -305,28 +305,44 @@ def _span_columns(basis_words) -> dict:
     kernel pivots on the lowest column, so numbering the words backwards
     makes it pivot first on the word of each image that comes last in basis
     order.  Over the spans of ``irreducible_char_oracle(n, 4)``, n = 0..3,
-    this keeps 12628 nonzero entries in the echelon rows where the basis
-    order keeps 20587, and for ``irreducible_char_oracle(0, 6)`` 32904 where
-    it keeps 86013.  Dimensions do not depend on the numbering; the residuals
+    this keeps 4061 nonzero entries in the echelon rows where the basis
+    order keeps 4346, and for ``irreducible_char_oracle(0, 6)`` 4513 where
+    it keeps 4835.  Dimensions do not depend on the numbering; the residuals
     ``singular_bidegrees`` stacks do, but the rank of the stack does not."""
     return {w: -i for i, w in enumerate(basis_words)}
 
 
-def _sugawara_span(nu, d: int, mu) -> tuple:
-    """The PBW basis words of bidegree (d, mu), a tracker holding all T_(-k)
-    images landing there, and the index of the words it uses:
-    ``_span_columns`` numbers the words so that elimination pivots on the
-    last basis word of each image first.  An empty bidegree gets an empty
-    tracker and no images.  Single applications suffice: T is central, so
-    sum_k T_(-k) M is already a submodule, and iterated T's land inside
-    single-T images; the integer images of 2 T_(-k) span the same.  By the
-    same centrality each image 2 T_(-k)(w v) is taken as w (2 T_(-k) v) from
-    ``_central_image``, not from the module expansion, which
-    ``sugawara_apply`` keeps."""
+def _sugawara_span(nu, d: int, mu, first=()) -> tuple:
+    """The PBW basis words of bidegree (d, mu), a tracker holding the rows
+    ``first`` (an iterable of PBW term items of vectors in the bidegree)
+    and then all T_(-k) images landing there, and the index of the words it
+    uses: ``_span_columns`` numbers the words so that elimination pivots on
+    the last basis word of each image first.  An empty bidegree gets an
+    empty tracker and no images; a row of ``first`` there raises KeyError.
+    Single applications suffice: T is central, so sum_k T_(-k) M is already
+    a submodule, and iterated T's land inside single-T images; the integer
+    images of 2 T_(-k) span the same.  By the same centrality each image
+    2 T_(-k)(w v) is taken as w (2 T_(-k) v) from ``_central_image``, not
+    from the module expansion, which ``sugawara_apply`` keeps.
+
+    ``irreducible_dims`` passes the images of the singular vector's
+    descendants as ``first``.  They are the image of the injective Verma
+    embedding M_(-n-2) -> M_n, and under ``_span_columns`` no one of them
+    holds another's lowest column (checked for n = 0..3 at depth 4 and
+    n = 0 at depth 6), so they enter with no elimination among themselves
+    and the T images then reduce against sparse rows: over
+    ``irreducible_char_oracle(n, 4)``, n = 0..3, the echelon rows keep 4061
+    nonzero entries where the Sugawara images entered first keep 12628, and
+    for ``irreducible_char_oracle(0, 6)`` 4513 where they keep 32904.  The
+    dimension does not depend on the order.  ``singular_bidegrees`` and
+    ``restricted_verma_dim`` pass no ``first``, and for their spans the
+    image order kept here measured fastest (ROADMAP, tried and dropped)."""
     nu = _core_nu(nu)
     words = verma_basis(nu, d, mu)
     index = _span_columns(words)
     tracker = SpanTracker()
+    for items in first:
+        tracker.add({index[w]: c for w, c in items})
     if not words:
         return words, tracker, index
     for k in range(1, d + 1):
@@ -391,12 +407,11 @@ def irreducible_dims(n: int, d_max: int) -> dict:
     out = {}
     for d in range(d_max + 1):
         for mu in _default_mu_window(n, d_max):
-            basis_words, tracker, index = _sugawara_span(n, d, mu)
             # lowering words sending the singular vector (h-weight -n-2) into
             # (d, mu); U(g^)w = U(lowering)w because w is singular (verified
             # by check_singular_generator in `tcdo affine singular`)
-            for word in verma_basis(-n - 2, d, mu):
-                tracker.add({index[w]: c for w, c in _replay(word, act_one, memo)})
+            descendants = (_replay(word, act_one, memo) for word in verma_basis(-n - 2, d, mu))
+            basis_words, tracker, _ = _sugawara_span(n, d, mu, descendants)
             out[(d, mu)] = len(basis_words) - tracker.dim
     return out
 

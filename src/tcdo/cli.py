@@ -253,8 +253,9 @@ def cmd_affine_singular(args: argparse.Namespace):
 # at twist 6; 24-25 s at 250,000), and 0.2 s and 23 MB at weight 4 (the involution
 # check's overlap basis grows fast past it); cech 9.8 s and 110 MB; affine
 # singular 38 s and 157 MB at weight 8, 3.6 s and 54 MB at depth 6, and
-# 73 s and 43 MB at its sample ceiling; affine char 1.2 s and 41 MB, and
-# verma-vs-sections 1.6 s and 45 MB (2.2 s and 62 MB at n = -3), at depth 7.
+# 73 s and 43 MB at its sample ceiling; affine char 0.5-0.6 s and 41 MB, and
+# verma-vs-sections 0.7-0.8 s and 45 MB (2.0-2.5 s and 62 MB at n = -3), at
+# depth 7.
 _COMMANDS = {
     ("verify-engine", None): (cmd_verify_engine, "mode-calculus property sweep, conformal weight <= 3",
                               {"samples": (10_000, "verify-engine draws"), "seed": None}),

@@ -20,7 +20,7 @@ Peierls, SIAM J. Sci. Stat. Comput. 9, 1988), so no pivot below the lowest
 column ever meets an entry, and the rows act as in the walk over every pivot.
 A vector with at least as many entries as there are pivots skips the search.
 Per pass of ``perfbench``, the start skips 4238 of the 24,337 pivot probes of
-``cech-scan`` and 34,483 of the 87,761 of ``pbw-oracle``; a Zhu word, which
+``cech-scan`` and 17,007 of the 90,328 of ``pbw-oracle``; a Zhu word, which
 reduces to one symbol, skips nearly all of them.
 
 The caller chooses the numbering of the columns, and with it the pivot
@@ -204,8 +204,8 @@ class _Echelon:
         entries as there are pivots walks them all without the search.
         Measured per pass of ``perfbench``: on ``cech-scan`` the start skips
         4238 of 24,337 pivot probes, and 3484 of the 4446 reduces skip none;
-        on ``pbw-oracle`` it skips 34,483 of 87,761 over 8078 reduces, and
-        5005 of them skip none."""
+        on ``pbw-oracle`` it skips 17,007 of 90,328 over 8078 reduces, and
+        6095 of them skip none."""
         rows = self.rows
         num = den = 1
         pivots = self.pivots
